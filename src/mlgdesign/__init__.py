@@ -6,9 +6,9 @@ from .design import (CandidatePath, DesignSolution, OracleLimits,
                      brute_force_oracle, enumerate_candidate_paths,
                      formulate_link_path, formulate_node_link,
                      solve_capacitated, solve_uncapacitated)
-from .errors import (EmptyServerSet, InfeasibleError, LimitsExceeded,
-                     MissingRealization, MlgError, NoRealization,
-                     ProblemFormatError, ProductivityMismatch)
+from .errors import (DecompositionError, EmptyServerSet, InfeasibleError,
+                     LimitsExceeded, MissingRealization, MlgError,
+                     NoRealization, ProblemFormatError, ProductivityMismatch)
 from .flows import (Commodity, FlowAssignment, Session, aggregate_service_flows,
                     check_capacities, check_conservation,
                     check_productivity_projection, project_flows_down)

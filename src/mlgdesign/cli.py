@@ -16,8 +16,8 @@ import sys
 from typing import Any, Optional
 
 from . import builder, design, mlg, report
-from .errors import (InfeasibleError, LimitsExceeded, MlgError,
-                     ProblemFormatError)
+from .errors import (DecompositionError, InfeasibleError, LimitsExceeded,
+                     MlgError, ProblemFormatError)
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -370,6 +370,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except LimitsExceeded as exc:
         print(f"limits exceeded: {exc}", file=sys.stderr)
         return EXIT_LIMITS
+    except DecompositionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (ProblemFormatError, MlgError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT

@@ -5,6 +5,13 @@ Two interchangeable formulations of the multicommodity routing problem
 and uncapacitated drivers on top of the in-package simplex / branch and
 bound, and an independent brute-force oracle backed by exhaustive path
 enumeration plus scipy's LP solver.
+
+Without single homing the node-link model aggregates every commodity
+into one min-cost flow.  That is exact: all commodities leave from the
+same servers and differ only in the sink that absorbs their demand, so
+any aggregate flow decomposes into server-to-sink paths, each credited
+to the commodity of the sink it ends at.  Single homing couples each
+commodity to its own server choice and keeps one flow per commodity.
 """
 
 from __future__ import annotations
@@ -18,8 +25,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .builder import BuiltInstance
-from .errors import InfeasibleError, LimitsExceeded, UncoveredCommodity
-from .flows import Commodity, FlowAssignment
+from .errors import (DecompositionError, InfeasibleError, LimitsExceeded,
+                     UncoveredCommodity)
+from .flows import CONSERVATION_TOL, Commodity, FlowAssignment
 from .lp import LinearProgram, LpSolution, branch_and_bound, simplex_solve
 from .mlg import NodeRef
 
@@ -199,7 +207,8 @@ def _simple_paths(adj, src, dst):
 @dataclass
 class _Formulation:
     lp: LinearProgram
-    # var index -> role tuple, see _assemble_* helpers
+    # var index -> role tuple: ("arc", group, channel, from, to), ("inject",
+    # group, server), ("assign", cid, server) or ("path", cid, CandidatePath)
     meta: dict[int, tuple] = field(default_factory=dict)
     channel_rows_vars: dict[str, list[int]] = field(default_factory=dict)
 
@@ -272,73 +281,65 @@ def formulate_link_path(instance: BuiltInstance,
 
 def formulate_node_link(instance: BuiltInstance,
                         single_homing: bool = False) -> _Formulation:
-    """Per-commodity directed arc variables with nodal conservation rows."""
+    """Directed arc and server-injection columns per commodity group, and
+    one conservation row per layer-1 node with the group's demand there.
+
+    Without single homing one group holds every commodity: they share
+    the servers as sources, so the aggregate model (2E arcs + S
+    injections) is an exact single-commodity min-cost flow.  With single
+    homing each commodity is its own group, tied to one server by its
+    ``y``/``homing`` rows.
+    """
     lp = LinearProgram()
     form = _Formulation(lp=lp)
     channels = sorted(instance.channel_edges)
     servers = instance.server_ids()
-    nodes = instance.graph.nodes(1)
     objective: dict[int, float] = {}
     by_channel: dict[str, list[int]] = {c: [] for c in channels}
     by_server: dict[str, list[int]] = {s: [] for s in servers}
+    groups = ([(c,) for c in instance.commodities] if single_homing
+              else [tuple(instance.commodities)])
 
-    per_commodity_vars: dict[str, dict] = {}
-    for commodity in instance.commodities:
-        arcs: dict[tuple[str, str], int] = {}
+    # rows wait for the homing columns, which follow every flow column
+    rows: list[tuple[dict[int, float], str, float, str]] = []
+    group_inject: list[dict[str, int]] = []
+    for group in groups:
+        tag = f"{group[0].id}," if single_homing else ""
+        balance: dict[str, dict[int, float]] = {n: {} for n in instance.graph.nodes(1)}
         for ch_id in channels:
             edge = instance.channel_edges[ch_id]
             a, b = edge.ends
             for frm, to in ((a, b), (b, a)):
-                j = lp.add_var(f"f[{commodity.id},{ch_id},{frm}->{to}]")
-                form.meta[j] = ("arc", commodity.id, ch_id, frm, to)
-                arcs[(frm, to)] = j
+                j = lp.add_var(f"f[{tag}{ch_id},{frm}->{to}]")
+                form.meta[j] = ("arc", group, ch_id, frm, to)
                 objective[j] = edge.cost
                 by_channel[ch_id].append(j)
+                balance[to][j] = 1.0
+                balance[frm][j] = -1.0
         inject: dict[str, int] = {}
         for server in servers:
-            j = lp.add_var(f"inj[{commodity.id},{server}]")
-            form.meta[j] = ("inject", commodity.id, server)
+            j = lp.add_var(f"inj[{tag}{server}]")
+            form.meta[j] = ("inject", group, server)
             inject[server] = j
             by_server[server].append(j)
-        acc = lp.add_var(f"acc[{commodity.id}]")
-        form.meta[acc] = ("access", commodity.id)
-        per_commodity_vars[commodity.id] = {"arcs": arcs, "inject": inject, "acc": acc}
+            balance[server][j] = 1.0
+        group_inject.append(inject)
+        demand = {c.sink.id: c.demand for c in group}
+        rows += [(row, "=", demand.get(node, 0.0), f"conservation[{tag}{node}]")
+                 for node, row in balance.items() if row or node in demand]
 
-    homing_vars: dict[tuple[str, str], int] = {}
     if single_homing:
-        for commodity in instance.commodities:
+        for commodity, inject in zip(instance.commodities, group_inject):
             assign_row: dict[int, float] = {}
             for server in servers:
                 j = lp.add_var(f"y[{commodity.id},{server}]", upper=1.0, integer=True)
                 form.meta[j] = ("assign", commodity.id, server)
-                homing_vars[(commodity.id, server)] = j
                 assign_row[j] = 1.0
+                rows.append(({inject[server]: 1.0, j: -commodity.demand}, "<=", 0.0,
+                             f"homing[{commodity.id},{server}]"))
             lp.add_constraint(assign_row, "=", 1.0, name=f"assign[{commodity.id}]")
-
-    for commodity in instance.commodities:
-        vars_ = per_commodity_vars[commodity.id]
-        lp.add_constraint({j: 1.0 for j in vars_["inject"].values()}, "=",
-                          commodity.demand, name=f"demand[{commodity.id}]")
-        for node in nodes:
-            row: dict[int, float] = {}
-            for (frm, to), j in vars_["arcs"].items():
-                if to == node:
-                    row[j] = row.get(j, 0.0) + 1.0
-                if frm == node:
-                    row[j] = row.get(j, 0.0) - 1.0
-            if node in vars_["inject"]:
-                row[vars_["inject"][node]] = 1.0
-            if node == commodity.sink.id:
-                row[vars_["acc"]] = -1.0
-            if row:
-                lp.add_constraint(row, "=", 0.0,
-                                  name=f"conservation[{commodity.id},{node}]")
-        if single_homing:
-            for server in servers:
-                lp.add_constraint(
-                    {vars_["inject"][server]: 1.0,
-                     homing_vars[(commodity.id, server)]: -commodity.demand},
-                    "<=", 0.0, name=f"homing[{commodity.id},{server}]")
+    for coeffs, relation, rhs, name in rows:
+        lp.add_constraint(coeffs, relation, rhs, name=name)
 
     for ch_id in channels:
         cols = by_channel[ch_id]
@@ -418,73 +419,71 @@ def _assemble_solution(instance: BuiltInstance,
 def _decompose_node_link(instance: BuiltInstance, form: _Formulation,
                          values: np.ndarray
                          ) -> dict[str, list[tuple[tuple[str, ...], float]]]:
-    """Path decomposition of per-commodity arc flows (cycles discarded)."""
-    routes: dict[str, list[tuple[tuple[str, ...], float]]] = {}
-    per_commodity: dict[str, dict] = {}
-    for j, meta in form.meta.items():
-        if values[j] <= FLOW_EPS:
-            continue
-        kind = meta[0]
-        if kind == "arc":
-            _, cid, _ch, frm, to = meta
-            per_commodity.setdefault(cid, {"arcs": {}, "inject": {}})
-            arcs = per_commodity[cid]["arcs"]
-            arcs[(frm, to)] = arcs.get((frm, to), 0.0) + float(values[j])
-        elif kind == "inject":
-            _, cid, server = meta
-            per_commodity.setdefault(cid, {"arcs": {}, "inject": {}})
-            per_commodity[cid]["inject"][server] = float(values[j])
+    """Path decomposition of each commodity group's arc flows.
 
-    for commodity in instance.commodities:
-        data = per_commodity.get(commodity.id)
-        if not data:
-            continue
-        # cancel opposite-direction flow on the same channel
-        arcs = dict(data["arcs"])
-        for (frm, to) in list(arcs):
-            rev = (to, frm)
-            if rev in arcs and arcs.get((frm, to), 0.0) > 0 and arcs[rev] > 0:
-                cancel = min(arcs[(frm, to)], arcs[rev])
+    Opposing flow on a channel cancels first.  Each walk starts at the
+    first server with injection left, follows positive arcs (removing
+    any cycle it closes) and stops at the first node with unmet demand
+    in the group, whose commodity owns the path.  Each extraction,
+    cycle cancel or dead end zeroes an arc, injection or demand, which
+    bounds the loop; partial routes raise ``DecompositionError``.
+    """
+    routes: dict[str, list[tuple[tuple[str, ...], float]]] = {
+        c.id: [] for c in instance.commodities}
+    flows: dict[tuple, tuple[dict, dict]] = {}
+    for j, meta in form.meta.items():
+        if meta[0] in ("arc", "inject") and values[j] > FLOW_EPS:
+            arcs, inject = flows.setdefault(meta[1], ({}, {}))
+            if meta[0] == "arc":
+                arcs[meta[3:]] = arcs.get(meta[3:], 0.0) + float(values[j])
+            else:
+                inject[meta[2]] = float(values[j])
+
+    for group, (arcs, inject) in flows.items():
+        for frm, to in list(arcs):
+            if (to, frm) in arcs:
+                cancel = min(arcs[(frm, to)], arcs[(to, frm)])
                 arcs[(frm, to)] -= cancel
-                arcs[rev] -= cancel
-        inject = dict(data["inject"])
-        sink = commodity.sink.id
-        out: list[tuple[tuple[str, ...], float]] = []
-        guard = 0
-        while guard < 10000:
-            guard += 1
+                arcs[(to, frm)] -= cancel
+        heads: dict[str, list[str]] = {}
+        for frm, to in sorted(arcs):
+            heads.setdefault(frm, []).append(to)
+        need = {c.sink.id: c.demand for c in group}
+        owner = {c.sink.id: c.id for c in group}
+        for _ in range(len(arcs) + len(inject) + len(need) + 1):
             start = next((s for s in sorted(inject) if inject[s] > FLOW_EPS), None)
             if start is None:
                 break
             path = [start]
-            while path[-1] != sink:
+            while need.get(path[-1], 0.0) <= FLOW_EPS:
                 node = path[-1]
-                nxt = next((to for (frm, to) in sorted(arcs)
-                            if frm == node and arcs[(frm, to)] > FLOW_EPS), None)
-                if nxt is None:
+                nxt = next((to for to in heads.get(node, ())
+                            if arcs[(node, to)] > FLOW_EPS), None)
+                if nxt is None or nxt in path:
                     break
-                if nxt in path:
-                    # remove the cycle's flow and restart the walk
-                    cyc = path[path.index(nxt):] + [nxt]
-                    relief = min(arcs[(a, b)] for a, b in zip(cyc, cyc[1:]))
-                    for a, b in zip(cyc, cyc[1:]):
-                        arcs[(a, b)] -= relief
-                    path = [start]
-                    continue
                 path.append(nxt)
-            if path[-1] != sink:
-                inject[start] = 0.0  # dead end at numerical noise level
+            else:
+                hops = list(zip(path, path[1:]))
+                sink = path[-1]
+                flow = min([inject[start], need[sink]] + [arcs[h] for h in hops])
+                for h in hops:
+                    arcs[h] -= flow
+                inject[start] -= flow
+                need[sink] -= flow
+                routes[owner[sink]].append((tuple(path), flow))
                 continue
-            flow = min([inject[start]]
-                       + [arcs[(a, b)] for a, b in zip(path, path[1:])])
-            if flow <= FLOW_EPS:
-                inject[start] = 0.0
+            if nxt is None:
+                inject[start] = 0.0  # dead end: residue at numerical noise level
                 continue
-            for a, b in zip(path, path[1:]):
-                arcs[(a, b)] -= flow
-            inject[start] -= flow
-            out.append((tuple(path), flow))
-        routes[commodity.id] = out
+            cycle = path[path.index(nxt):] + [nxt]
+            hops = list(zip(cycle, cycle[1:]))
+            relief = min(arcs[h] for h in hops)
+            for h in hops:
+                arcs[h] -= relief
+        unmet = sorted(owner[n] for n, v in need.items() if v > CONSERVATION_TOL)
+        if start is not None or unmet:
+            raise DecompositionError(
+                f"flows did not decompose into complete routes; unmet: {unmet}")
     return routes
 
 

@@ -49,6 +49,10 @@ class UncoveredCommodity(MlgError):
     """A commodity has no candidate path in the link-path formulation."""
 
 
+class DecompositionError(MlgError):
+    """Solved arc flows did not decompose into complete routes."""
+
+
 class InfeasibleError(MlgError):
     """The optimization problem admits no feasible solution.
 

@@ -3,7 +3,8 @@ import pathlib
 
 import pytest
 
-from mlgdesign import ProblemFormatError, build_redundant_mlg
+from mlgdesign import (DecompositionError, ProblemFormatError,
+                       build_redundant_mlg, design)
 from mlgdesign.cli import (export_dot, main, parse_problem, problem_from_dict,
                            write_problem)
 
@@ -93,6 +94,17 @@ class TestSolveCommand:
     def test_unwritable_output(self, t1_path, tmp_path):
         out = tmp_path / "missing-dir" / "sol.json"
         assert main(["solve", t1_path, "-o", str(out)]) == 3
+
+    def test_decomposition_failure_is_internal(self, t1_path, tmp_path,
+                                               monkeypatch, capsys):
+        def fail(*_args):
+            raise DecompositionError("unmet demand")
+
+        monkeypatch.setattr(design, "_decompose_node_link", fail)
+        out = tmp_path / "sol.json"
+        assert main(["solve", t1_path, "-o", str(out)]) == 3
+        assert "internal error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestValidateCommand:

@@ -1,14 +1,16 @@
 import random
 
+import numpy as np
 import pytest
 
-from mlgdesign import (InfeasibleError, LimitsExceeded, OracleLimits,
-                       brute_force_oracle, build_redundant_mlg,
-                       check_capacities, check_conservation,
-                       enumerate_candidate_paths, formulate_link_path,
-                       formulate_node_link, solve_capacitated,
-                       solve_uncapacitated)
-from helpers import random_problem, t1_problem
+from mlgdesign import (Channel, DecompositionError, InfeasibleError,
+                       LimitsExceeded, OracleLimits, brute_force_oracle,
+                       build_redundant_mlg, check_capacities,
+                       check_conservation, enumerate_candidate_paths,
+                       formulate_link_path, formulate_node_link,
+                       solve_capacitated, solve_uncapacitated)
+from mlgdesign.design import _decompose_node_link
+from helpers import big_problem, random_problem, t1_problem
 
 
 def commodity(instance, cid):
@@ -57,8 +59,15 @@ class TestFormulations:
 
     def test_node_link_shape(self, t1_instance):
         lp = formulate_node_link(t1_instance).lp
-        # 2 commodities x (10 directed arcs + 2 injections + 1 access)
-        assert len(lp.variables) == 26
+        # one aggregated flow: 10 directed arcs + 2 injections
+        assert len(lp.variables) == 12
+        names = [c.name for c in lp.constraints]
+        assert sum(n.startswith("conservation[") for n in names) == 5
+
+    def test_node_link_single_homing_shape(self, t1_instance):
+        lp = formulate_node_link(t1_instance, single_homing=True).lp
+        # 2 commodities x (10 arcs + 2 injections) + 4 homing binaries
+        assert len(lp.variables) == 28
         names = [c.name for c in lp.constraints]
         assert sum(n.startswith("conservation[") for n in names) == 10
 
@@ -221,3 +230,119 @@ class TestAgreement:
             return
         assert a.routes == b.routes
         assert a.selected_channels == b.selected_channels
+
+
+def assert_routes_decompose(instance, solution):
+    """Each route is a simple layer-1 channel path from a server to its own
+    commodity's subscriber, and route flows sum to every demand."""
+    channels = {frozenset(e.ends) for e in instance.channel_edges.values()}
+    servers = set(instance.server_ids())
+    for c in instance.commodities:
+        for nodes, _flow in solution.routes[c.id]:
+            assert nodes[0] in servers
+            assert nodes[-1] == c.sink.id
+            assert len(set(nodes)) == len(nodes)
+            assert all(frozenset(hop) in channels for hop in zip(nodes, nodes[1:]))
+        total = sum(flow for _, flow in solution.routes[c.id])
+        assert total == pytest.approx(c.demand, abs=1e-6)
+
+
+def half_size_problem(seed):
+    return big_problem(seed, n_sub=10, n_srv=2, n_int=5, n_ch=30, slack=2)
+
+
+class TestDecomposition:
+    @pytest.mark.parametrize("single_homing", [False, True])
+    def test_corpus_routes(self, single_homing):
+        solved = 0
+        for seed in range(100):
+            instance = build_redundant_mlg(random_problem(random.Random(9000 + seed)))
+            try:
+                sol = solve_capacitated(instance, single_homing=single_homing)
+            except InfeasibleError:
+                continue
+            assert_routes_decompose(instance, sol)
+            solved += 1
+        assert solved >= 60
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_half_size_routes(self, seed):
+        instance = build_redundant_mlg(half_size_problem(seed))
+        assert_routes_decompose(instance, solve_capacitated(instance))
+
+    def test_route_through_another_subscriber(self):
+        # u2 hangs off u1, so the aggregated flow into u1 carries both
+        # demands and u2's route must pass through u1
+        problem = t1_problem()
+        problem.channels = [Channel("b1", ("s1", "u1"), 10.0),
+                            Channel("b2", ("u1", "u2"), 10.0),
+                            Channel("b3", ("s2", "u1"), 10.0)]
+        instance = build_redundant_mlg(problem)
+        sol = solve_capacitated(instance)
+        assert_routes_decompose(instance, sol)
+        assert all(nodes[1] == "u1" for nodes, _ in sol.routes["u2"])
+
+    def test_unroutable_flow_raises(self, t1_instance):
+        form = formulate_node_link(t1_instance)
+        values = np.zeros(len(form.lp.variables))
+        inject = next(j for j, m in form.meta.items() if m[0] == "inject")
+        values[inject] = 7.0  # injection with no arc flow to carry it
+        with pytest.raises(DecompositionError, match="u1"):
+            _decompose_node_link(t1_instance, form, values)
+
+
+def disaggregated_node_link_highs(instance):
+    """The per-commodity node-link LP (arc, injection and access columns
+    and a demand row per commodity) built here and solved by scipy HiGHS.
+
+    Returns the ``linprog`` result and the model's (columns, rows).
+    """
+    from scipy.optimize import linprog
+    from scipy.sparse import coo_matrix
+
+    channels = sorted(instance.channel_edges)
+    servers = instance.server_ids()
+    node_row = {n: i + 1 for i, n in enumerate(instance.graph.nodes(1))}
+    width = 2 * len(channels) + len(servers) + 1
+    n_cols = width * len(instance.commodities)
+    cost = np.zeros(n_cols)
+    eq, b_eq, ub = [], [], []
+    for k, c in enumerate(instance.commodities):
+        col0, row0 = k * width, len(b_eq)
+        b_eq += [c.demand] + [0.0] * len(node_row)
+        for i, ch in enumerate(channels):
+            edge = instance.channel_edges[ch]
+            a, b = edge.ends
+            for d, (frm, to) in enumerate(((a, b), (b, a))):
+                col = col0 + 2 * i + d
+                cost[col] = edge.cost
+                eq += [(row0 + node_row[to], col, 1.0),
+                       (row0 + node_row[frm], col, -1.0)]
+                ub.append((i, col, 1.0))
+        for i, s in enumerate(servers):
+            col = col0 + 2 * len(channels) + i
+            eq += [(row0, col, 1.0), (row0 + node_row[s], col, 1.0)]
+            ub.append((len(channels) + i, col, 1.0))
+        eq.append((row0 + node_row[c.sink.id], col0 + width - 1, -1.0))
+    b_ub = ([instance.channel_edges[ch].capacity for ch in channels]
+            + [instance.server_productivity(s) for s in servers])
+
+    def matrix(entries, n_rows):
+        rows, cols, vals = zip(*entries)
+        return coo_matrix((vals, (rows, cols)), shape=(n_rows, n_cols))
+
+    res = linprog(cost, A_ub=matrix(ub, len(b_ub)), b_ub=b_ub,
+                  A_eq=matrix(eq, len(b_eq)), b_eq=b_eq, bounds=(0, None),
+                  method="highs")
+    return res, (n_cols, len(b_eq) + len(b_ub))
+
+
+class TestHighsDifferential:
+    def test_big_problem_matches_disaggregated_model(self):
+        instance = build_redundant_mlg(big_problem(seed=1))
+        res, shape = disaggregated_node_link_highs(instance)
+        assert shape == (2520, 785)
+        assert res.status == 0
+        sol = solve_capacitated(instance, formulation="node-link")
+        assert sol.objective == pytest.approx(res.fun, abs=1e-6)
+        assert sol.objective == pytest.approx(93.0, abs=1e-6)
