@@ -1,10 +1,11 @@
 """Problem/solution file formats, DOT export, and the command-line driver.
 
 Problem files are JSON documents with top-level keys ``subscribers``,
-``servers``, ``service``, ``intermediate``, ``channels`` and optional
-``options``; unknown keys are rejected.  Exit codes: 0 success,
-1 infeasible, 2 invalid input, 3 internal/IO failure, 4 oracle limits
-exceeded.
+``servers``, ``service``, ``channels`` and optional ``intermediate``;
+unknown keys are rejected.  Every number must be finite, except that a
+channel capacity may be ``Infinity`` (unbounded).  Exit codes:
+0 success, 1 infeasible, 2 invalid input (including bad command-line
+arguments), 3 internal/IO failure, 4 oracle limits exceeded.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ def _require_keys(obj: dict, where: str, required: set[str], optional: set[str] 
 def _as_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ProblemFormatError(f"{where}: expected a number")
+    if not abs(value) <= sys.float_info.max:  # NaN, infinities, huge integers
+        raise ProblemFormatError(f"{where}: expected a finite number")
     return float(value)
 
 
@@ -72,7 +75,7 @@ def parse_problem(path: str) -> builder.DesignProblem:
 def problem_from_dict(doc: dict) -> builder.DesignProblem:
     _require_keys(doc, "top level",
                   {"subscribers", "servers", "service", "channels"},
-                  {"intermediate", "options"})
+                  {"intermediate"})
 
     subscribers = []
     for i, entry in enumerate(doc["subscribers"]):
@@ -116,7 +119,9 @@ def problem_from_dict(doc: dict) -> builder.DesignProblem:
         if (not isinstance(ends, list) or len(ends) != 2
                 or not all(isinstance(e, str) for e in ends)):
             raise ProblemFormatError(f"channel {cid}: ends must be a pair of ids")
-        capacity = _as_number(entry["capacity"], f"channel {cid}: capacity")
+        capacity = entry["capacity"]
+        if capacity != math.inf:  # Infinity: an unbounded channel
+            capacity = _as_number(capacity, f"channel {cid}: capacity")
         if capacity <= 0:
             raise ProblemFormatError(f"channel {cid}: capacity must be positive")
         cost = _as_number(entry.get("cost", 1.0), f"channel {cid}: cost")
@@ -124,9 +129,6 @@ def problem_from_dict(doc: dict) -> builder.DesignProblem:
             raise ProblemFormatError(f"channel {cid}: cost must be >= 0")
         channels.append(builder.Channel(id=cid, ends=(ends[0], ends[1]),
                                         capacity=capacity, cost=cost))
-
-    if "options" in doc:
-        _require_keys(doc["options"], "options", set(), {"productivity_check"})
 
     try:
         return builder.DesignProblem(
@@ -216,7 +218,7 @@ def _fmt_cap(value: float) -> str:
 
 def export_dot(graph: mlg.MultiLayerGraph, path: Optional[str] = None) -> str:
     """Graphviz document: one cluster per layer, intra edges solid,
-    inter edges dashed, labels flow/capacity."""
+    inter edges dashed, labels capacity (``inf`` when unbounded)."""
     lines = ["graph mlg {"]
     for layer in range(1, graph.layer_count + 1):
         lines.append(f'  subgraph cluster_layer_{layer} {{')
@@ -227,13 +229,13 @@ def export_dot(graph: mlg.MultiLayerGraph, path: Optional[str] = None) -> str:
             a, b = edge.ends
             lines.append(
                 f'    "{layer}:{a}" -- "{layer}:{b}" '
-                f'[label="{edge.flow:g}/{_fmt_cap(edge.capacity)}"];')
+                f'[label="{_fmt_cap(edge.capacity)}"];')
         lines.append("  }")
     for edge in graph.inter_edges():
         u, l = edge.upper, edge.lower
         lines.append(
             f'  "{u.layer}:{u.id}" -- "{l.layer}:{l.id}" '
-            f'[style=dashed, label="{edge.flow:g}/{_fmt_cap(edge.capacity)}"];')
+            f'[style=dashed, label="{_fmt_cap(edge.capacity)}"];')
     lines.append("}")
     text = "\n".join(lines) + "\n"
     if path is not None:
@@ -267,7 +269,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--single-homing", action="store_true")
     p_solve.add_argument("--fixed-costs", metavar="FILE",
                          help="JSON map channel id -> fixed cost (uncapacitated)")
-    p_solve.add_argument("--tol", type=float, default=1e-6)
     p_solve.add_argument("--allow-productivity-surplus", action="store_true")
     p_solve.add_argument("-o", "--output", default=None)
 
@@ -305,7 +306,11 @@ def _load_fixed_costs(path: Optional[str], instance) -> dict[str, float]:
         raise ProblemFormatError("fixed costs file must be a JSON object")
     out = {}
     for ch, value in doc.items():
+        if ch not in instance.channel_edges:
+            raise ProblemFormatError(f"fixed costs: unknown channel {ch!r}")
         out[ch] = _as_number(value, f"fixed cost for {ch}")
+        if out[ch] < 0:
+            raise ProblemFormatError(f"fixed cost for {ch}: must be >= 0")
     return out
 
 
@@ -359,7 +364,10 @@ def _cmd_oracle(args) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "solve" and args.k < 1:
+        parser.error(f"argument --k: must be >= 1, got {args.k}")
     handlers = {"validate": _cmd_validate, "solve": _cmd_solve,
                 "export-dot": _cmd_export_dot, "oracle": _cmd_oracle}
     try:

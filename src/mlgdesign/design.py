@@ -20,7 +20,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -207,6 +207,8 @@ def _simple_paths(adj, src, dst):
 @dataclass
 class _Formulation:
     lp: LinearProgram
+    # (instance, form, values) -> per-commodity layer-1 route flows
+    read_routes: Callable
     # var index -> role tuple: ("arc", group, channel, from, to), ("inject",
     # group, server), ("assign", cid, server) or ("path", cid, CandidatePath)
     meta: dict[int, tuple] = field(default_factory=dict)
@@ -216,73 +218,36 @@ class _Formulation:
 def formulate_link_path(instance: BuiltInstance,
                         paths: dict[str, list[CandidatePath]],
                         single_homing: bool = False) -> _Formulation:
-    """Per-path flow variables; demand, channel-capacity and server rows."""
-    lp = LinearProgram()
-    form = _Formulation(lp=lp)
-    by_channel: dict[str, list[int]] = {c: [] for c in instance.channel_edges}
-    by_server: dict[str, list[int]] = {s: [] for s in instance.server_ids()}
-    demand_rows: dict[str, dict[int, float]] = {}
-    objective: dict[int, float] = {}
-
+    """Per-path flow columns and one demand row per commodity; the rows
+    both formulations share come from :func:`_add_shared_rows`."""
+    form = _Formulation(lp=LinearProgram(), read_routes=_routes_from_path_vars,
+                        channel_rows_vars={c: [] for c in instance.channel_edges})
+    balance_rows: list[tuple[dict[int, float], str, float, str]] = []
+    from_server: list[dict[str, list[int]]] = []
     for commodity in instance.commodities:
         plist = paths.get(commodity.id, [])
         if not plist:
             raise UncoveredCommodity(f"commodity {commodity.id} has no candidate path")
-        row: dict[int, float] = {}
+        out: dict[str, list[int]] = {s: [] for s in instance.server_ids()}
         for idx, path in enumerate(plist):
-            j = lp.add_var(f"x[{commodity.id},{idx}]")
+            j = form.lp.add_var(f"x[{commodity.id},{idx}]")
             form.meta[j] = ("path", commodity.id, path)
-            row[j] = 1.0
-            objective[j] = path.cost
+            form.lp.objective[j] = path.cost
             for ch in path.channels:
-                by_channel[ch].append(j)
-            by_server[path.server].append(j)
-        demand_rows[commodity.id] = row
-
-    homing_vars: dict[tuple[str, str], int] = {}
-    if single_homing:
-        for commodity in instance.commodities:
-            assign_row: dict[int, float] = {}
-            for server in instance.server_ids():
-                j = lp.add_var(f"y[{commodity.id},{server}]", upper=1.0, integer=True)
-                form.meta[j] = ("assign", commodity.id, server)
-                homing_vars[(commodity.id, server)] = j
-                assign_row[j] = 1.0
-            lp.add_constraint(assign_row, "=", 1.0, name=f"assign[{commodity.id}]")
-        for commodity in instance.commodities:
-            for server in instance.server_ids():
-                coeffs = {j: 1.0 for j in by_server[server]
-                          if form.meta[j][1] == commodity.id}
-                if not coeffs:
-                    continue
-                coeffs[homing_vars[(commodity.id, server)]] = -commodity.demand
-                lp.add_constraint(coeffs, "<=", 0.0,
-                                  name=f"homing[{commodity.id},{server}]")
-
-    for commodity in instance.commodities:
-        lp.add_constraint(demand_rows[commodity.id], "=", commodity.demand,
-                          name=f"demand[{commodity.id}]")
-    for ch_id in sorted(by_channel):
-        cols = by_channel[ch_id]
-        if cols:
-            lp.add_constraint({j: 1.0 for j in cols}, "<=",
-                              instance.channel_edges[ch_id].capacity,
-                              name=f"capacity[{ch_id}]")
-        form.channel_rows_vars[ch_id] = cols
-    for server in instance.server_ids():
-        cols = by_server[server]
-        if cols:
-            lp.add_constraint({j: 1.0 for j in cols}, "<=",
-                              instance.server_productivity(server),
-                              name=f"productivity[{server}]")
-    lp.set_objective(objective)
+                form.channel_rows_vars[ch].append(j)
+            out[path.server].append(j)
+        row = dict.fromkeys(itertools.chain(*out.values()), 1.0)
+        balance_rows.append((row, "=", commodity.demand, f"demand[{commodity.id}]"))
+        from_server.append(out)
+    _add_shared_rows(instance, form, balance_rows, from_server, single_homing)
     return form
 
 
 def formulate_node_link(instance: BuiltInstance,
                         single_homing: bool = False) -> _Formulation:
     """Directed arc and server-injection columns per commodity group, and
-    one conservation row per layer-1 node with the group's demand there.
+    one conservation row per layer-1 node with the group's demand there;
+    the rows both formulations share come from :func:`_add_shared_rows`.
 
     Without single homing one group holds every commodity: they share
     the servers as sources, so the aggregate model (2E arcs + S
@@ -290,19 +255,13 @@ def formulate_node_link(instance: BuiltInstance,
     homing each commodity is its own group, tied to one server by its
     ``y``/``homing`` rows.
     """
-    lp = LinearProgram()
-    form = _Formulation(lp=lp)
     channels = sorted(instance.channel_edges)
-    servers = instance.server_ids()
-    objective: dict[int, float] = {}
-    by_channel: dict[str, list[int]] = {c: [] for c in channels}
-    by_server: dict[str, list[int]] = {s: [] for s in servers}
+    form = _Formulation(lp=LinearProgram(), read_routes=_decompose_node_link,
+                        channel_rows_vars={c: [] for c in channels})
+    balance_rows: list[tuple[dict[int, float], str, float, str]] = []
+    from_server: list[dict[str, list[int]]] = []
     groups = ([(c,) for c in instance.commodities] if single_homing
               else [tuple(instance.commodities)])
-
-    # rows wait for the homing columns, which follow every flow column
-    rows: list[tuple[dict[int, float], str, float, str]] = []
-    group_inject: list[dict[str, int]] = []
     for group in groups:
         tag = f"{group[0].id}," if single_homing else ""
         balance: dict[str, dict[int, float]] = {n: {} for n in instance.graph.nodes(1)}
@@ -310,52 +269,66 @@ def formulate_node_link(instance: BuiltInstance,
             edge = instance.channel_edges[ch_id]
             a, b = edge.ends
             for frm, to in ((a, b), (b, a)):
-                j = lp.add_var(f"f[{tag}{ch_id},{frm}->{to}]")
+                j = form.lp.add_var(f"f[{tag}{ch_id},{frm}->{to}]")
                 form.meta[j] = ("arc", group, ch_id, frm, to)
-                objective[j] = edge.cost
-                by_channel[ch_id].append(j)
+                form.lp.objective[j] = edge.cost
+                form.channel_rows_vars[ch_id].append(j)
                 balance[to][j] = 1.0
                 balance[frm][j] = -1.0
-        inject: dict[str, int] = {}
-        for server in servers:
-            j = lp.add_var(f"inj[{tag}{server}]")
+        out: dict[str, list[int]] = {}
+        for server in instance.server_ids():
+            j = form.lp.add_var(f"inj[{tag}{server}]")
             form.meta[j] = ("inject", group, server)
-            inject[server] = j
-            by_server[server].append(j)
+            out[server] = [j]
             balance[server][j] = 1.0
-        group_inject.append(inject)
+        from_server.append(out)
         demand = {c.sink.id: c.demand for c in group}
-        rows += [(row, "=", demand.get(node, 0.0), f"conservation[{tag}{node}]")
-                 for node, row in balance.items() if row or node in demand]
+        balance_rows += [(row, "=", demand.get(node, 0.0), f"conservation[{tag}{node}]")
+                         for node, row in balance.items() if row or node in demand]
+    _add_shared_rows(instance, form, balance_rows, from_server, single_homing)
+    return form
 
+
+def _add_shared_rows(instance: BuiltInstance, form: _Formulation,
+                     balance_rows: list[tuple[dict[int, float], str, float, str]],
+                     from_server: list[dict[str, list[int]]],
+                     single_homing: bool) -> None:
+    """The ``y`` binaries with their ``assign``/``homing`` rows, then the
+    balance rows, then one capacity row per finite-capacity MLG arc the
+    columns use: the layer-1 channels (``capacity[ch]``) and the
+    ``3:service -> 2:server`` edges (``productivity[s]``).
+
+    ``from_server`` holds, per commodity group, the columns whose flow
+    leaves each server; under single homing a group is one commodity.
+    """
+    lp = form.lp
+    servers = instance.server_ids()
+    homing_rows = []
     if single_homing:
-        for commodity, inject in zip(instance.commodities, group_inject):
+        for commodity, out in zip(instance.commodities, from_server):
             assign_row: dict[int, float] = {}
             for server in servers:
                 j = lp.add_var(f"y[{commodity.id},{server}]", upper=1.0, integer=True)
                 form.meta[j] = ("assign", commodity.id, server)
                 assign_row[j] = 1.0
-                rows.append(({inject[server]: 1.0, j: -commodity.demand}, "<=", 0.0,
-                             f"homing[{commodity.id},{server}]"))
+                if out[server]:
+                    coeffs = dict.fromkeys(out[server], 1.0)
+                    coeffs[j] = -commodity.demand
+                    homing_rows.append((coeffs, "<=", 0.0,
+                                        f"homing[{commodity.id},{server}]"))
             lp.add_constraint(assign_row, "=", 1.0, name=f"assign[{commodity.id}]")
-    for coeffs, relation, rhs, name in rows:
+    # balance rows follow the assign rows, which need the y columns
+    for coeffs, relation, rhs, name in balance_rows + homing_rows:
         lp.add_constraint(coeffs, relation, rhs, name=name)
 
-    for ch_id in channels:
-        cols = by_channel[ch_id]
-        if cols:
-            lp.add_constraint({j: 1.0 for j in cols}, "<=",
-                              instance.channel_edges[ch_id].capacity,
-                              name=f"capacity[{ch_id}]")
-        form.channel_rows_vars[ch_id] = cols
-    for server in servers:
-        cols = by_server[server]
-        if cols:
-            lp.add_constraint({j: 1.0 for j in cols}, "<=",
-                              instance.server_productivity(server),
-                              name=f"productivity[{server}]")
-    lp.set_objective(objective)
-    return form
+    arcs = [(f"capacity[{ch}]", form.channel_rows_vars[ch], instance.channel_edges[ch])
+            for ch in sorted(form.channel_rows_vars)]
+    arcs += [(f"productivity[{s}]", [j for out in from_server for j in out[s]],
+              instance.graph.find_inter(instance.service_node, NodeRef(2, s)))
+             for s in servers]
+    for name, cols, edge in arcs:
+        if cols and math.isfinite(edge.capacity):
+            lp.add_constraint(dict.fromkeys(cols, 1.0), "<=", edge.capacity, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +460,8 @@ def _decompose_node_link(instance: BuiltInstance, form: _Formulation,
     return routes
 
 
-def _routes_from_path_vars(form: _Formulation, values: np.ndarray
+def _routes_from_path_vars(instance: BuiltInstance, form: _Formulation,
+                           values: np.ndarray
                            ) -> dict[str, list[tuple[tuple[str, ...], float]]]:
     routes: dict[str, list[tuple[tuple[str, ...], float]]] = {}
     for j, meta in form.meta.items():
@@ -531,18 +505,8 @@ def solve_capacitated(instance: BuiltInstance, formulation: str = "node-link",
     if not instance.commodities:
         return _empty_solution(instance)
     form = _build_formulation(instance, formulation, k, single_homing)
-    relax = simplex_solve(form.lp)
-    if relax.status != "Optimal":
-        raise InfeasibleError(certificate=relax.certificate)
-    if single_homing:
-        sol = branch_and_bound(form.lp, tie_key=_homing_tie_key(instance, form))
-        if sol.status != "Optimal":
-            raise InfeasibleError(certificate=sol.certificate)
-    else:
-        sol = relax
-    routes = _extract_routes(instance, form, formulation, sol.values)
-    return _assemble_solution(instance, routes,
-                              relaxation_objective=relax.objective)
+    _sol, relaxed, routes = _solve(instance, form, _homing_tie_key(instance, form))
+    return _assemble_solution(instance, routes, relaxation_objective=relaxed)
 
 
 def solve_uncapacitated(instance: BuiltInstance,
@@ -561,29 +525,20 @@ def solve_uncapacitated(instance: BuiltInstance,
     form = _build_formulation(instance, formulation, k, single_homing)
     big_m = sum(c.demand for c in instance.commodities)
     select_vars: dict[str, int] = {}
-    objective = dict(form.lp.objective)
     for ch_id in sorted(instance.channel_edges):
         j = form.lp.add_var(f"use[{ch_id}]", upper=1.0, integer=True)
         select_vars[ch_id] = j
-        objective[j] = float(channel_fixed_costs.get(ch_id, 0.0))
-        cols = form.channel_rows_vars.get(ch_id, [])
-        coeffs = {v: 1.0 for v in cols}
+        form.lp.objective[j] = float(channel_fixed_costs.get(ch_id, 0.0))
+        coeffs = dict.fromkeys(form.channel_rows_vars[ch_id], 1.0)
         coeffs[j] = -big_m
         form.lp.add_constraint(coeffs, "<=", 0.0, name=f"coupling[{ch_id}]")
-    form.lp.set_objective(objective)
 
-    relax = simplex_solve(form.lp)
-    if relax.status != "Optimal":
-        raise InfeasibleError(certificate=relax.certificate)
-    sol = branch_and_bound(form.lp)
-    if sol.status != "Optimal":
-        raise InfeasibleError(certificate=sol.certificate)
-    routes = _extract_routes(instance, form, formulation, sol.values)
+    sol, relaxed, routes = _solve(instance, form)
     selected = [ch for ch, j in sorted(select_vars.items()) if sol.values[j] > 0.5]
     fixed_part = sum(float(channel_fixed_costs.get(ch, 0.0)) for ch in selected)
     return _assemble_solution(instance, routes, selected=selected,
                               fixed_cost_part=fixed_part,
-                              relaxation_objective=relax.objective)
+                              relaxation_objective=relaxed)
 
 
 def _build_formulation(instance, formulation, k, single_homing) -> _Formulation:
@@ -596,10 +551,19 @@ def _build_formulation(instance, formulation, k, single_homing) -> _Formulation:
     raise ValueError(f"unknown formulation {formulation!r}")
 
 
-def _extract_routes(instance, form, formulation, values):
-    if formulation == "node-link":
-        return _decompose_node_link(instance, form, values)
-    return _routes_from_path_vars(form, values)
+def _solve(instance: BuiltInstance, form: _Formulation, tie_key=None):
+    """Root LP, branch and bound when the LP has integer columns, then
+    routes: (solution, root relaxation objective, routes).  A root or
+    search that ends other than optimal raises ``InfeasibleError``."""
+    relax = simplex_solve(form.lp)
+    if relax.status != "Optimal":
+        raise InfeasibleError(certificate=relax.certificate)
+    sol = relax
+    if form.lp.integer_indices():
+        sol = branch_and_bound(form.lp, tie_key=tie_key)
+        if sol.status != "Optimal":
+            raise InfeasibleError(certificate=sol.certificate)
+    return sol, relax.objective, form.read_routes(instance, form, sol.values)
 
 
 # ---------------------------------------------------------------------------

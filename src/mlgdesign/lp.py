@@ -210,8 +210,7 @@ class _Tableau:
         raise MalformedProgram("simplex iteration limit exceeded")
 
 
-def simplex_solve(lp: LinearProgram, tol: float = PIVOT_TOL,
-                  max_iter: Optional[int] = None) -> LpSolution:
+def simplex_solve(lp: LinearProgram, max_iter: Optional[int] = None) -> LpSolution:
     """Two-phase tableau simplex.
 
     Returns Optimal with a reduced-cost certificate, Infeasible with the
@@ -263,8 +262,7 @@ def simplex_solve(lp: LinearProgram, tol: float = PIVOT_TOL,
                       reduced_costs=red[:len(lp.variables)].copy())
 
 
-def branch_and_bound(lp: LinearProgram, tol: float = PIVOT_TOL,
-                     int_tol: float = INT_TOL,
+def branch_and_bound(lp: LinearProgram, int_tol: float = INT_TOL,
                      tie_key: Optional[Callable[[np.ndarray], tuple]] = None
                      ) -> LpSolution:
     """Depth-first branch and bound over the LP's integer variables.
@@ -272,30 +270,29 @@ def branch_and_bound(lp: LinearProgram, tol: float = PIVOT_TOL,
     Branches on the most fractional variable (ties by lowest index).
     Incumbent ties within ``int_tol`` are resolved by ``tie_key`` of the
     value vector (default: lexicographically smallest rounded vector),
-    so results are order-independent.
+    so results are order-independent.  The root is the first node; a
+    root that is not optimal is returned as solved, with its status and
+    certificate.
     """
     int_idx = lp.integer_indices()
     if not int_idx:
         raise ValueError("branch_and_bound requires at least one integer variable")
-
-    root = simplex_solve(lp, tol=tol)
-    if root.status != "Optimal":
-        return root
 
     if tie_key is None:
         tie_key = lambda x: tuple(round(v, 9) for v in x)
 
     incumbent: Optional[LpSolution] = None
     incumbent_key = None
-    total_iters = root.iterations
+    total_iters = 0
     # node = list of (var index, "<=" floor / ">=" ceil, bound value)
     stack: list[list[tuple[int, str, float]]] = [[]]
     while stack:
         bounds = stack.pop()
-        node_lp = _with_bounds(lp, bounds)
-        sol = simplex_solve(node_lp, tol=tol)
+        sol = simplex_solve(_with_bounds(lp, bounds))
         total_iters += sol.iterations
         if sol.status != "Optimal":
+            if not bounds:
+                return sol
             continue
         if incumbent is not None and sol.objective > incumbent.objective + 1e-9:
             continue  # keep exploring ties for deterministic tie-breaking

@@ -38,17 +38,12 @@ def inter_key(upper: NodeRef, lower: NodeRef) -> tuple:
 
 @dataclass
 class IntraEdge:
-    """Undirected edge within one layer.
-
-    ``flow`` is a mutable annotation (total carried volume, both
-    directions summed); everything else is fixed at construction.
-    """
+    """Undirected edge within one layer."""
 
     layer: int
     ends: tuple[str, str]
     capacity: float = UNBOUNDED
     cost: float = 0.0
-    flow: float = 0.0
     name: Optional[str] = None
 
     @property
@@ -71,7 +66,6 @@ class InterEdge:
     upper: NodeRef
     lower: NodeRef
     capacity: float = UNBOUNDED
-    flow: float = 0.0
 
     @property
     def key(self) -> tuple:

@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 
 import pytest
@@ -12,6 +13,20 @@ from mlgdesign.cli import (export_dot, main, parse_problem, problem_from_dict,
 def load_t1_doc(t1_path):
     with open(t1_path) as fh:
         return json.load(fh)
+
+
+def write_json(tmp_path, doc, name="problem.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def exit_code(argv):
+    """``main``'s exit code, also when argument parsing exits."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 class TestParseProblem:
@@ -34,10 +49,29 @@ class TestParseProblem:
             problem_from_dict(doc)
 
     def test_unknown_key_rejected(self, t1_path):
+        for key in ("extras", "options"):
+            doc = load_t1_doc(t1_path)
+            doc[key] = {}
+            with pytest.raises(ProblemFormatError, match="unknown"):
+                problem_from_dict(doc)
+
+    @pytest.mark.parametrize("section, index, key, value", [
+        ("subscribers", 0, "sessions", [math.nan]),
+        ("subscribers", 0, "sessions", [math.inf]),
+        ("subscribers", 0, "sessions", [10 ** 400]),
+        ("servers", 0, "productivity", math.nan),
+        ("channels", 0, "capacity", math.nan),
+        ("channels", 0, "capacity", -math.inf),
+        ("channels", 0, "cost", math.inf),
+    ])
+    def test_non_finite_number_exit(self, t1_path, tmp_path, capsys,
+                                    section, index, key, value):
         doc = load_t1_doc(t1_path)
-        doc["extras"] = {}
-        with pytest.raises(ProblemFormatError, match="unknown"):
-            problem_from_dict(doc)
+        doc[section][index][key] = value
+        out = tmp_path / "sol.json"
+        assert main(["solve", write_json(tmp_path, doc), "-o", str(out)]) == 2
+        assert "expected a finite number" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ProblemFormatError):
@@ -95,6 +129,46 @@ class TestSolveCommand:
         out = tmp_path / "missing-dir" / "sol.json"
         assert main(["solve", t1_path, "-o", str(out)]) == 3
 
+    @pytest.mark.parametrize("formulation", ["node-link", "link-path"])
+    @pytest.mark.parametrize("flags, objective", [
+        ((), 14.0),
+        (("--single-homing",), 14.0),
+        (("--mode", "uncapacitated"), 18.0),
+    ])
+    def test_unbounded_channel_matches_oracle(self, t1_path, tmp_path,
+                                              formulation, flags, objective):
+        doc = load_t1_doc(t1_path)
+        doc["channels"][0]["capacity"] = math.inf  # written as Infinity
+        path = write_json(tmp_path, doc)
+        sol, ref = tmp_path / "sol.json", tmp_path / "ref.json"
+        assert main(["solve", path, "--formulation", formulation, *flags,
+                     "-o", str(sol)]) == 0
+        assert main(["oracle", path, *flags, "-o", str(ref)]) == 0
+        got, want = json.loads(sol.read_text()), json.loads(ref.read_text())
+        assert want["objective"] == pytest.approx(objective, abs=1e-6)
+        assert got["objective"] == pytest.approx(want["objective"], abs=1e-6)
+        assert got["selected_channels"][0]["capacity"] == "unbounded"
+        assert got["validation"] == {"capacities_ok": True,
+                                     "conservation_ok": True}
+
+    @pytest.mark.parametrize("command, flags, costs", [
+        ("solve", ["--k", "0"], None),
+        ("solve", ["--formulation", "link-path", "--k", "-1"], None),
+        ("solve", [], {"b9": 1.0}),
+        ("oracle", [], {"b9": 1.0}),
+        ("solve", [], {"b1": -1.0}),
+        ("oracle", [], {"b1": -1.0}),
+        ("solve", [], {"b1": math.nan}),
+    ])
+    def test_invalid_arguments_exit(self, t1_path, tmp_path, command, flags,
+                                    costs):
+        argv = [command, t1_path, *flags, "-o", str(tmp_path / "sol.json")]
+        if costs is not None:
+            argv += ["--mode", "uncapacitated",
+                     "--fixed-costs", write_json(tmp_path, costs, "costs.json")]
+        assert exit_code(argv) == 2
+        assert not (tmp_path / "sol.json").exists()
+
     def test_decomposition_failure_is_internal(self, t1_path, tmp_path,
                                                monkeypatch, capsys):
         def fail(*_args):
@@ -129,6 +203,12 @@ class TestExportDot:
         assert text.count("subgraph cluster_layer_") == 3
         assert text.count(" -- ") == 2 + 5 + 5 + 8
         assert text.count("style=dashed") == 8
+
+    def test_t1_labels_show_capacity(self, t1_instance):
+        text = export_dot(t1_instance.graph)
+        assert '"1:u1" -- "1:z1" [label="10"];' in text
+        assert '"2:s1" -- "2:s2" [label="inf"];' in text
+        assert '"3:v0" -- "2:s1" [style=dashed, label="5"];' in text
 
     def test_command_deterministic(self, t1_path, tmp_path):
         a = tmp_path / "a.dot"

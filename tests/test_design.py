@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -7,7 +8,7 @@ from mlgdesign import (Channel, DecompositionError, InfeasibleError,
                        LimitsExceeded, OracleLimits, brute_force_oracle,
                        build_redundant_mlg, check_capacities,
                        check_conservation, enumerate_candidate_paths,
-                       formulate_link_path, formulate_node_link,
+                       NodeRef, formulate_link_path, formulate_node_link,
                        solve_capacitated, solve_uncapacitated)
 from mlgdesign.design import _decompose_node_link
 from helpers import big_problem, random_problem, t1_problem
@@ -74,6 +75,35 @@ class TestFormulations:
     def test_single_homing_adds_binaries(self, t1_instance):
         lp = formulate_node_link(t1_instance, single_homing=True).lp
         assert len(lp.integer_indices()) == 4
+
+    @staticmethod
+    def formulate(instance, formulation, single_homing=False):
+        if formulation == "node-link":
+            return formulate_node_link(instance, single_homing=single_homing).lp
+        paths = {c.id: enumerate_candidate_paths(instance, c, 2)
+                 for c in instance.commodities}
+        return formulate_link_path(instance, paths, single_homing=single_homing).lp
+
+    @pytest.mark.parametrize("formulation", ["node-link", "link-path"])
+    def test_capacity_rows_read_the_graph(self, t1_instance, formulation):
+        graph = t1_instance.graph
+        graph.find_intra(1, "u1", "z1").capacity = math.inf
+        graph.find_inter(t1_instance.service_node, NodeRef(2, "s1")).capacity = math.inf
+        graph.find_inter(t1_instance.service_node, NodeRef(2, "s2")).capacity = 6.0
+        lp = self.formulate(t1_instance, formulation)
+        rhs = {c.name: c.rhs for c in lp.constraints
+               if c.name.startswith(("capacity[", "productivity["))}
+        assert rhs == {"capacity[b2]": 10.0, "capacity[b3]": 10.0,
+                       "capacity[b4]": 10.0, "capacity[b5]": 10.0,
+                       "productivity[s2]": 6.0}
+
+    @pytest.mark.parametrize("formulation, balance", [
+        ("node-link", "conservation"), ("link-path", "demand")])
+    def test_single_homing_row_layout(self, t1_instance, formulation, balance):
+        lp = self.formulate(t1_instance, formulation, single_homing=True)
+        kinds = [c.name.split("[")[0] for c in lp.constraints]
+        assert [k for i, k in enumerate(kinds) if i == 0 or k != kinds[i - 1]] == \
+            ["assign", balance, "homing", "capacity", "productivity"]
 
 
 class TestSolveCapacitated:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import mlgdesign.lp as lp_module
 from mlgdesign import LinearProgram, branch_and_bound, simplex_solve
 from mlgdesign.errors import MalformedProgram
 
@@ -132,6 +133,32 @@ class TestBranchAndBound:
     def test_requires_integer_variable(self):
         with pytest.raises(ValueError):
             branch_and_bound(single_var_lp())
+
+    def test_integral_root_solved_once(self, monkeypatch):
+        lp = LinearProgram()
+        x = lp.add_var("x", integer=True)
+        lp.add_constraint({x: 1.0}, ">=", 3.0)
+        lp.set_objective({x: 1.0})
+        calls = []
+
+        def counted(program, *args, **kwargs):
+            calls.append(program)
+            return simplex_solve(program, *args, **kwargs)
+
+        monkeypatch.setattr(lp_module, "simplex_solve", counted)
+        sol = branch_and_bound(lp)
+        assert sol.status == "Optimal" and sol.values[0] == pytest.approx(3.0)
+        assert len(calls) == 1
+
+    def test_infeasible_root_keeps_certificate(self):
+        lp = LinearProgram()
+        x = lp.add_var("x", integer=True)
+        lp.add_constraint({x: 1.0}, "<=", 1.0, name="cap")
+        lp.add_constraint({x: 1.0}, ">=", 2.0, name="need")
+        lp.set_objective({x: 1.0})
+        sol = branch_and_bound(lp)
+        assert sol.status == "Infeasible"
+        assert sorted(sol.certificate) == ["cap", "need"]
 
     def test_bound_dominates_relaxation(self):
         lp = LinearProgram()

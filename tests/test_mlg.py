@@ -35,7 +35,6 @@ class TestAddIntraEdge:
         g = small_graph()
         edge = g.add_intra_edge(1, "u1", "z1", capacity=10.0, cost=1.0, name="b1")
         assert edge.ends == ("u1", "z1")
-        assert edge.flow == 0.0
 
     def test_self_loop_rejected(self):
         g = small_graph()
