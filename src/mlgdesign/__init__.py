@@ -14,8 +14,8 @@ from .flows import (Commodity, FlowAssignment, Session, aggregate_service_flows,
                     check_productivity_projection, project_flows_down)
 from .lp import LinearProgram, LpSolution, branch_and_bound, simplex_solve
 from .mlg import (UNBOUNDED, InterEdge, IntraEdge, MultiLayerGraph, NodeRef,
-                  RealizationPath, ValidationReport, realization_path,
-                  validate_overlay)
+                  RealizationPath, ValidationReport, cheapest_path,
+                  realization_path, validate_overlay)
 from .report import (ChannelUse, ProjectReport, extract_assignment,
                      extract_topology, render_report)
 

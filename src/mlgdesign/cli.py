@@ -52,6 +52,12 @@ def _as_number(value, where: str) -> float:
     return float(value)
 
 
+def _as_list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ProblemFormatError(f"{where}: expected a list")
+    return value
+
+
 def _as_id(value, where: str) -> str:
     if not isinstance(value, str) or not value:
         raise ProblemFormatError(f"{where}: expected a nonempty string id")
@@ -78,12 +84,12 @@ def problem_from_dict(doc: dict) -> builder.DesignProblem:
                   {"intermediate"})
 
     subscribers = []
-    for i, entry in enumerate(doc["subscribers"]):
+    for i, entry in enumerate(_as_list(doc["subscribers"], "subscribers")):
         where = f"subscribers[{i}]"
         _require_keys(entry, where, {"id", "sessions"})
         sid = _as_id(entry["id"], where)
         sessions = []
-        for j, vol in enumerate(entry["sessions"]):
+        for j, vol in enumerate(_as_list(entry["sessions"], f"{where}.sessions")):
             v = _as_number(vol, f"{where}.sessions[{j}]")
             if v < 0:
                 raise ProblemFormatError(
@@ -92,7 +98,7 @@ def problem_from_dict(doc: dict) -> builder.DesignProblem:
         subscribers.append(builder.Subscriber(id=sid, sessions=sessions))
 
     servers = []
-    for i, entry in enumerate(doc["servers"]):
+    for i, entry in enumerate(_as_list(doc["servers"], "servers")):
         where = f"servers[{i}]"
         _require_keys(entry, where, {"id", "productivity"})
         p = _as_number(entry["productivity"], f"{where}.productivity")
@@ -105,13 +111,13 @@ def problem_from_dict(doc: dict) -> builder.DesignProblem:
     service_p = _as_number(doc["service"]["productivity"], "service.productivity")
 
     intermediates = []
-    for i, entry in enumerate(doc.get("intermediate", [])):
+    for i, entry in enumerate(_as_list(doc.get("intermediate", []), "intermediate")):
         where = f"intermediate[{i}]"
         _require_keys(entry, where, {"id"})
         intermediates.append(_as_id(entry["id"], where))
 
     channels = []
-    for i, entry in enumerate(doc["channels"]):
+    for i, entry in enumerate(_as_list(doc["channels"], "channels")):
         where = f"channels[{i}]"
         _require_keys(entry, where, {"id", "ends", "capacity"}, {"cost"})
         cid = _as_id(entry["id"], where)

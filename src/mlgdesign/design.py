@@ -20,16 +20,16 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Optional
 
 import numpy as np
 
 from .builder import BuiltInstance
-from .errors import (DecompositionError, InfeasibleError, LimitsExceeded,
-                     UncoveredCommodity)
+from .errors import DecompositionError, InfeasibleError, LimitsExceeded
 from .flows import CONSERVATION_TOL, Commodity, FlowAssignment
 from .lp import LinearProgram, LpSolution, branch_and_bound, simplex_solve
-from .mlg import NodeRef
+from .mlg import MultiLayerGraph, NodeRef, cheapest_path
 
 FLOW_EPS = 1e-9
 
@@ -62,46 +62,11 @@ class DesignSolution:
 # candidate path enumeration (Yen's k shortest loopless paths)
 # ---------------------------------------------------------------------------
 
-def _layer1_adjacency(instance: BuiltInstance) -> dict[str, list[tuple[str, float, str]]]:
-    adj: dict[str, list[tuple[str, float, str]]] = {
-        n: [] for n in instance.graph.nodes(1)}
-    for edge in instance.graph.intra_edges(1):
-        a, b = edge.ends
-        name = edge.name or f"{a}-{b}"
-        adj[a].append((b, edge.cost, name))
-        adj[b].append((a, edge.cost, name))
-    for lst in adj.values():
-        lst.sort()
-    return adj
+_channel_cost = attrgetter("cost")
 
 
-def _shortest_path(adj, src, dst, banned_nodes=frozenset(), banned_edges=frozenset()):
-    """Cheapest simple path; ties broken by smallest node sequence.
-
-    Returns (cost, nodes) or None.  ``banned_edges`` holds (from, to)
-    pairs in either orientation.
-    """
-    heap = [(0.0, (src,))]
-    best: dict[str, tuple] = {}
-    while heap:
-        cost, path = heapq.heappop(heap)
-        node = path[-1]
-        if node in best and best[node] <= (cost, path):
-            continue
-        best[node] = (cost, path)
-        if node == dst:
-            return cost, path
-        for nbr, w, _name in adj.get(node, ()):
-            if nbr in banned_nodes or nbr in path:
-                continue
-            if (node, nbr) in banned_edges or (nbr, node) in banned_edges:
-                continue
-            heapq.heappush(heap, (cost + w, path + (nbr,)))
-    return None
-
-
-def _k_shortest_paths(adj, src, dst, k):
-    first = _shortest_path(adj, src, dst)
+def _k_shortest_paths(graph: MultiLayerGraph, src: str, dst: str, k: int):
+    first = cheapest_path(graph, 1, [src], {dst}, _channel_cost)
     if first is None:
         return []
     found = [first]
@@ -111,14 +76,13 @@ def _k_shortest_paths(adj, src, dst, k):
         _, prev = found[-1]
         for i in range(len(prev) - 1):
             root = prev[:i + 1]
-            root_cost = _path_cost(adj, root)
+            root_cost = _path_cost(graph, root)
             banned_edges = set()
             for _, p in found:
                 if p[:i + 1] == root and len(p) > i + 1:
                     banned_edges.add((p[i], p[i + 1]))
-            banned_nodes = frozenset(root[:-1])
-            spur = _shortest_path(adj, root[-1], dst, banned_nodes,
-                                  frozenset(banned_edges))
+            spur = cheapest_path(graph, 1, [root[-1]], {dst}, _channel_cost,
+                                 frozenset(root[:-1]), banned_edges)
             if spur is None:
                 continue
             total = (root_cost + spur[0], root[:-1] + spur[1])
@@ -131,13 +95,10 @@ def _k_shortest_paths(adj, src, dst, k):
     return found
 
 
-def _path_cost(adj, nodes) -> float:
+def _path_cost(graph: MultiLayerGraph, nodes) -> float:
     cost = 0.0
     for a, b in zip(nodes, nodes[1:]):
-        for nbr, w, _name in adj[a]:
-            if nbr == b:
-                cost += w
-                break
+        cost += graph.find_intra(1, a, b).cost
     return cost
 
 
@@ -155,11 +116,10 @@ def enumerate_candidate_paths(instance: BuiltInstance, commodity: Commodity,
     sorted by (cost, node sequence)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    adj = _layer1_adjacency(instance)
     subscriber = commodity.sink.id
     out = []
     for server in instance.server_ids():
-        for cost, nodes in _k_shortest_paths(adj, server, subscriber, k):
+        for cost, nodes in _k_shortest_paths(instance.graph, server, subscriber, k):
             out.append(CandidatePath(server=server, nodes=nodes,
                                      channels=_path_channels(instance, nodes),
                                      cost=cost))
@@ -170,19 +130,18 @@ def enumerate_candidate_paths(instance: BuiltInstance, commodity: Commodity,
 def all_candidate_paths(instance: BuiltInstance,
                         commodity: Commodity) -> list[CandidatePath]:
     """Every simple server-to-subscriber path (exhaustive DFS)."""
-    adj = _layer1_adjacency(instance)
     subscriber = commodity.sink.id
     out = []
     for server in instance.server_ids():
-        for nodes in _simple_paths(adj, server, subscriber):
+        for nodes in _simple_paths(instance.graph, server, subscriber):
             out.append(CandidatePath(server=server, nodes=nodes,
                                      channels=_path_channels(instance, nodes),
-                                     cost=_path_cost(adj, nodes)))
+                                     cost=_path_cost(instance.graph, nodes)))
     out.sort(key=lambda p: (p.cost, p.nodes))
     return out
 
 
-def _simple_paths(adj, src, dst):
+def _simple_paths(graph: MultiLayerGraph, src: str, dst: str):
     paths = []
 
     def walk(path):
@@ -190,7 +149,7 @@ def _simple_paths(adj, src, dst):
         if node == dst:
             paths.append(tuple(path))
             return
-        for nbr, _w, _name in adj.get(node, ()):
+        for nbr, _edge in graph.neighbors(1, node):
             if nbr not in path:
                 path.append(nbr)
                 walk(path)
@@ -225,11 +184,8 @@ def formulate_link_path(instance: BuiltInstance,
     balance_rows: list[tuple[dict[int, float], str, float, str]] = []
     from_server: list[dict[str, list[int]]] = []
     for commodity in instance.commodities:
-        plist = paths.get(commodity.id, [])
-        if not plist:
-            raise UncoveredCommodity(f"commodity {commodity.id} has no candidate path")
         out: dict[str, list[int]] = {s: [] for s in instance.server_ids()}
-        for idx, path in enumerate(plist):
+        for idx, path in enumerate(paths.get(commodity.id, [])):
             j = form.lp.add_var(f"x[{commodity.id},{idx}]")
             form.meta[j] = ("path", commodity.id, path)
             form.lp.objective[j] = path.cost
@@ -341,7 +297,6 @@ def _assemble_solution(instance: BuiltInstance,
                        fixed_cost_part: float = 0.0,
                        relaxation_objective: Optional[float] = None) -> DesignSolution:
     """Build a DesignSolution from per-commodity layer-1 route flows."""
-    adj = _layer1_adjacency(instance)
     service = instance.service_node
     flow_assignment = FlowAssignment()
     assignment: dict[str, list[tuple[str, float]]] = {
@@ -361,7 +316,7 @@ def _assemble_solution(instance: BuiltInstance,
             flow_assignment.add_path(commodity.id, full, flow)
             per_server_sub[(server, subscriber)] = (
                 per_server_sub.get((server, subscriber), 0.0) + flow)
-            objective += flow * _path_cost(adj, nodes)
+            objective += flow * _path_cost(instance.graph, nodes)
 
     edge_flows.update(flow_assignment.edge_totals())
     # derived layer-2 / layer-3 annotations (not independently optimized)

@@ -45,10 +45,6 @@ class MalformedProgram(MlgError):
     """Linear program contains NaN or infinite coefficients."""
 
 
-class UncoveredCommodity(MlgError):
-    """A commodity has no candidate path in the link-path formulation."""
-
-
 class DecompositionError(MlgError):
     """Solved arc flows did not decompose into complete routes."""
 

@@ -117,7 +117,6 @@ class _Tableau:
         b = np.zeros(m)
         basis = np.zeros(m, dtype=int)
         self.artificial = np.zeros(total, dtype=bool)
-        self.seed_col = np.zeros(m, dtype=int)  # unit column created for each row
         s = n
         a = n + n_slack
         for i, (dense, rel, rhs, _name) in enumerate(rows):
@@ -126,20 +125,17 @@ class _Tableau:
             if rel == "<=":
                 A[i, s] = 1.0
                 basis[i] = s
-                self.seed_col[i] = s
                 s += 1
             elif rel == ">=":
                 A[i, s] = -1.0
                 s += 1
                 A[i, a] = 1.0
                 basis[i] = a
-                self.seed_col[i] = a
                 self.artificial[a] = True
                 a += 1
             else:
                 A[i, a] = 1.0
                 basis[i] = a
-                self.seed_col[i] = a
                 self.artificial[a] = True
                 a += 1
         self.A = A  # original matrix, never mutated
@@ -210,17 +206,17 @@ class _Tableau:
         raise MalformedProgram("simplex iteration limit exceeded")
 
 
-def simplex_solve(lp: LinearProgram, max_iter: Optional[int] = None) -> LpSolution:
+def simplex_solve(lp: LinearProgram) -> LpSolution:
     """Two-phase tableau simplex.
 
     Returns Optimal with a reduced-cost certificate, Infeasible with the
     names of the constraint rows in the phase-1 certificate, or
-    Unbounded.
+    Unbounded.  Each phase is limited to 50 * (rows + columns) + 1000
+    pivots of the standard form; past that it raises MalformedProgram.
     """
     lp._check_finite()
     tab = _Tableau(lp)
-    if max_iter is None:
-        max_iter = 50 * (tab.m + tab.total) + 1000
+    max_iter = 50 * (tab.m + tab.total) + 1000
     allowed = np.ones(tab.total, dtype=bool)
 
     if tab.artificial.any():
@@ -262,13 +258,14 @@ def simplex_solve(lp: LinearProgram, max_iter: Optional[int] = None) -> LpSoluti
                       reduced_costs=red[:len(lp.variables)].copy())
 
 
-def branch_and_bound(lp: LinearProgram, int_tol: float = INT_TOL,
+def branch_and_bound(lp: LinearProgram,
                      tie_key: Optional[Callable[[np.ndarray], tuple]] = None
                      ) -> LpSolution:
     """Depth-first branch and bound over the LP's integer variables.
 
-    Branches on the most fractional variable (ties by lowest index).
-    Incumbent ties within ``int_tol`` are resolved by ``tie_key`` of the
+    A value within ``INT_TOL`` of an integer counts as integral; the
+    search branches on the most fractional variable (ties by lowest
+    index).  Incumbent ties within 1e-9 are resolved by ``tie_key`` of the
     value vector (default: lexicographically smallest rounded vector),
     so results are order-independent.  The root is the first node; a
     root that is not optimal is returned as solved, with its status and
@@ -299,7 +296,7 @@ def branch_and_bound(lp: LinearProgram, int_tol: float = INT_TOL,
         frac_j, frac_amount = -1, -1.0
         for j in int_idx:
             f = abs(sol.values[j] - round(sol.values[j]))
-            if f > int_tol and f > frac_amount + 1e-12:
+            if f > INT_TOL and f > frac_amount + 1e-12:
                 frac_amount = f
                 frac_j = j
         if frac_j < 0:

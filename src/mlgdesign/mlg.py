@@ -5,7 +5,9 @@ A multi-layer graph is an ordered stack of ordinary undirected graphs
 edges connecting functional units across layers.  Every intra-layer
 edge above layer 1 must be realizable as a path through some lower
 layer; :func:`validate_overlay` checks this, :func:`realization_path`
-computes the witnessing path.
+computes the witnessing path.  :func:`cheapest_path` is the one
+simple-path search over a layer's adjacency index; realization and the
+design solver's candidate paths both use it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional
+from typing import Callable, Collection, Iterable, NamedTuple, Optional
 
 from .errors import GraphError, NoRealization
 
@@ -49,10 +51,6 @@ class IntraEdge:
     @property
     def key(self) -> tuple:
         return intra_key(self.layer, *self.ends)
-
-    def other(self, node_id: str) -> str:
-        a, b = self.ends
-        return b if node_id == a else a
 
     def __repr__(self):
         label = self.name or f"{self.ends[0]}-{self.ends[1]}"
@@ -106,7 +104,9 @@ class MultiLayerGraph:
     """
 
     def __init__(self):
-        self._layers: list[dict] = []  # per layer: {"nodes": set, "edges": {key: IntraEdge}}
+        # per layer: {"nodes": set, "edges": {key: IntraEdge},
+        #             "adj": {node: {neighbour: IntraEdge}}}
+        self._layers: list[dict] = []
         self._inter: dict[tuple, InterEdge] = {}
 
     # -- construction -------------------------------------------------
@@ -124,7 +124,8 @@ class MultiLayerGraph:
             if nid in seen:
                 raise GraphError(f"duplicate node id {nid!r} within layer")
             seen.add(nid)
-        self._layers.append({"nodes": seen, "edges": {}})
+        self._layers.append({"nodes": seen, "edges": {},
+                             "adj": {nid: {} for nid in seen}})
         return len(self._layers)
 
     def _layer(self, layer: int) -> dict:
@@ -156,11 +157,13 @@ class MultiLayerGraph:
         if edge.key in lay["edges"]:
             raise GraphError(f"parallel edge ({u},{v}) at layer {layer} forbidden")
         lay["edges"][edge.key] = edge
+        lay["adj"][u][v] = lay["adj"][v][u] = edge
         return edge
 
     def remove_intra_edge(self, layer: int, u: str, v: str) -> None:
         lay = self._layer(layer)
         del lay["edges"][intra_key(layer, u, v)]
+        del lay["adj"][u][v], lay["adj"][v][u]
 
     def add_inter_edge(self, upper: NodeRef, lower: NodeRef,
                        capacity: float = UNBOUNDED) -> InterEdge:
@@ -211,12 +214,8 @@ class MultiLayerGraph:
         return self.find_inter(a, b)
 
     def neighbors(self, layer: int, node_id: str) -> list[tuple[str, IntraEdge]]:
-        out = []
-        for edge in self._layer(layer)["edges"].values():
-            if node_id in edge.ends:
-                out.append((edge.other(node_id), edge))
-        out.sort(key=lambda item: item[0])
-        return out
+        """(neighbour id, edge) pairs of ``node_id``, sorted by neighbour."""
+        return sorted(self._layer(layer)["adj"].get(node_id, {}).items())
 
     def inter_neighbors_down(self, ref: NodeRef, target_layer: int) -> list[NodeRef]:
         """Lower-layer nodes of ``target_layer`` linked to ``ref`` by inter edges."""
@@ -240,41 +239,48 @@ def realization_path(graph: MultiLayerGraph, edge: IntraEdge) -> RealizationPath
     for lower in range(layer - 1, 0, -1):
         starts = [n.id for n in graph.inter_neighbors_down(u_ref, lower)]
         goals = {n.id for n in graph.inter_neighbors_down(v_ref, lower)}
-        if not starts or not goals:
-            continue
-        found = _best_path(graph, lower, starts, goals)
+        found = cheapest_path(graph, lower, starts, goals, lambda _edge: 1)
         if found is None:
             continue
-        interior, hops = found
-        sequence = (u_ref, *interior, v_ref)
+        path = found[1]
+        hops = tuple(graph.find_intra(lower, a, b) for a, b in zip(path, path[1:]))
+        sequence = (u_ref, *(NodeRef(lower, n) for n in path), v_ref)
         return RealizationPath(for_edge=edge, sequence=sequence,
-                               hop_edges=tuple(hops), via_layer=lower)
+                               hop_edges=hops, via_layer=lower)
     raise NoRealization(edge)
 
 
-def _best_path(graph, layer, starts, goals):
-    """Fewest-hop path in one layer from any start to any goal.
+def cheapest_path(graph: MultiLayerGraph, layer: int, starts: Iterable[str],
+                  goals: Collection[str], weight: Callable[[IntraEdge], float],
+                  banned_nodes: Collection[str] = frozenset(),
+                  banned_edges: Collection[tuple[str, str]] = frozenset()
+                  ) -> Optional[tuple[float, tuple[str, ...]]]:
+    """Cheapest simple path in one layer from any start to any goal.
 
-    Uses a heap keyed by (hops, node-id sequence) so the first path
-    popped at a goal is also the lexicographic tie-break winner.
+    Edge lengths are ``weight(edge)``.  The heap is keyed by (cost,
+    node-id sequence), so the first path popped at a goal is also the
+    lexicographic tie-break winner.  Paths never enter ``banned_nodes``
+    or cross a ``banned_edges`` pair (either orientation).  Returns
+    ``(cost, nodes)`` or None.
     """
-    heap = [(0, (s,)) for s in sorted(starts)]
+    adj = graph._layer(layer)["adj"]  # expansion order cannot change the result
+    heap = [(0.0, (s,)) for s in sorted(starts)]
     heapq.heapify(heap)
-    best_seen: dict[str, tuple] = {}
+    best: dict[str, tuple] = {}
     while heap:
-        hops, path = heapq.heappop(heap)
+        cost, path = heapq.heappop(heap)
         node = path[-1]
-        if node in best_seen and best_seen[node] <= (hops, path):
+        if node in best and best[node] <= (cost, path):
             continue
-        best_seen[node] = (hops, path)
+        best[node] = (cost, path)
         if node in goals:
-            refs = tuple(NodeRef(layer, n) for n in path)
-            edges = [graph.find_intra(layer, a, b) for a, b in zip(path, path[1:])]
-            return refs, edges
-        for nbr, _edge in graph.neighbors(layer, node):
-            if nbr in path:  # keep paths simple
+            return cost, path
+        for nbr, edge in adj[node].items():
+            if nbr in banned_nodes or nbr in path:
                 continue
-            heapq.heappush(heap, (hops + 1, path + (nbr,)))
+            if (node, nbr) in banned_edges or (nbr, node) in banned_edges:
+                continue
+            heapq.heappush(heap, (cost + weight(edge), path + (nbr,)))
     return None
 
 

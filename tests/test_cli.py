@@ -73,6 +73,25 @@ class TestParseProblem:
         assert "expected a finite number" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("subscribers", 3.0),
+        ("sessions", 3.0),
+        ("servers", {"id": "s1", "productivity": 5.0}),
+        ("intermediate", "z1"),
+        ("channels", 5),
+    ])
+    def test_non_list_field_exit(self, t1_path, tmp_path, capsys, field, value):
+        doc = load_t1_doc(t1_path)
+        if field == "sessions":
+            doc["subscribers"][0]["sessions"] = value
+        else:
+            doc[field] = value
+        out = tmp_path / "sol.json"
+        assert main(["solve", write_json(tmp_path, doc), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{field}: expected a list" in err
+        assert not out.exists()
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ProblemFormatError):
             parse_problem(str(tmp_path / "nope.json"))
@@ -119,6 +138,25 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert "infeasible" in err
         assert "productivity[" in err
+
+    @pytest.mark.parametrize("formulation, flags, balance_row", [
+        ("node-link", (), "conservation[u1]"),
+        ("node-link", ("--single-homing",), "conservation[u1,u1]"),
+        ("node-link", ("--mode", "uncapacitated"), "conservation[u1]"),
+        ("link-path", (), "demand[u1]"),
+        ("link-path", ("--single-homing",), "demand[u1]"),
+        ("link-path", ("--mode", "uncapacitated"), "demand[u1]"),
+    ])
+    def test_unreachable_subscriber_infeasible(self, t1_path, tmp_path, capsys,
+                                               formulation, flags, balance_row):
+        doc = load_t1_doc(t1_path)
+        doc["channels"] = [c for c in doc["channels"] if "u1" not in c["ends"]]
+        out = tmp_path / "sol.json"
+        assert main(["solve", write_json(tmp_path, doc), "--formulation",
+                     formulation, *flags, "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert balance_row in err.split("certificate rows: ")[1].rstrip(")\n").split(", ")
+        assert not out.exists()
 
     def test_malformed_exit(self, tmp_path):
         path = tmp_path / "bad.json"

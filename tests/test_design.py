@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -10,7 +11,8 @@ from mlgdesign import (Channel, DecompositionError, InfeasibleError,
                        check_conservation, enumerate_candidate_paths,
                        NodeRef, formulate_link_path, formulate_node_link,
                        solve_capacitated, solve_uncapacitated)
-from mlgdesign.design import _decompose_node_link
+from mlgdesign.design import _decompose_node_link, all_candidate_paths
+from mlgdesign.mlg import cheapest_path
 from helpers import big_problem, random_problem, t1_problem
 
 
@@ -45,6 +47,41 @@ class TestCandidatePaths:
     def test_k_must_be_positive(self, t1_instance):
         with pytest.raises(ValueError):
             enumerate_candidate_paths(t1_instance, commodity(t1_instance, "u1"), 0)
+
+
+class TestCheapestPath:
+    @pytest.mark.parametrize("costs", [(1.0,), (0.0, 0.5, 1.0, 2.5)])
+    def test_first_of_all_candidate_paths(self, costs):
+        """On the acceptance corpus (as drawn, and with mixed channel costs)
+        the search from one server, or from all at once, returns the first
+        path in (cost, nodes) order of the exhaustive enumeration; with the
+        first hop of that path banned (given reversed), the first path
+        that avoids it."""
+        for seed in range(9000, 9100):
+            rng = random.Random(seed)
+            problem = random_problem(rng)
+            problem.channels = [dataclasses.replace(ch, cost=rng.choice(costs))
+                                for ch in problem.channels]
+            instance = build_redundant_mlg(problem)
+            graph, servers = instance.graph, instance.server_ids()
+            for c in instance.commodities:
+                paths = [(p.cost, p.nodes, p.server)
+                         for p in all_candidate_paths(instance, c)]
+                for starts in [[s] for s in servers] + [servers]:
+                    mine = [p[:2] for p in paths if p[2] in starts]
+                    found = cheapest_path(graph, 1, starts, {c.sink.id},
+                                          lambda e: e.cost)
+                    assert found == (mine[0] if mine else None)
+                    if not mine:
+                        continue
+                    hop = mine[0][1][:2]
+                    rest = [p for p in mine
+                            if hop not in zip(p[1], p[1][1:])
+                            and hop[::-1] not in zip(p[1], p[1][1:])]
+                    found = cheapest_path(graph, 1, starts, {c.sink.id},
+                                          lambda e: e.cost,
+                                          banned_edges={hop[::-1]})
+                    assert found == (rest[0] if rest else None)
 
 
 class TestFormulations:

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from helpers import random_problem
 from mlgdesign import (MultiLayerGraph, NodeRef, NoRealization, build_redundant_mlg,
                        realization_path, validate_overlay)
 from mlgdesign.errors import GraphError
@@ -80,6 +83,32 @@ class TestAddInterEdge:
     def test_missing_endpoint_rejected(self):
         with pytest.raises(GraphError, match="does not exist"):
             self.g.add_inter_edge(NodeRef(3, "ghost"), NodeRef(2, "s1"))
+
+
+class TestNeighbors:
+    @staticmethod
+    def assert_index_matches_scan(g):
+        for layer in range(1, g.layer_count + 1):
+            for node in g.nodes(layer):
+                scan = sorted(((e.ends[1] if e.ends[0] == node else e.ends[0]), e)
+                              for e in g.intra_edges(layer) if node in e.ends)
+                got = g.neighbors(layer, node)
+                assert [(n, id(e)) for n, e in got] == [(n, id(e)) for n, e in scan]
+
+    def test_index_matches_edge_scan_on_corpus(self):
+        for seed in range(9000, 9100):
+            g = build_redundant_mlg(random_problem(random.Random(seed))).graph
+            self.assert_index_matches_scan(g)
+            for layer in range(1, g.layer_count + 1):
+                for edge in g.intra_edges(layer)[::2]:
+                    g.remove_intra_edge(layer, *reversed(edge.ends))
+            self.assert_index_matches_scan(g)
+
+    def test_unknown_node_has_no_neighbors(self):
+        g = small_graph()
+        g.add_intra_edge(1, "u1", "z1")
+        assert g.neighbors(1, "ghost") == []
+        assert [n for n, _e in g.neighbors(1, "z1")] == ["u1"]
 
 
 class TestRealizationPath:
