@@ -7,16 +7,15 @@ from .design import (CandidatePath, DesignSolution, OracleLimits,
                      formulate_link_path, formulate_node_link,
                      solve_capacitated, solve_uncapacitated)
 from .errors import (DecompositionError, EmptyServerSet, InfeasibleError,
-                     LimitsExceeded, MissingRealization, MlgError,
-                     NoRealization, ProblemFormatError, ProductivityMismatch)
+                     LimitsExceeded, MlgError, NoRealization,
+                     ProblemFormatError, ProductivityMismatch)
 from .flows import (Commodity, FlowAssignment, Session, aggregate_service_flows,
                     check_capacities, check_conservation,
-                    check_productivity_projection, project_flows_down)
+                    check_productivity_projection)
 from .lp import LinearProgram, LpSolution, branch_and_bound, simplex_solve
 from .mlg import (UNBOUNDED, InterEdge, IntraEdge, MultiLayerGraph, NodeRef,
                   RealizationPath, ValidationReport, cheapest_path,
                   realization_path, validate_overlay)
-from .report import (ChannelUse, ProjectReport, extract_assignment,
-                     extract_topology, render_report)
+from .report import ChannelUse, ProjectReport, render_report
 
 __version__ = "0.1.0"

@@ -8,11 +8,10 @@ interaction mesh.  Layer 3 is the service star.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .errors import EmptyServerSet, MlgError, ProductivityMismatch
 from .flows import Commodity, Session, aggregate_service_flows
-from .mlg import UNBOUNDED, IntraEdge, MultiLayerGraph, NodeRef
+from .mlg import IntraEdge, MultiLayerGraph, NodeRef
 
 PRODUCTIVITY_TOL = 1e-9  # relative
 
@@ -82,6 +81,11 @@ class DesignProblem:
         for srv in self.servers:
             if srv.productivity < 0:
                 raise MlgError(f"server {srv.id}: productivity must be >= 0")
+        for sub in self.subscribers:
+            for session in sub.sessions:
+                if session.subscriber != sub.id:
+                    raise MlgError(f"subscriber {sub.id}: session names "
+                                   f"subscriber {session.subscriber!r}")
 
 
 @dataclass
@@ -96,9 +100,6 @@ class BuiltInstance:
     @property
     def service_node(self) -> NodeRef:
         return NodeRef(3, self.problem.service_id)
-
-    def subscriber_ids(self) -> list[str]:
-        return sorted(s.id for s in self.problem.subscribers)
 
     def server_ids(self) -> list[str]:
         return sorted(s.id for s in self.problem.servers)
@@ -127,7 +128,6 @@ def derive_commodities(problem: DesignProblem) -> list[Commodity]:
 
 
 def build_redundant_mlg(problem: DesignProblem,
-                        tol: float = PRODUCTIVITY_TOL,
                         allow_surplus: bool = False) -> BuiltInstance:
     """Construct the redundant 3-layer instance.
 
@@ -135,16 +135,18 @@ def build_redundant_mlg(problem: DesignProblem,
     server mesh plus complete server-subscriber bipartite graph, no
     subscriber-subscriber edges.  Layer 1: all candidate channels.
     With ``allow_surplus`` the productivity identity is relaxed to
-    "servers sum >= service".
+    "servers sum >= service".  The problem is validated again first, so
+    a problem edited after construction cannot skip its checks.
     """
+    problem.validate()
     total_p = sum(s.productivity for s in problem.servers)
     service_p = problem.service_productivity
     scale = max(abs(service_p), abs(total_p), 1.0)
     deficit = total_p - service_p
     if allow_surplus:
-        bad = deficit < -tol * scale
+        bad = deficit < -PRODUCTIVITY_TOL * scale
     else:
-        bad = abs(deficit) > tol * scale
+        bad = abs(deficit) > PRODUCTIVITY_TOL * scale
     if bad:
         raise ProductivityMismatch(total_p, service_p)
 

@@ -14,7 +14,7 @@ import argparse
 import json
 import math
 import sys
-from typing import Any, Optional
+from typing import Optional
 
 from . import builder, design, mlg, report
 from .errors import (DecompositionError, InfeasibleError, LimitsExceeded,
@@ -178,10 +178,12 @@ def _edge_key_str(key: tuple) -> str:
     return f"L{upper.layer}:{upper.id}->L{lower.layer}:{lower.id}"
 
 
-def solution_to_dict(rep: report.ProjectReport, status: str = "optimal",
-                     per_edge_flow: Optional[dict] = None) -> dict:
-    doc: dict[str, Any] = {
-        "status": status,
+def solution_to_dict(rep: report.ProjectReport, per_edge_flow: dict) -> dict:
+    """The solution document: the report plus every edge flow above
+    ``FLOW_EPS``.  Every other outcome of a solve raises before a
+    document is made, so the status is always ``"optimal"``."""
+    return {
+        "status": "optimal",
         "objective": rep.objective,
         "selected_channels": [
             {"id": c.channel, "flow": c.flow,
@@ -195,13 +197,11 @@ def solution_to_dict(rep: report.ProjectReport, status: str = "optimal",
                          for nodes, flow in lst]
                    for cid, lst in sorted(rep.routes.items())},
         "validation": dict(sorted(rep.validation.items())),
-    }
-    if per_edge_flow is not None:
-        doc["per_edge_flow"] = {
+        "per_edge_flow": {
             _edge_key_str(k): v for k, v in sorted(
                 per_edge_flow.items(), key=lambda kv: _edge_key_str(kv[0]))
-            if v > design.FLOW_EPS}
-    return doc
+            if v > design.FLOW_EPS},
+    }
 
 
 def write_solution(doc: dict, path: Optional[str]) -> None:
@@ -343,10 +343,7 @@ def _cmd_solve(args) -> int:
         solution = design.solve_capacitated(
             instance, formulation=args.formulation, k=args.k,
             single_homing=args.single_homing)
-    rep = report.render_report(solution, instance)
-    doc = solution_to_dict(rep, per_edge_flow=solution.edge_flows)
-    write_solution(doc, args.output)
-    return EXIT_OK
+    return _write_report(solution, instance, args.output)
 
 
 def _cmd_export_dot(args) -> int:
@@ -363,9 +360,13 @@ def _cmd_oracle(args) -> int:
     solution = design.brute_force_oracle(
         instance, mode=args.mode, single_homing=args.single_homing,
         channel_fixed_costs=fixed)
+    return _write_report(solution, instance, args.output)
+
+
+def _write_report(solution: design.DesignSolution, instance: builder.BuiltInstance,
+                  output: Optional[str]) -> int:
     rep = report.render_report(solution, instance)
-    write_solution(solution_to_dict(rep, per_edge_flow=solution.edge_flows),
-                   args.output)
+    write_solution(solution_to_dict(rep, solution.edge_flows), output)
     return EXIT_OK
 
 

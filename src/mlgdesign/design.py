@@ -28,7 +28,7 @@ import numpy as np
 from .builder import BuiltInstance
 from .errors import DecompositionError, InfeasibleError, LimitsExceeded
 from .flows import CONSERVATION_TOL, Commodity, FlowAssignment
-from .lp import LinearProgram, LpSolution, branch_and_bound, simplex_solve
+from .lp import LinearProgram, branch_and_bound, simplex_solve
 from .mlg import MultiLayerGraph, NodeRef, cheapest_path
 
 FLOW_EPS = 1e-9
@@ -54,7 +54,6 @@ class DesignSolution:
     edge_flows: dict[tuple, float]
     selected_channels: list[str]
     flow_assignment: FlowAssignment
-    instance: BuiltInstance
     relaxation_objective: Optional[float] = None
 
 
@@ -296,13 +295,20 @@ def _assemble_solution(instance: BuiltInstance,
                        selected: Optional[list[str]] = None,
                        fixed_cost_part: float = 0.0,
                        relaxation_objective: Optional[float] = None) -> DesignSolution:
-    """Build a DesignSolution from per-commodity layer-1 route flows."""
+    """Build a DesignSolution from per-commodity layer-1 route flows.
+
+    Each route is lifted through the multi-layer graph on its own:
+    service to server, the layer-1 hops, then the subscriber's inter
+    edges up to layer 3; its flow also lands on the layer-2
+    server-subscriber edge and the layer-3 star edge it realizes.  One
+    upper edge can be realized by several routes (a subscriber split
+    over two servers), so the lift is per route, not per upper edge.
+    """
     service = instance.service_node
     flow_assignment = FlowAssignment()
     assignment: dict[str, list[tuple[str, float]]] = {
         s: [] for s in instance.server_ids()}
     per_server_sub: dict[tuple[str, str], float] = {}
-    edge_flows: dict[tuple, float] = {}
     objective = fixed_cost_part
 
     for commodity in instance.commodities:
@@ -318,7 +324,7 @@ def _assemble_solution(instance: BuiltInstance,
                 per_server_sub.get((server, subscriber), 0.0) + flow)
             objective += flow * _path_cost(instance.graph, nodes)
 
-    edge_flows.update(flow_assignment.edge_totals())
+    edge_flows = flow_assignment.edge_totals()
     # derived layer-2 / layer-3 annotations (not independently optimized)
     for (server, subscriber), vol in per_server_sub.items():
         edge = instance.graph.find_intra(2, server, subscriber)
@@ -340,7 +346,7 @@ def _assemble_solution(instance: BuiltInstance,
     return DesignSolution(objective=objective, routes=routes,
                           assignment=assignment, edge_flows=edge_flows,
                           selected_channels=sorted(selected),
-                          flow_assignment=flow_assignment, instance=instance,
+                          flow_assignment=flow_assignment,
                           relaxation_objective=relaxation_objective)
 
 
@@ -450,15 +456,11 @@ def _homing_tie_key(instance: BuiltInstance, form: _Formulation):
 # drivers
 # ---------------------------------------------------------------------------
 
-def _empty_solution(instance: BuiltInstance) -> DesignSolution:
-    return _assemble_solution(instance, {})
-
-
 def solve_capacitated(instance: BuiltInstance, formulation: str = "node-link",
                       k: int = 4, single_homing: bool = False) -> DesignSolution:
     """Minimize total carried flow cost under channel and server capacities."""
     if not instance.commodities:
-        return _empty_solution(instance)
+        return _assemble_solution(instance, {})
     form = _build_formulation(instance, formulation, k, single_homing)
     _sol, relaxed, routes = _solve(instance, form, _homing_tie_key(instance, form))
     return _assemble_solution(instance, routes, relaxation_objective=relaxed)
@@ -476,7 +478,7 @@ def solve_uncapacitated(instance: BuiltInstance,
         if fc < 0:
             raise ValueError("fixed costs must be >= 0")
     if not instance.commodities:
-        return _empty_solution(instance)
+        return _assemble_solution(instance, {})
     form = _build_formulation(instance, formulation, k, single_homing)
     big_m = sum(c.demand for c in instance.commodities)
     select_vars: dict[str, int] = {}
@@ -543,7 +545,7 @@ def brute_force_oracle(instance: BuiltInstance, mode: str = "capacitated",
             or len(instance.graph.nodes(1)) > limits.max_layer1_nodes):
         raise LimitsExceeded("instance exceeds oracle limits")
     if not instance.commodities:
-        return _empty_solution(instance)
+        return _assemble_solution(instance, {})
 
     all_paths = {c.id: all_candidate_paths(instance, c)
                  for c in instance.commodities}

@@ -17,10 +17,6 @@ class NoRealization(GraphError):
         super().__init__(message or f"no realization path for edge {edge}")
 
 
-class MissingRealization(MlgError):
-    """A flow-carrying edge was projected without a realization path."""
-
-
 class ProductivityMismatch(MlgError):
     """Sum of server productivities does not match the service productivity."""
 

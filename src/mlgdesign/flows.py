@@ -1,17 +1,17 @@
-"""Flow annotations, conservation and capacity checks, downward projection.
+"""Flow assignments and their conservation and capacity checks.
 
 Flows are kept per commodity as directed arc volumes between NodeRefs
-(any mix of intra- and inter-layer steps).  Paths can be registered
-directly, which both records the route and accumulates its arcs.
+(any mix of intra- and inter-layer steps).  A path adds its flow to
+each arc it crosses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Sequence
 
-from .errors import MissingRealization, MlgError
-from .mlg import IntraEdge, MultiLayerGraph, NodeRef, RealizationPath, inter_key, intra_key
+from .errors import MlgError
+from .mlg import MultiLayerGraph, NodeRef, inter_key, intra_key
 
 CONSERVATION_TOL = 1e-6
 PROJECTION_TOL = 1e-9
@@ -64,11 +64,10 @@ def _arc_edge_key(a: NodeRef, b: NodeRef) -> tuple:
 
 
 class FlowAssignment:
-    """Per-commodity directed arc flows with optional recorded routes."""
+    """Per-commodity directed arc flows."""
 
     def __init__(self):
         self._arcs: dict[str, dict[tuple[NodeRef, NodeRef], float]] = {}
-        self.routes: dict[str, list[tuple[tuple[NodeRef, ...], float]]] = {}
 
     def add_arc(self, commodity_id: str, a: NodeRef, b: NodeRef, flow: float) -> None:
         if flow < 0:
@@ -78,7 +77,6 @@ class FlowAssignment:
 
     def add_path(self, commodity_id: str, nodes: Sequence[NodeRef], flow: float) -> None:
         nodes = tuple(NodeRef(*n) for n in nodes)
-        self.routes.setdefault(commodity_id, []).append((nodes, flow))
         for a, b in zip(nodes, nodes[1:]):
             self.add_arc(commodity_id, a, b, flow)
 
@@ -109,20 +107,18 @@ def aggregate_service_flows(sessions: Iterable[Session]) -> dict[str, float]:
 
 
 def check_productivity_projection(server_productivities: Sequence[float],
-                                  service_productivity: float,
-                                  tol: float = PROJECTION_TOL) -> CheckReport:
+                                  service_productivity: float) -> CheckReport:
     """Verify the server productivities sum to the service productivity."""
     total = sum(server_productivities)
     report = CheckReport()
     diff = total - service_productivity
-    if abs(diff) > tol:
+    if abs(diff) > PROJECTION_TOL:
         report.violations.append(("productivity", diff))
     return report
 
 
 def check_conservation(graph: MultiLayerGraph, flows: FlowAssignment,
-                       commodities: Sequence[Commodity],
-                       tol: float = CONSERVATION_TOL) -> CheckReport:
+                       commodities: Sequence[Commodity]) -> CheckReport:
     """Per commodity, net flow must be +demand at the source, -demand at
     the sink and zero at every transit node."""
     report = CheckReport()
@@ -138,8 +134,6 @@ def check_conservation(graph: MultiLayerGraph, flows: FlowAssignment,
                 raise MlgError(f"flow on nonexistent edge {a}-{b}")
             net[a] = net.get(a, 0.0) + flow
             net[b] = net.get(b, 0.0) - flow
-        if not arcs and commodity.demand == 0:
-            continue
         for node in sorted(set(net) | {commodity.source, commodity.sink}):
             expected = 0.0
             if node == commodity.source:
@@ -147,14 +141,14 @@ def check_conservation(graph: MultiLayerGraph, flows: FlowAssignment,
             elif node == commodity.sink:
                 expected = -commodity.demand
             residual = net.get(node, 0.0) - expected
-            if abs(residual) > tol:
+            if abs(residual) > CONSERVATION_TOL:
                 report.violations.append((node, commodity.id, residual))
     return report
 
 
-def check_capacities(graph: MultiLayerGraph, flows: FlowAssignment,
-                     tol: float = CONSERVATION_TOL) -> CheckReport:
-    """Every finite-capacity edge must carry total flow <= capacity + tol."""
+def check_capacities(graph: MultiLayerGraph, flows: FlowAssignment) -> CheckReport:
+    """Every finite-capacity edge must carry total flow <= capacity +
+    ``CONSERVATION_TOL``."""
     report = CheckReport()
     totals = flows.edge_totals()
     capacities: dict[tuple, float] = {}
@@ -166,34 +160,6 @@ def check_capacities(graph: MultiLayerGraph, flows: FlowAssignment,
         if key not in capacities:
             raise MlgError(f"flow on nonexistent edge {key}")
         cap = capacities[key]
-        if cap != float("inf") and totals[key] > cap + tol:
+        if cap != float("inf") and totals[key] > cap + CONSERVATION_TOL:
             report.violations.append((key, totals[key] - cap))
     return report
-
-
-def project_flows_down(graph: MultiLayerGraph,
-                       upper_flows: Mapping[IntraEdge, float] | Sequence[tuple[IntraEdge, float]],
-                       realizations: Mapping[tuple, RealizationPath]) -> dict[tuple, float]:
-    """Push upper-layer edge flows onto the edges of their realization paths.
-
-    ``realizations`` maps edge keys to paths.  Returns the increment per
-    lower edge key (hop edges plus the boundary inter edges).
-    """
-    if isinstance(upper_flows, Mapping):
-        items = list(upper_flows.items())
-    else:
-        items = list(upper_flows)
-    increment: dict[tuple, float] = {}
-    for edge, flow in items:
-        if flow == 0:
-            continue
-        path = realizations.get(edge.key)
-        if path is None:
-            raise MissingRealization(f"edge {edge} carries flow but has no realization")
-        seq = path.sequence
-        for a, b in ((seq[0], seq[1]), (seq[-2], seq[-1])):
-            key = _arc_edge_key(a, b)
-            increment[key] = increment.get(key, 0.0) + flow
-        for hop in path.hop_edges:
-            increment[hop.key] = increment.get(hop.key, 0.0) + flow
-    return increment

@@ -82,7 +82,6 @@ class RealizationPath:
     edges of that layer traversed between interior nodes.
     """
 
-    for_edge: IntraEdge
     sequence: tuple[NodeRef, ...]
     hop_edges: tuple[IntraEdge, ...]
     via_layer: int
@@ -108,6 +107,7 @@ class MultiLayerGraph:
         #             "adj": {node: {neighbour: IntraEdge}}}
         self._layers: list[dict] = []
         self._inter: dict[tuple, InterEdge] = {}
+        self._down: dict[NodeRef, set[NodeRef]] = {}  # upper node -> lower nodes
 
     # -- construction -------------------------------------------------
 
@@ -176,6 +176,7 @@ class MultiLayerGraph:
                 raise GraphError(f"node {ref} does not exist")
         edge = InterEdge(upper=upper, lower=lower, capacity=capacity)
         self._inter[edge.key] = edge
+        self._down.setdefault(upper, set()).add(lower)
         return edge
 
     # -- queries ------------------------------------------------------
@@ -219,9 +220,7 @@ class MultiLayerGraph:
 
     def inter_neighbors_down(self, ref: NodeRef, target_layer: int) -> list[NodeRef]:
         """Lower-layer nodes of ``target_layer`` linked to ``ref`` by inter edges."""
-        out = [e.lower for e in self._inter.values()
-               if e.upper == ref and e.lower.layer == target_layer]
-        return sorted(out)
+        return sorted(n for n in self._down.get(ref, ()) if n.layer == target_layer)
 
 
 def realization_path(graph: MultiLayerGraph, edge: IntraEdge) -> RealizationPath:
@@ -245,8 +244,7 @@ def realization_path(graph: MultiLayerGraph, edge: IntraEdge) -> RealizationPath
         path = found[1]
         hops = tuple(graph.find_intra(lower, a, b) for a, b in zip(path, path[1:]))
         sequence = (u_ref, *(NodeRef(lower, n) for n in path), v_ref)
-        return RealizationPath(for_edge=edge, sequence=sequence,
-                               hop_edges=hops, via_layer=lower)
+        return RealizationPath(sequence=sequence, hop_edges=hops, via_layer=lower)
     raise NoRealization(edge)
 
 

@@ -1,6 +1,7 @@
 """Interprets an optimal design solution as a project solution report:
 selected channels with utilizations, subscriber-to-server assignment,
-routes, and a revalidation summary."""
+routes, and a revalidation summary.  Channels, assignment and routes are
+read from the :class:`DesignSolution` as it was assembled."""
 
 from __future__ import annotations
 
@@ -10,8 +11,6 @@ from dataclasses import dataclass, field
 from .builder import BuiltInstance
 from .design import DesignSolution
 from .flows import check_capacities, check_conservation
-
-TRAFFIC_EPS = 1e-9
 
 
 @dataclass
@@ -36,22 +35,6 @@ class ProjectReport:
     validation: dict[str, bool] = field(default_factory=dict)
 
 
-def extract_topology(solution: DesignSolution, eps: float = TRAFFIC_EPS) -> list[str]:
-    """Channels actually carrying traffic, sorted by id."""
-    instance = solution.instance
-    out = []
-    for ch_id, edge in sorted(instance.channel_edges.items()):
-        if solution.edge_flows.get(edge.key, 0.0) > eps:
-            out.append(ch_id)
-    return out
-
-
-def extract_assignment(solution: DesignSolution) -> dict[str, list[tuple[str, float]]]:
-    """Per server, the subscribers it serves with served volumes."""
-    return {server: sorted(pairs)
-            for server, pairs in solution.assignment.items()}
-
-
 def render_report(solution: DesignSolution, instance: BuiltInstance) -> ProjectReport:
     channels = []
     for ch_id in solution.selected_channels:
@@ -65,8 +48,8 @@ def render_report(solution: DesignSolution, instance: BuiltInstance) -> ProjectR
     return ProjectReport(
         objective=solution.objective,
         selected_channels=channels,
-        assignments=extract_assignment(solution),
-        routes=dict(solution.routes),
+        assignments=solution.assignment,
+        routes=solution.routes,
         validation={"conservation_ok": conservation.ok,
                     "capacities_ok": capacities.ok},
     )

@@ -1,10 +1,11 @@
+import dataclasses
 import random
 
 import pytest
 
-from mlgdesign import (Channel, DesignProblem, EmptyServerSet, ProductivityMismatch,
-                       Server, Session, Subscriber, build_redundant_mlg,
-                       derive_commodities, validate_overlay)
+from mlgdesign import (Channel, DesignProblem, EmptyServerSet, MlgError,
+                       ProductivityMismatch, Server, Session, Subscriber,
+                       build_redundant_mlg, derive_commodities, validate_overlay)
 from helpers import random_problem
 
 
@@ -115,3 +116,20 @@ class TestDeriveCommodities:
         problem = DesignProblem(subscribers=[], servers=[], service_id="v0",
                                 service_productivity=0.0, channels=[])
         assert derive_commodities(problem) == []
+
+
+class TestSessionOwner:
+    """A session naming another subscriber would move or drop its demand
+    in ``derive_commodities``; the problem rejects it instead."""
+
+    @pytest.mark.parametrize("foreign", ["ghost", "relabelled"])
+    def test_foreign_session_rejected(self, t1, foreign):
+        u1 = t1.subscribers[0]
+        if foreign == "ghost":
+            u1.sessions.append(Session("ghost", 50.0))
+        else:
+            u1.sessions[0] = Session("u2", 3.0)
+        for check in (t1.validate, lambda: dataclasses.replace(t1),
+                      lambda: build_redundant_mlg(t1)):
+            with pytest.raises(MlgError, match="u1: session names subscriber"):
+                check()

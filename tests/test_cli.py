@@ -277,7 +277,29 @@ class TestOracleCommand:
         assert main(["oracle", str(path)]) == 4
 
 
+GOLDEN = [
+    ("solve.node-link", ["solve"]),
+    ("solve.link-path", ["solve", "--formulation", "link-path"]),
+    ("solve.single-homing", ["solve", "--single-homing"]),
+    ("solve.uncapacitated.node-link", ["solve", "--mode", "uncapacitated"]),
+    ("solve.uncapacitated.link-path",
+     ["solve", "--mode", "uncapacitated", "--formulation", "link-path"]),
+    ("oracle.capacitated", ["oracle"]),
+    ("oracle.single-homing", ["oracle", "--single-homing"]),
+    ("oracle.uncapacitated", ["oracle", "--mode", "uncapacitated"]),
+]
+
+
 class TestSolutionSerialization:
+    @pytest.mark.parametrize("name,argv", GOLDEN, ids=[g[0] for g in GOLDEN])
+    def test_t1_golden_bytes(self, t1_path, tmp_path, name, argv):
+        """The whole document, key and list order included, matches the
+        committed ``tests/data/golden/t1.<name>.json`` byte for byte."""
+        out = tmp_path / "out.json"
+        assert main([argv[0], t1_path, *argv[1:], "-o", str(out)]) == 0
+        golden = pathlib.Path(t1_path).parent / "golden" / f"t1.{name}.json"
+        assert out.read_bytes() == golden.read_bytes()
+
     def test_repeat_runs_identical(self, t1_path, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"

@@ -1,9 +1,9 @@
 import pytest
 
-from mlgdesign import (Commodity, FlowAssignment, MissingRealization, NodeRef,
-                       Session, aggregate_service_flows, check_capacities,
+from mlgdesign import (Commodity, FlowAssignment, NodeRef, Session,
+                       aggregate_service_flows, check_capacities,
                        check_conservation, check_productivity_projection,
-                       project_flows_down, realization_path, solve_capacitated)
+                       solve_capacitated)
 from mlgdesign.errors import MlgError
 
 
@@ -95,51 +95,3 @@ class TestCapacities:
         flows.add_arc("u1", NodeRef(3, "u1"), NodeRef(2, "u1"), 1e9)
         assert check_capacities(t1_instance.graph, flows).ok
 
-
-class TestProjection:
-    def realizations_for(self, instance, *edges):
-        return {e.key: realization_path(instance.graph, e) for e in edges}
-
-    def test_t1_projection(self, t1_instance):
-        g = t1_instance.graph
-        edge = g.find_intra(2, "s1", "u1")
-        increment = project_flows_down(
-            g, [(edge, 3.0)], self.realizations_for(t1_instance, edge))
-        b1 = t1_instance.channel_edges["b1"]
-        b3 = t1_instance.channel_edges["b3"]
-        assert increment[b1.key] == pytest.approx(3.0)
-        assert increment[b3.key] == pytest.approx(3.0)
-
-    def test_zero_flow_no_change(self, t1_instance):
-        g = t1_instance.graph
-        edge = g.find_intra(2, "s1", "u1")
-        assert project_flows_down(g, [(edge, 0.0)], {}) == {}
-
-    def test_missing_realization_raises(self, t1_instance):
-        g = t1_instance.graph
-        edge = g.find_intra(2, "s1", "u1")
-        with pytest.raises(MissingRealization):
-            project_flows_down(g, [(edge, 1.0)], {})
-
-    def test_additivity(self, t1_instance):
-        g = t1_instance.graph
-        e1 = g.find_intra(2, "s1", "u1")
-        e2 = g.find_intra(2, "s2", "u2")
-        realizations = self.realizations_for(t1_instance, e1, e2)
-        combined = project_flows_down(g, [(e1, 2.0), (e2, 5.0)], realizations)
-        first = project_flows_down(g, [(e1, 2.0)], realizations)
-        second = project_flows_down(g, [(e2, 5.0)], realizations)
-        for key in set(first) | set(second):
-            total = first.get(key, 0.0) + second.get(key, 0.0)
-            assert combined.get(key, 0.0) == pytest.approx(total, abs=1e-12)
-
-    def test_demand_preserved_at_access_node(self, t1_instance):
-        g = t1_instance.graph
-        e1 = g.find_intra(2, "s1", "u1")
-        e2 = g.find_intra(2, "s2", "u2")
-        realizations = self.realizations_for(t1_instance, e1, e2)
-        increment = project_flows_down(g, [(e1, 3.0), (e2, 4.0)], realizations)
-        for sub, demand in (("u1", 3.0), ("u2", 4.0)):
-            entering = sum(v for k, v in increment.items()
-                           if k[0] == "intra" and k[1] == 1 and sub in k[2:])
-            assert entering == pytest.approx(demand, abs=1e-9)

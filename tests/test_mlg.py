@@ -111,6 +111,34 @@ class TestNeighbors:
         assert [n for n, _e in g.neighbors(1, "z1")] == ["u1"]
 
 
+class TestInterNeighborsDown:
+    def test_index_matches_edge_scan_on_corpus(self):
+        for seed in range(9000, 9100):
+            g = build_redundant_mlg(random_problem(random.Random(seed))).graph
+            for layer in range(1, g.layer_count + 1):
+                for node in g.nodes(layer):
+                    ref = NodeRef(layer, node)
+                    for target in range(1, layer):
+                        scan = sorted(e.lower for e in g.inter_edges()
+                                      if e.upper == ref and e.lower.layer == target)
+                        assert g.inter_neighbors_down(ref, target) == scan
+
+    def test_several_lower_nodes_and_readded_edge(self):
+        g = MultiLayerGraph()
+        g.add_layer(["x", "y"])
+        g.add_layer(["a1"])
+        g.add_layer(["v0"])
+        top = NodeRef(3, "v0")
+        for lower in (NodeRef(1, "y"), NodeRef(2, "a1"), NodeRef(1, "x")):
+            g.add_inter_edge(top, lower)
+        g.add_inter_edge(top, NodeRef(1, "y"), capacity=2.0)
+        assert g.inter_neighbors_down(top, 1) == [NodeRef(1, "x"), NodeRef(1, "y")]
+        assert g.inter_neighbors_down(top, 2) == [NodeRef(2, "a1")]
+        assert g.inter_neighbors_down(NodeRef(2, "a1"), 1) == []
+        assert len(g.inter_edges()) == 3
+        assert g.find_inter(top, NodeRef(1, "y")).capacity == 2.0
+
+
 class TestRealizationPath:
     def test_t1_layer2_edge(self, t1_instance):
         g = t1_instance.graph

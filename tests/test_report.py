@@ -2,8 +2,7 @@ import math
 
 import pytest
 
-from mlgdesign import (ChannelUse, extract_assignment, extract_topology,
-                       render_report, solve_capacitated)
+from mlgdesign import ChannelUse, render_report, solve_capacitated
 
 
 @pytest.fixture
@@ -20,28 +19,6 @@ class TestChannelUse:
 
     def test_zero_capacity(self):
         assert ChannelUse("b1", 0.0, 0.0).utilization == 0.0
-
-
-class TestExtractTopology:
-    def test_t1(self, t1_solution):
-        assert extract_topology(t1_solution) == ["b1", "b2", "b3", "b4"]
-
-    def test_large_eps_filters_everything(self, t1_solution):
-        assert extract_topology(t1_solution, eps=100.0) == []
-
-
-class TestExtractAssignment:
-    def test_t1_served_volumes(self, t1_solution):
-        assignment = extract_assignment(t1_solution)
-        served = {srv: sum(v for _, v in pairs)
-                  for srv, pairs in assignment.items() if pairs}
-        assert sum(served.values()) == pytest.approx(7.0, abs=1e-6)
-        for volume in served.values():
-            assert volume <= 5.0 + 1e-6
-
-    def test_sorted_within_server(self, t1_solution):
-        for pairs in extract_assignment(t1_solution).values():
-            assert pairs == sorted(pairs)
 
 
 class TestRenderReport:
