@@ -29,7 +29,7 @@ from .builder import BuiltInstance
 from .errors import DecompositionError, InfeasibleError, LimitsExceeded
 from .flows import CONSERVATION_TOL, Commodity, FlowAssignment
 from .lp import LinearProgram, branch_and_bound, simplex_solve
-from .mlg import MultiLayerGraph, NodeRef, cheapest_path
+from .mlg import MultiLayerGraph, NodeRef, cheapest_path, distances_to
 
 FLOW_EPS = 1e-9
 
@@ -64,8 +64,12 @@ class DesignSolution:
 _channel_cost = attrgetter("cost")
 
 
-def _k_shortest_paths(graph: MultiLayerGraph, src: str, dst: str, k: int):
-    first = cheapest_path(graph, 1, [src], {dst}, _channel_cost)
+def _k_shortest_paths(graph: MultiLayerGraph, src: str, dst: str, k: int,
+                      to_dst: dict[str, float]):
+    """Yen's k cheapest simple paths, every search guided by ``to_dst``,
+    the exact distance map toward ``dst``.  Bans only lengthen paths, so
+    the map stays a consistent potential for every spur search."""
+    first = cheapest_path(graph, 1, [src], {dst}, _channel_cost, potential=to_dst)
     if first is None:
         return []
     found = [first]
@@ -73,15 +77,17 @@ def _k_shortest_paths(graph: MultiLayerGraph, src: str, dst: str, k: int):
     seen = {first[1]}
     while len(found) < k:
         _, prev = found[-1]
+        root_cost = 0.0
         for i in range(len(prev) - 1):
             root = prev[:i + 1]
-            root_cost = _path_cost(graph, root)
+            if i:
+                root_cost += graph.find_intra(1, prev[i - 1], prev[i]).cost
             banned_edges = set()
             for _, p in found:
                 if p[:i + 1] == root and len(p) > i + 1:
                     banned_edges.add((p[i], p[i + 1]))
             spur = cheapest_path(graph, 1, [root[-1]], {dst}, _channel_cost,
-                                 frozenset(root[:-1]), banned_edges)
+                                 frozenset(root[:-1]), banned_edges, to_dst)
             if spur is None:
                 continue
             total = (root_cost + spur[0], root[:-1] + spur[1])
@@ -112,13 +118,23 @@ def _path_channels(instance: BuiltInstance, nodes) -> tuple[str, ...]:
 def enumerate_candidate_paths(instance: BuiltInstance, commodity: Commodity,
                               k: int) -> list[CandidatePath]:
     """Up to k loop-free cheapest layer-1 paths per server, merged and
-    sorted by (cost, node sequence)."""
+    sorted by (cost, node sequence).
+
+    Per server these are the first k paths of :func:`all_candidate_paths`
+    in that order, when channel costs add exactly in binary floating
+    point (integers, halves, ...).  With costs such as 0.1/0.2/0.3, path
+    costs equal in real arithmetic can round apart, so such ties can
+    fall either way (see :func:`mlgdesign.mlg.cheapest_path`).  One
+    reverse Dijkstra from the subscriber guides every search.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     subscriber = commodity.sink.id
+    to_subscriber = distances_to(instance.graph, 1, subscriber, _channel_cost)
     out = []
     for server in instance.server_ids():
-        for cost, nodes in _k_shortest_paths(instance.graph, server, subscriber, k):
+        for cost, nodes in _k_shortest_paths(instance.graph, server, subscriber, k,
+                                             to_subscriber):
             out.append(CandidatePath(server=server, nodes=nodes,
                                      channels=_path_channels(instance, nodes),
                                      cost=cost))

@@ -4,10 +4,12 @@ A multi-layer graph is an ordered stack of ordinary undirected graphs
 (layers), numbered from 1 (lowest, physical) upward, plus inter-layer
 edges connecting functional units across layers.  Every intra-layer
 edge above layer 1 must be realizable as a path through some lower
-layer; :func:`validate_overlay` checks this, :func:`realization_path`
-computes the witnessing path.  :func:`cheapest_path` is the one
-simple-path search over a layer's adjacency index; realization and the
-design solver's candidate paths both use it.
+layer; :func:`validate_overlay` checks this from each lower layer's
+connected components, :func:`realization_path` computes the witnessing
+path.  :func:`cheapest_path` is the one simple-path search over a
+layer's adjacency index, optionally guided by a potential such as the
+exact distance map of :func:`distances_to`; realization and the design
+solver's candidate paths both use it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Collection, Iterable, NamedTuple, Optional
+from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Optional
 
 from .errors import GraphError, NoRealization
 
@@ -251,22 +253,41 @@ def realization_path(graph: MultiLayerGraph, edge: IntraEdge) -> RealizationPath
 def cheapest_path(graph: MultiLayerGraph, layer: int, starts: Iterable[str],
                   goals: Collection[str], weight: Callable[[IntraEdge], float],
                   banned_nodes: Collection[str] = frozenset(),
-                  banned_edges: Collection[tuple[str, str]] = frozenset()
+                  banned_edges: Collection[tuple[str, str]] = frozenset(),
+                  potential: Optional[Mapping[str, float]] = None
                   ) -> Optional[tuple[float, tuple[str, ...]]]:
     """Cheapest simple path in one layer from any start to any goal.
 
-    Edge lengths are ``weight(edge)``.  The heap is keyed by (cost,
-    node-id sequence), so the first path popped at a goal is also the
-    lexicographic tie-break winner.  Paths never enter ``banned_nodes``
+    Edge lengths are ``weight(edge)``.  Paths never enter ``banned_nodes``
     or cross a ``banned_edges`` pair (either orientation).  Returns
     ``(cost, nodes)`` or None.
+
+    ``potential`` optionally guides the search (A*; Hart, Nilsson &
+    Raphael, 1968).  It maps a node to a lower bound on the cost left
+    from it to a goal and must be consistent: ``potential[a] <=
+    weight(edge) + potential[b]`` for every edge a-b, with 0 at the
+    goals.  The exact distances of :func:`distances_to` are; bans only
+    remove edges, so they stay so.  A node with an infinite potential,
+    or none in the map, cannot reach a goal and is never entered.
+    Without a potential every node counts 0.
+
+    **Order contract.**  The heap is keyed by (cost + potential, cost,
+    node-id sequence), so the path returned is the one plain Dijkstra
+    keyed by (cost, node-id sequence) pops first at a goal: the
+    cheapest, ties broken by the lexicographically smallest sequence.
+    That holds exactly when lengths add exactly in binary floating
+    point (integers, halves, ...).  With lengths such as 0.1/0.2/0.3,
+    sums equal in real arithmetic can round apart, so such ties can
+    fall either way, with or without a potential.
     """
     adj = graph._layer(layer)["adj"]  # expansion order cannot change the result
-    heap = [(0.0, (s,)) for s in sorted(starts)]
+    inf = math.inf
+    bound = (dict.fromkeys(adj, 0.0) if potential is None else potential).get
+    heap = [(left, 0.0, (s,)) for s in sorted(starts) if (left := bound(s, inf)) < inf]
     heapq.heapify(heap)
     best: dict[str, tuple] = {}
     while heap:
-        cost, path = heapq.heappop(heap)
+        _, cost, path = heapq.heappop(heap)
         node = path[-1]
         if node in best and best[node] <= (cost, path):
             continue
@@ -278,17 +299,71 @@ def cheapest_path(graph: MultiLayerGraph, layer: int, starts: Iterable[str],
                 continue
             if (node, nbr) in banned_edges or (nbr, node) in banned_edges:
                 continue
-            heapq.heappush(heap, (cost + weight(edge), path + (nbr,)))
+            left = bound(nbr, inf)
+            if left < inf:
+                step = cost + weight(edge)
+                heapq.heappush(heap, (step + left, step, path + (nbr,)))
     return None
 
 
+def distances_to(graph: MultiLayerGraph, layer: int, goal: str,
+                 weight: Callable[[IntraEdge], float]) -> dict[str, float]:
+    """Cost of the cheapest path from every node of one layer to ``goal``
+    (one reverse Dijkstra; layers are undirected).
+
+    Nodes that cannot reach the goal are left out.  The result is a
+    consistent ``potential`` for :func:`cheapest_path` toward ``goal``.
+    """
+    adj = graph._layer(layer)["adj"]
+    heap = [(0.0, goal)]
+    dist: dict[str, float] = {}
+    while heap:
+        cost, node = heapq.heappop(heap)
+        if node in dist:
+            continue
+        dist[node] = cost
+        for nbr, edge in adj[node].items():
+            if nbr not in dist:
+                heapq.heappush(heap, (cost + weight(edge), nbr))
+    return dist
+
+
+def _component_labels(graph: MultiLayerGraph, layer: int) -> dict[str, str]:
+    """Node -> one node of its connected component within one layer."""
+    adj = graph._layer(layer)["adj"]
+    label: dict[str, str] = {}
+    for root in adj:
+        if root in label:
+            continue
+        label[root] = root
+        stack = [root]
+        while stack:
+            for nbr in adj[stack.pop()]:
+                if nbr not in label:
+                    label[nbr] = root
+                    stack.append(nbr)
+    return label
+
+
 def validate_overlay(graph: MultiLayerGraph) -> ValidationReport:
-    """Check the realizability constraint on every edge above layer 1."""
+    """Check the realizability constraint on every edge above layer 1.
+
+    An upper edge is realizable when, on some lower layer, a node below
+    one end shares a connected component with a node below the other:
+    exactly when :func:`realization_path` finds a witness.  Components
+    are labelled once per layer, so no path is searched.
+    """
     report = ValidationReport()
+    labels = {lower: _component_labels(graph, lower)
+              for lower in range(1, graph.layer_count)}
+
+    def below(ref: NodeRef, lower: int) -> set[str]:
+        return {labels[lower][n.id] for n in graph.inter_neighbors_down(ref, lower)}
+
     for layer in range(2, graph.layer_count + 1):
         for edge in graph.intra_edges(layer):
-            try:
-                realization_path(graph, edge)
-            except NoRealization:
+            u_ref, v_ref = (NodeRef(layer, end) for end in edge.ends)
+            if not any(below(u_ref, lower) & below(v_ref, lower)
+                       for lower in range(layer - 1, 0, -1)):
                 report.violations.append((edge, "NoRealization"))
     return report

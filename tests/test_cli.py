@@ -1,11 +1,13 @@
 import json
 import math
 import pathlib
+import random
 
 import pytest
 
-from mlgdesign import (DecompositionError, ProblemFormatError,
-                       build_redundant_mlg, design)
+from helpers import random_problem
+from mlgdesign import (DecompositionError, NoRealization, ProblemFormatError,
+                       build_redundant_mlg, design, realization_path)
 from mlgdesign.cli import (export_dot, main, parse_problem, problem_from_dict,
                            write_problem)
 
@@ -233,6 +235,30 @@ class TestValidateCommand:
         assert main(["validate", str(path)]) == 2
         out = capsys.readouterr().out
         assert out.count("violation:") == 3
+
+    def test_violation_lines_name_unrealizable_edges(self, tmp_path, capsys):
+        """On corpus instances cut off from one server, the command prints
+        one line per upper edge realization_path cannot realize, in layer
+        and edge order."""
+        for seed in range(9000, 9020):
+            rng = random.Random(seed)
+            problem = random_problem(rng)
+            victim = rng.choice(problem.servers).id
+            problem.channels = [c for c in problem.channels
+                                if victim not in c.ends or rng.random() < 0.2]
+            graph = build_redundant_mlg(problem).graph
+            expected = []
+            for edge in graph.intra_edges(2) + graph.intra_edges(3):
+                try:
+                    realization_path(graph, edge)
+                except NoRealization:
+                    expected.append(f"violation: layer {edge.layer} edge "
+                                    f"({edge.ends[0]},{edge.ends[1]}): NoRealization")
+            path = tmp_path / f"broken{seed}.json"
+            write_problem(problem, str(path))
+            assert main(["validate", str(path)]) == (2 if expected else 0)
+            out = capsys.readouterr().out.splitlines()
+            assert out == (expected or ["ok: overlay constraint satisfied on all layers"])
 
 
 class TestExportDot:

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from mlgdesign import (Channel, DecompositionError, InfeasibleError,
-                       LimitsExceeded, OracleLimits, brute_force_oracle,
-                       build_redundant_mlg, check_capacities,
+                       LimitsExceeded, MultiLayerGraph, OracleLimits,
+                       brute_force_oracle, build_redundant_mlg, check_capacities,
                        check_conservation, enumerate_candidate_paths,
                        NodeRef, formulate_link_path, formulate_node_link,
                        solve_capacitated, solve_uncapacitated)
 from mlgdesign.design import _decompose_node_link, all_candidate_paths
-from mlgdesign.mlg import cheapest_path
+from mlgdesign.mlg import cheapest_path, distances_to
 from helpers import big_problem, random_problem, t1_problem
 
 
@@ -48,6 +48,45 @@ class TestCandidatePaths:
         with pytest.raises(ValueError):
             enumerate_candidate_paths(t1_instance, commodity(t1_instance, "u1"), 0)
 
+    @staticmethod
+    def assert_first_k_of_exhaustive(instance):
+        for c in instance.commodities:
+            every = all_candidate_paths(instance, c)
+            for k in (1, 2, 3, 8):
+                expected = [p for s in instance.server_ids()
+                            for p in [p for p in every if p.server == s][:k]]
+                expected.sort(key=lambda p: (p.cost, p.nodes))
+                assert enumerate_candidate_paths(instance, c, k) == expected
+
+    @pytest.mark.parametrize("costs", [None, (0.0, 0.5, 1.0, 2.5)])
+    def test_first_k_of_exhaustive_on_corpus(self, costs):
+        """Yen's paths per server are the first k of the exhaustive
+        enumeration in (cost, nodes) order, merged in that order: on the
+        acceptance corpus with costs as drawn and with mixed costs."""
+        for seed in range(9000, 9100):
+            rng = random.Random(seed)
+            problem = random_problem(rng)
+            if costs is not None:
+                problem.channels = [dataclasses.replace(ch, cost=rng.choice(costs))
+                                    for ch in problem.channels]
+            self.assert_first_k_of_exhaustive(build_redundant_mlg(problem))
+
+    def test_first_k_of_exhaustive_on_random_graphs(self):
+        """The same on denser layer-1 graphs of 3-8 nodes whose costs add
+        exactly in binary floating point, zero-cost channels included."""
+        rng = random.Random(61)
+        checked = 0
+        while checked < 300:
+            problem = random_problem(rng, max_subs=3, max_servers=3,
+                                     max_intermediates=2, max_channels=14)
+            if len(problem.subscribers) + len(problem.servers) + len(problem.intermediates) < 3:
+                continue
+            problem.channels = [
+                dataclasses.replace(ch, cost=rng.choice((0.0, 0.0, 0.25, 0.5, 1.0, 1.5, 3.0)))
+                for ch in problem.channels]
+            self.assert_first_k_of_exhaustive(build_redundant_mlg(problem))
+            checked += 1
+
 
 class TestCheapestPath:
     @pytest.mark.parametrize("costs", [(1.0,), (0.0, 0.5, 1.0, 2.5)])
@@ -56,7 +95,8 @@ class TestCheapestPath:
         the search from one server, or from all at once, returns the first
         path in (cost, nodes) order of the exhaustive enumeration; with the
         first hop of that path banned (given reversed), the first path
-        that avoids it."""
+        that avoids it.  Both hold with and without the goal's exact
+        distance map as the potential."""
         for seed in range(9000, 9100):
             rng = random.Random(seed)
             problem = random_problem(rng)
@@ -67,21 +107,64 @@ class TestCheapestPath:
             for c in instance.commodities:
                 paths = [(p.cost, p.nodes, p.server)
                          for p in all_candidate_paths(instance, c)]
-                for starts in [[s] for s in servers] + [servers]:
-                    mine = [p[:2] for p in paths if p[2] in starts]
-                    found = cheapest_path(graph, 1, starts, {c.sink.id},
-                                          lambda e: e.cost)
-                    assert found == (mine[0] if mine else None)
-                    if not mine:
-                        continue
-                    hop = mine[0][1][:2]
-                    rest = [p for p in mine
-                            if hop not in zip(p[1], p[1][1:])
-                            and hop[::-1] not in zip(p[1], p[1][1:])]
-                    found = cheapest_path(graph, 1, starts, {c.sink.id},
-                                          lambda e: e.cost,
-                                          banned_edges={hop[::-1]})
-                    assert found == (rest[0] if rest else None)
+                to_sink = distances_to(graph, 1, c.sink.id, lambda e: e.cost)
+                for potential in (None, to_sink):
+                    for starts in [[s] for s in servers] + [servers]:
+                        mine = [p[:2] for p in paths if p[2] in starts]
+                        found = cheapest_path(graph, 1, starts, {c.sink.id},
+                                              lambda e: e.cost, potential=potential)
+                        assert found == (mine[0] if mine else None)
+                        if not mine:
+                            assert not any(s in to_sink for s in starts)
+                            continue
+                        assert mine[0][0] == min(to_sink[s] for s in starts)
+                        hop = mine[0][1][:2]
+                        rest = [p for p in mine
+                                if hop not in zip(p[1], p[1][1:])
+                                and hop[::-1] not in zip(p[1], p[1][1:])]
+                        found = cheapest_path(graph, 1, starts, {c.sink.id},
+                                              lambda e: e.cost,
+                                              banned_edges={hop[::-1]},
+                                              potential=potential)
+                        assert found == (rest[0] if rest else None)
+
+    @staticmethod
+    def diamond():
+        """a-b-d costs 1+1, a-c-d costs 2+2."""
+        g = MultiLayerGraph()
+        g.add_layer(["a", "b", "c", "d"])
+        for u, v, cost in (("a", "b", 1.0), ("b", "d", 1.0),
+                           ("a", "c", 2.0), ("c", "d", 2.0)):
+            g.add_intra_edge(1, u, v, cost=cost)
+        return g
+
+    def test_infinite_potential_never_entered(self):
+        g = self.diamond()
+        weighed = []
+
+        def weight(edge):
+            weighed.append(edge.ends)
+            return edge.cost
+
+        potential = {"a": 0.0, "b": math.inf, "c": 0.0, "d": 0.0}
+        assert cheapest_path(g, 1, ["a"], {"d"}, weight,
+                             potential=potential) == (4.0, ("a", "c", "d"))
+        assert not any("b" in ends for ends in weighed)
+        # a node missing from the map counts as infinite; so does the start
+        assert cheapest_path(g, 1, ["a"], {"d"}, weight,
+                             potential={"a": 0.0, "b": 0.0, "d": 0.0}) == (2.0, ("a", "b", "d"))
+        assert cheapest_path(g, 1, ["a"], {"d"}, weight,
+                             potential={"b": 0.0, "c": 0.0, "d": 0.0}) is None
+
+    def test_distances_to(self):
+        g = self.diamond()
+        g.add_layer(["x"])
+        assert distances_to(g, 1, "d", lambda e: e.cost) == {
+            "d": 0.0, "b": 1.0, "a": 2.0, "c": 2.0}
+        g.remove_intra_edge(1, "b", "d")
+        assert distances_to(g, 1, "d", lambda e: e.cost) == {
+            "d": 0.0, "c": 2.0, "a": 4.0, "b": 5.0}
+        assert distances_to(g, 2, "x", lambda e: e.cost) == {"x": 0.0}
 
 
 class TestFormulations:

@@ -219,3 +219,56 @@ class TestValidateOverlay:
         assert validate_overlay(g).ok
         g.add_intra_edge(1, "u1", "u2", capacity=1.0)
         assert validate_overlay(g).ok
+
+    def test_matches_realization_path_on_broken_corpus(self):
+        """The violations are, in order, exactly the upper edges that
+        realization_path cannot realize, with seeded random layer-1 and
+        layer-2 edges removed from the corpus instances."""
+        violations = 0
+        for seed in range(9000, 9100):
+            rng = random.Random(seed)
+            g = build_redundant_mlg(random_problem(rng)).graph
+            for layer in (1, 2):
+                for edge in g.intra_edges(layer):
+                    if rng.random() < 0.3:
+                        g.remove_intra_edge(layer, *edge.ends)
+            expected = []
+            for edge in g.intra_edges(2) + g.intra_edges(3):
+                try:
+                    realization_path(g, edge)
+                except NoRealization:
+                    expected.append((edge, "NoRealization"))
+            assert validate_overlay(g).violations == expected
+            violations += len(expected)
+        assert violations > 50
+
+    @staticmethod
+    def three_layers(layer1_edge: bool):
+        """Layer-3 edge a-b above a layer 2 where a and b are apart (a-c is
+        realized by a-m) and a layer 1 where they are joined through m,
+        or not at all."""
+        g = MultiLayerGraph()
+        g.add_layer(["a", "m", "b"])
+        g.add_intra_edge(1, "a", "m")
+        if layer1_edge:
+            g.add_intra_edge(1, "m", "b")
+        g.add_layer(["a", "b", "c"])
+        g.add_intra_edge(2, "a", "c")
+        g.add_inter_edge(NodeRef(2, "c"), NodeRef(1, "m"))
+        g.add_layer(["a", "b"])
+        for node in ("a", "b"):
+            g.add_inter_edge(NodeRef(3, node), NodeRef(2, node))
+            g.add_inter_edge(NodeRef(3, node), NodeRef(1, node))
+            g.add_inter_edge(NodeRef(2, node), NodeRef(1, node))
+        return g, g.add_intra_edge(3, "a", "b")
+
+    def test_layer3_edge_realized_only_through_layer1(self):
+        g, top = self.three_layers(layer1_edge=True)
+        assert validate_overlay(g).ok
+        assert realization_path(g, top).via_layer == 1
+
+    def test_layer3_edge_realized_nowhere(self):
+        g, top = self.three_layers(layer1_edge=False)
+        assert validate_overlay(g).violations == [(top, "NoRealization")]
+        with pytest.raises(NoRealization):
+            realization_path(g, top)
