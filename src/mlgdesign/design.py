@@ -65,14 +65,18 @@ _channel_cost = attrgetter("cost")
 
 
 def _k_shortest_paths(graph: MultiLayerGraph, src: str, dst: str, k: int,
-                      to_dst: dict[str, float]):
+                      to_dst: dict[str, float], hop_cost: dict[tuple[str, str], float]):
     """Yen's k cheapest simple paths, every search guided by ``to_dst``,
     the exact distance map toward ``dst``.  Bans only lengthen paths, so
-    the map stays a consistent potential for every spur search."""
+    the map stays a consistent potential for every spur search.
+
+    ``hop_cost`` maps each ordered pair of layer-1 neighbours to their
+    channel's cost.  A path costs the left-to-right sum of its hops, as
+    in :func:`_path_cost`: the root's sum, then each spur hop in turn."""
     first = cheapest_path(graph, 1, [src], {dst}, _channel_cost, potential=to_dst)
     if first is None:
         return []
-    found = [first]
+    found = [(_add_hops(0.0, first[1], hop_cost), first[1])]
     candidates: list[tuple] = []
     seen = {first[1]}
     while len(found) < k:
@@ -81,7 +85,7 @@ def _k_shortest_paths(graph: MultiLayerGraph, src: str, dst: str, k: int,
         for i in range(len(prev) - 1):
             root = prev[:i + 1]
             if i:
-                root_cost += graph.find_intra(1, prev[i - 1], prev[i]).cost
+                root_cost += hop_cost[prev[i - 1], prev[i]]
             banned_edges = set()
             for _, p in found:
                 if p[:i + 1] == root and len(p) > i + 1:
@@ -90,14 +94,20 @@ def _k_shortest_paths(graph: MultiLayerGraph, src: str, dst: str, k: int,
                                  frozenset(root[:-1]), banned_edges, to_dst)
             if spur is None:
                 continue
-            total = (root_cost + spur[0], root[:-1] + spur[1])
-            if total[1] not in seen:
-                seen.add(total[1])
-                heapq.heappush(candidates, total)
+            nodes = root[:-1] + spur[1]
+            if nodes not in seen:
+                seen.add(nodes)
+                heapq.heappush(candidates, (_add_hops(root_cost, spur[1], hop_cost), nodes))
         if not candidates:
             break
         found.append(heapq.heappop(candidates))
     return found
+
+
+def _add_hops(cost: float, nodes, hop_cost: dict[tuple[str, str], float]) -> float:
+    for hop in zip(nodes, nodes[1:]):
+        cost += hop_cost[hop]
+    return cost
 
 
 def _path_cost(graph: MultiLayerGraph, nodes) -> float:
@@ -118,23 +128,29 @@ def _path_channels(instance: BuiltInstance, nodes) -> tuple[str, ...]:
 def enumerate_candidate_paths(instance: BuiltInstance, commodity: Commodity,
                               k: int) -> list[CandidatePath]:
     """Up to k loop-free cheapest layer-1 paths per server, merged and
-    sorted by (cost, node sequence).
+    sorted by (cost, node sequence).  A path's cost is its left-to-right
+    sum, as in :func:`all_candidate_paths`.
 
     Per server these are the first k paths of :func:`all_candidate_paths`
     in that order, when channel costs add exactly in binary floating
     point (integers, halves, ...).  With costs such as 0.1/0.2/0.3, path
-    costs equal in real arithmetic can round apart, so such ties can
-    fall either way (see :func:`mlgdesign.mlg.cheapest_path`).  One
-    reverse Dijkstra from the subscriber guides every search.
+    costs equal in real arithmetic can round apart, so which of such
+    tied paths make the first k can fall either way (see
+    :func:`mlgdesign.mlg.cheapest_path`).  One reverse Dijkstra from the
+    subscriber guides every search.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     subscriber = commodity.sink.id
     to_subscriber = distances_to(instance.graph, 1, subscriber, _channel_cost)
+    hop_cost = {}
+    for edge in instance.graph.intra_edges(1):
+        a, b = edge.ends
+        hop_cost[a, b] = hop_cost[b, a] = edge.cost
     out = []
     for server in instance.server_ids():
         for cost, nodes in _k_shortest_paths(instance.graph, server, subscriber, k,
-                                             to_subscriber):
+                                             to_subscriber, hop_cost):
             out.append(CandidatePath(server=server, nodes=nodes,
                                      channels=_path_channels(instance, nodes),
                                      cost=cost))
@@ -525,15 +541,16 @@ def _build_formulation(instance, formulation, k, single_homing) -> _Formulation:
 
 
 def _solve(instance: BuiltInstance, form: _Formulation, tie_key=None):
-    """Root LP, branch and bound when the LP has integer columns, then
-    routes: (solution, root relaxation objective, routes).  A root or
-    search that ends other than optimal raises ``InfeasibleError``."""
+    """Root LP, branch and bound from that root when the LP has integer
+    columns, then routes: (solution, root relaxation objective, routes).
+    A root or search that ends other than optimal raises
+    ``InfeasibleError``."""
     relax = simplex_solve(form.lp)
     if relax.status != "Optimal":
         raise InfeasibleError(certificate=relax.certificate)
     sol = relax
     if form.lp.integer_indices():
-        sol = branch_and_bound(form.lp, tie_key=tie_key)
+        sol = branch_and_bound(form.lp, tie_key=tie_key, root=relax)
         if sol.status != "Optimal":
             raise InfeasibleError(certificate=sol.certificate)
     return sol, relax.objective, form.read_routes(instance, form, sol.values)

@@ -1,6 +1,14 @@
-"""Self-contained linear programming: dense two-phase tableau simplex
-with an anti-cycling fallback, and depth-first branch and bound for
-integer variables.
+"""Self-contained linear programming: a bounded two-phase revised simplex
+with an anti-cycling fallback, dual simplex re-solves from a given
+basis, and depth-first branch and bound for integer variables.
+
+Every column lies between a lower and an upper bound (0 and
+``Variable.upper`` unless a caller narrows them).  A nonbasic column
+sits at one of its bounds and the ratio test flips it to the other, so
+a bound never becomes a row (Chvátal, *Linear Programming*, 1983,
+ch. 8).  A branch narrows one bound of one column; the parent's optimal
+basis stays dual feasible, so each child is re-solved from it with the
+dual simplex (Koberstein, PhD thesis, Paderborn, 2005).
 
 Sized for desk-scale design instances; robustness and determinism are
 prioritized over raw speed.
@@ -10,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -64,6 +72,13 @@ class LinearProgram:
     def integer_indices(self) -> list[int]:
         return [j for j, v in enumerate(self.variables) if v.integer]
 
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lower, upper) per variable as posed: 0, and ``upper`` with
+        None or a non-finite value read as no bound."""
+        upper = [v.upper if v.upper is not None and math.isfinite(v.upper) else math.inf
+                 for v in self.variables]
+        return np.zeros(len(upper)), np.array(upper, dtype=float)
+
     def _check_finite(self):
         values = list(self.objective.values())
         for con in self.constraints:
@@ -74,20 +89,15 @@ class LinearProgram:
                 raise MalformedProgram("NaN or infinite coefficient in program")
 
 
-@dataclass
-class LpSolution:
-    status: str  # "Optimal" | "Infeasible" | "Unbounded"
-    values: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    objective: float = math.nan
-    iterations: int = 0
-    certificate: list[str] = field(default_factory=list)
-    reduced_costs: np.ndarray = field(default_factory=lambda: np.zeros(0))
+class _StandardForm:
+    """An LP's rows over its columns, one slack per inequality and one
+    artificial per row not of ``<=`` form.  Each row is signed so that
+    its right-hand side, less what the lower bounds use of it, is
+    nonnegative: the slack and artificial columns then form a feasible
+    first basis.  Shared by every solve restarted from one of its bases,
+    and never mutated."""
 
-
-class _Tableau:
-    """Dense simplex tableau over the standard-form expansion of an LP."""
-
-    def __init__(self, lp: LinearProgram):
+    def __init__(self, lp: LinearProgram, lower: np.ndarray):
         rows = []  # (dense coeffs over structural vars, relation, rhs, name)
         n = len(lp.variables)
         for con in lp.constraints:
@@ -95,14 +105,9 @@ class _Tableau:
             for j, c in con.coeffs.items():
                 dense[j] = c
             rows.append([dense, con.relation, float(con.rhs), con.name])
-        for j, var in enumerate(lp.variables):
-            if var.upper is not None and math.isfinite(var.upper):
-                dense = np.zeros(n)
-                dense[j] = 1.0
-                rows.append([dense, "<=", float(var.upper), f"ub[{var.name}]"])
-        # normalize to rhs >= 0
+        shifted = lower.any()
         for row in rows:
-            if row[2] < 0:
+            if row[2] - (row[0] @ lower if shifted else 0.0) < 0:
                 row[0] = -row[0]
                 row[2] = -row[2]
                 row[1] = {"<=": ">=", ">=": "<=", "=": "="}[row[1]]
@@ -110,12 +115,13 @@ class _Tableau:
         m = len(rows)
         self.m, self.n = m, n
         self.row_names = [r[3] for r in rows]
+        self.var_names = [v.name for v in lp.variables]
         n_slack = sum(1 for r in rows if r[1] != "=")
         n_art = sum(1 for r in rows if r[1] != "<=")
         total = n + n_slack + n_art
         A = np.zeros((m, total))
         b = np.zeros(m)
-        basis = np.zeros(m, dtype=int)
+        seed = np.zeros(m, dtype=int)
         self.artificial = np.zeros(total, dtype=bool)
         s = n
         a = n + n_slack
@@ -124,39 +130,117 @@ class _Tableau:
             b[i] = rhs
             if rel == "<=":
                 A[i, s] = 1.0
-                basis[i] = s
+                seed[i] = s
                 s += 1
             elif rel == ">=":
                 A[i, s] = -1.0
                 s += 1
                 A[i, a] = 1.0
-                basis[i] = a
+                seed[i] = a
                 self.artificial[a] = True
                 a += 1
             else:
                 A[i, a] = 1.0
-                basis[i] = a
+                seed[i] = a
                 self.artificial[a] = True
                 a += 1
-        self.A = A  # original matrix, never mutated
+        self.A = A
         self.b = b
-        self.basis = basis
+        self.seed = seed
         self.total = total
-        self.binv = np.eye(m)  # initial basis is the identity seed columns
-        self.xb = b.copy()
+        self.cost = np.zeros(total)
+        for j, c in lp.objective.items():
+            self.cost[j] = c
+
+
+@dataclass(frozen=True, eq=False)
+class Basis:
+    """A basis of one LP's standard form (its columns, then one slack
+    per inequality row, then the artificials): the basic column of each
+    row and the nonbasic columns that sit at their upper bound.  It also
+    keeps the form and the basis inverse, so a solve can restart from
+    it without building the one or inverting the other again."""
+
+    columns: np.ndarray
+    at_upper: np.ndarray
+    form: _StandardForm = field(repr=False)
+    inverse: np.ndarray = field(repr=False)
+
+
+@dataclass
+class LpSolution:
+    status: str  # "Optimal" | "Infeasible" | "Unbounded"
+    values: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    objective: float = math.nan
+    iterations: int = 0
+    certificate: list[str] = field(default_factory=list)
+    reduced_costs: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    basis: Optional[Basis] = None  # the final basis of an optimal solve
+
+
+class _Tableau:
+    """Revised simplex state over a standard form: the basis, its
+    explicit inverse and the basic values, each nonbasic column at its
+    lower or upper bound."""
+
+    def __init__(self, form: _StandardForm, lower: np.ndarray, upper: np.ndarray,
+                 start: Optional[Basis]):
+        self.form = form
+        self.A = form.A  # never mutated
+        self.m, self.total = form.m, form.total
+        self.lower = np.zeros(form.total)
+        self.lower[:form.n] = lower
+        self.upper = np.full(form.total, np.inf)
+        self.upper[:form.n] = upper
+        if start is None:
+            self.basis = form.seed.copy()
+            self.binv = np.eye(form.m)  # the slack/artificial seed columns
+            self.at_upper = np.zeros(form.total, dtype=bool)
+            self.xb = form.b - self.A[:, :form.n] @ lower
+        else:
+            self.basis = start.columns.copy()
+            self.binv = start.inverse.copy()
+            # a column whose bounds now meet sits at its lower bound
+            self.at_upper = start.at_upper & (self.upper > self.lower)
+            self.xb = self.binv @ (form.b - self.A @ self.values(basic=None))
         self.iterations = 0
 
-    def _pivot(self, row: int, col: int, direction: np.ndarray) -> None:
-        """Replace the basic variable of ``row`` by ``col``;
+    def values(self, basic: Optional[np.ndarray]) -> np.ndarray:
+        """Every column's value: nonbasic ones at their bound, basic ones
+        at ``basic`` (0 when None)."""
+        x = np.where(self.at_upper, self.upper, self.lower)
+        x[self.basis] = 0.0 if basic is None else basic
+        return x
+
+    def _pivot(self, row: int, col: int, direction: np.ndarray,
+               to_upper: bool = False) -> None:
+        """Replace the basic variable of ``row`` by ``col``; the leaving
+        one goes to its upper bound if ``to_upper``, else its lower.
         ``direction`` is binv @ A[:, col]."""
+        leaving = self.basis[row]
+        target = self.upper[leaving] if to_upper else self.lower[leaving]
+        origin = self.upper[col] if self.at_upper[col] else self.lower[col]
+        if target:
+            self.xb[row] -= target
         piv = direction[row]
         self.binv[row] /= piv
-        self.xb[row] /= piv
+        self.xb[row] /= piv  # the entering column's step
         factor = direction.copy()
         factor[row] = 0.0
         self.binv -= np.outer(factor, self.binv[row])
         self.xb -= factor * self.xb[row]
+        if origin:
+            self.xb[row] += origin
+        self.at_upper[leaving] = to_upper and self.upper[leaving] > self.lower[leaving]
+        self.at_upper[col] = False
         self.basis[row] = col
+        self.iterations += 1
+
+    def _flip(self, col: int, direction: np.ndarray) -> None:
+        """Move nonbasic ``col`` to its other bound."""
+        span = self.upper[col] - self.lower[col]
+        self.xb -= direction * (-span if self.at_upper[col] else span)
+        self.at_upper[col] = not self.at_upper[col]
         self.iterations += 1
 
     def duals(self, cost: np.ndarray) -> np.ndarray:
@@ -164,35 +248,55 @@ class _Tableau:
 
     def run(self, cost: np.ndarray, allowed: np.ndarray,
             max_iter: int) -> tuple[str, np.ndarray]:
-        """Revised primal simplex on the current basis.
+        """Bounded revised primal simplex on the current basis.
 
-        Returns (status, reduced_costs).  Dantzig entering rule with a
-        switch to Bland's rule after a long run of degenerate pivots.
-        Reduced costs are recomputed from the basis inverse every
-        iteration, so the optimality certificate is exact.
+        Returns (status, reduced_costs).  A column at its lower bound
+        enters on a negative reduced cost, one at its upper bound on a
+        positive one.  Dantzig entering rule with a switch to Bland's
+        rule after a long run of degenerate pivots.  When the entering
+        column reaches its other bound before any basic value reaches
+        one of its own, it flips there and the basis stays.  Reduced
+        costs are recomputed from the basis inverse every iteration, so
+        the optimality certificate is exact.
         """
-        blocked = ~allowed
+        blocked = ~allowed | (self.upper <= self.lower)  # fixed columns never move
+        # With every column in [0, inf), none sits at an upper bound and
+        # no basic value can rise into one: skip the work for those cases.
+        boxed = bool(self.lower.any() or (self.upper < np.inf).any())
         bland = False
         degenerate_run = 0
         for _ in range(max_iter):
             red = cost - self.duals(cost) @ self.A
-            red[blocked] = np.inf  # never enter disallowed columns
+            gain = np.where(self.at_upper, -red, red) if boxed else red.copy()
+            gain[blocked] = np.inf  # never enter disallowed columns
             if bland:
-                candidates = np.nonzero(red < -PIVOT_TOL)[0]
+                candidates = np.nonzero(gain < -PIVOT_TOL)[0]
                 if candidates.size == 0:
                     return "Optimal", red
                 col = int(candidates[0])
             else:
-                col = int(np.argmin(red))
-                if red[col] >= -PIVOT_TOL:
+                col = int(np.argmin(gain))
+                if gain[col] >= -PIVOT_TOL:
                     return "Optimal", red
             direction = self.binv @ self.A[:, col]
-            positive = direction > PIVOT_TOL
-            if not positive.any():
-                return "Unbounded", red
+            # basic values fall by ``move`` per unit the entering column moves
+            move = -direction if self.at_upper[col] else direction
+            room = self.xb - self.lower[self.basis] if boxed else self.xb
             ratios = np.full(self.m, np.inf)
-            ratios[positive] = self.xb[positive] / direction[positive]
-            best = ratios.min()
+            falling = move > PIVOT_TOL
+            ratios[falling] = room[falling] / move[falling]
+            if boxed:  # the ratio is infinite without an upper bound
+                rising = move < -PIVOT_TOL
+                ratios[rising] = ((self.upper[self.basis][rising] - self.xb[rising])
+                                  / -move[rising])
+            best = ratios.min(initial=np.inf)
+            span = self.upper[col] - self.lower[col]
+            if span == np.inf and best == np.inf:
+                return "Unbounded", red
+            if span <= best:
+                self._flip(col, direction)
+                degenerate_run = 0
+                continue
             tied = np.nonzero(ratios <= best + PIVOT_TOL)[0]
             # leaving tie-break: smallest basis variable index (Bland-safe)
             row = int(min(tied, key=lambda i: self.basis[i]))
@@ -202,72 +306,169 @@ class _Tableau:
                     bland = True
             else:
                 degenerate_run = 0
-            self._pivot(row, col, direction)
+            self._pivot(row, col, direction, to_upper=bool(move[row] < 0))
         raise MalformedProgram("simplex iteration limit exceeded")
 
+    def dual_run(self, cost: np.ndarray, allowed: np.ndarray,
+                 max_iter: int) -> Optional[list[str]]:
+        """Bounded dual simplex from a dual-feasible basis, until every
+        basic value is within its bounds (then None).  If a basic value
+        out of its bounds cannot be moved toward them by any column, the
+        program is infeasible: returns that row's certificate.
 
-def simplex_solve(lp: LinearProgram) -> LpSolution:
-    """Two-phase tableau simplex.
+        The leaving row is the one farthest out of its bounds; the
+        entering column keeps every reduced cost of the right sign,
+        ties going to the largest pivot, then the lowest column.  After
+        a long run of degenerate pivots, Bland's rule: the lowest basic
+        column out of bounds leaves and the lowest tied column enters.
+        """
+        blocked = ~allowed | (self.upper <= self.lower)
+        bland = False
+        degenerate_run = 0
+        for _ in range(max_iter):
+            below = self.lower[self.basis] - self.xb
+            above = self.xb - self.upper[self.basis]
+            excess = np.maximum(below, above)
+            out = np.nonzero(excess > FEAS_TOL)[0]
+            if out.size == 0:
+                return None
+            if bland:
+                row = int(min(out, key=lambda i: self.basis[i]))
+            else:
+                row = int(out[np.argmax(excess[out])])
+            to_upper = bool(above[row] > below[row])
+            alpha = self.binv[row] @ self.A
+            # per unit a column moves off its bound, the leaving value
+            # moves toward its violated bound by ``toward``
+            toward = alpha if to_upper else -alpha
+            toward = np.where(self.at_upper, -toward, toward)
+            eligible = toward > PIVOT_TOL
+            eligible[blocked] = False
+            eligible[self.basis] = False
+            if not eligible.any():
+                return self._certificate(
+                    self.binv[row], -alpha if to_upper else alpha,
+                    self.basis[row] if to_upper else None)
+            red = cost - self.duals(cost) @ self.A
+            slack = np.maximum(np.where(self.at_upper, -red, red), 0.0)
+            cols = np.nonzero(eligible)[0]
+            ratios = slack[cols] / toward[cols]
+            best = ratios.min()
+            tied = cols[ratios <= best + PIVOT_TOL]
+            col = int(tied[0] if bland else tied[np.argmax(toward[tied])])
+            if best <= PIVOT_TOL:
+                degenerate_run += 1
+                if degenerate_run > 2 * self.m + 10:
+                    bland = True
+            else:
+                degenerate_run = 0
+            self._pivot(row, col, self.binv @ self.A[:, col], to_upper)
+        raise MalformedProgram("simplex iteration limit exceeded")
 
-    Returns Optimal with a reduced-cost certificate, Infeasible with the
-    names of the constraint rows in the phase-1 certificate, or
-    Unbounded.  Each phase is limited to 50 * (rows + columns) + 1000
-    pivots of the standard form; past that it raises MalformedProgram.
+    def _certificate(self, multipliers: np.ndarray, gradient: np.ndarray,
+                     own: Optional[int] = None) -> list[str]:
+        """Names of an infeasibility proof: ``bound[<var>]`` for each
+        variable whose upper bound it uses (a nonbasic one whose
+        ``gradient`` entry is negative, plus ``own``), then each named
+        row with a nonzero multiplier."""
+        form = self.form
+        used = gradient < -FEAS_TOL
+        used[self.basis] = False
+        if own is not None:
+            used[own] = True
+        used &= self.upper < np.inf
+        names = [f"bound[{form.var_names[j]}]" for j in np.nonzero(used[:form.n])[0]]
+        names += [form.row_names[i] for i in np.nonzero(np.abs(multipliers) > FEAS_TOL)[0]
+                  if form.row_names[i]]
+        return names
+
+
+def simplex_solve(lp: LinearProgram, lower: Optional[np.ndarray] = None,
+                  upper: Optional[np.ndarray] = None,
+                  start: Optional[Basis] = None) -> LpSolution:
+    """Bounded two-phase revised simplex.
+
+    Column ``j`` lies within ``[lower[j], upper[j]]``, by default
+    ``lp.bounds()``.  With ``start``, the basis of an earlier solve of
+    this same program (its rows and columns unchanged), the solve
+    restarts from it: the dual simplex brings the basic values within
+    the bounds given here, then the primal simplex ends the solve.
+    Otherwise phase 1 starts from the slack and artificial columns.
+
+    Returns Optimal with reduced costs and the final basis, Infeasible
+    with a certificate, or Unbounded.  A certificate names the
+    constraint rows of the proof, and as ``bound[<variable name>]``
+    each variable whose upper bound the proof rests on; lower bounds
+    are never named.  Crossed bounds name the variable the same way.
+    Each phase is limited to 50 * (rows + columns) + 1000 pivots and
+    bound flips of the standard form; past that it raises
+    MalformedProgram.
     """
-    lp._check_finite()
-    tab = _Tableau(lp)
+    lower = np.zeros(len(lp.variables)) if lower is None else np.asarray(lower, dtype=float)
+    upper = lp.bounds()[1] if upper is None else np.asarray(upper, dtype=float)
+    crossed = np.nonzero(lower > upper)[0]
+    if crossed.size:
+        return LpSolution(status="Infeasible", certificate=[
+            f"bound[{lp.variables[j].name}]" for j in crossed])
+    if start is None:
+        lp._check_finite()
+        form = _StandardForm(lp, lower)
+    else:
+        form = start.form
+    tab = _Tableau(form, lower, upper, start)
     max_iter = 50 * (tab.m + tab.total) + 1000
-    allowed = np.ones(tab.total, dtype=bool)
+    allowed = ~form.artificial
 
-    if tab.artificial.any():
-        phase1_cost = np.where(tab.artificial, 1.0, 0.0)
-        status, _red = tab.run(phase1_cost, allowed, max_iter)
+    if start is not None:
+        certificate = tab.dual_run(form.cost, allowed, max_iter)
+        if certificate is not None:
+            return LpSolution(status="Infeasible", certificate=certificate,
+                              iterations=tab.iterations)
+    elif form.artificial.any():
+        phase1_cost = np.where(form.artificial, 1.0, 0.0)
+        status, red = tab.run(phase1_cost, np.ones(tab.total, dtype=bool), max_iter)
         infeas = float(phase1_cost[tab.basis] @ tab.xb)
         if status != "Optimal" or infeas > FEAS_TOL:
-            # rows with nonzero multipliers form the Farkas certificate
-            y = tab.duals(phase1_cost)
-            names = [tab.row_names[i] for i in range(tab.m)
-                     if abs(y[i]) > FEAS_TOL and tab.row_names[i]]
-            return LpSolution(status="Infeasible", certificate=names,
-                              iterations=tab.iterations)
+            # rows with nonzero multipliers, and the upper bounds the
+            # phase-1 reduced costs press against, form the Farkas certificate
+            return LpSolution(status="Infeasible", iterations=tab.iterations,
+                              certificate=tab._certificate(tab.duals(phase1_cost), red))
         # drive remaining artificials out of the basis
         for i in range(tab.m):
-            if tab.artificial[tab.basis[i]]:
+            if form.artificial[tab.basis[i]]:
                 tableau_row = tab.binv[i] @ tab.A
                 pivot_cols = np.nonzero(
-                    (np.abs(tableau_row) > PIVOT_TOL) & ~tab.artificial)[0]
+                    (np.abs(tableau_row) > PIVOT_TOL) & ~form.artificial)[0]
                 if pivot_cols.size:
                     col = int(pivot_cols[0])
                     tab._pivot(i, col, tab.binv @ tab.A[:, col])
                 # else: redundant row, harmless to leave the artificial basic at 0
-        allowed = ~tab.artificial
 
-    cost = np.zeros(tab.total)
-    for j, c in lp.objective.items():
-        cost[j] = c
-    status, red = tab.run(cost, allowed, max_iter)
+    status, red = tab.run(form.cost, allowed, max_iter)
     if status == "Unbounded":
         return LpSolution(status="Unbounded", iterations=tab.iterations)
-    values = np.zeros(tab.total)
-    values[tab.basis] = tab.xb
-    x = values[:len(lp.variables)].copy()
+    x = tab.values(tab.xb)[:form.n].copy()
     x[np.abs(x) < 1e-12] = 0.0
-    objective = float(cost[:len(lp.variables)] @ x)
+    objective = float(form.cost[:form.n] @ x)
     return LpSolution(status="Optimal", values=x, objective=objective,
                       iterations=tab.iterations,
-                      reduced_costs=red[:len(lp.variables)].copy())
+                      reduced_costs=red[:form.n].copy(),
+                      basis=Basis(tab.basis, tab.at_upper, form, tab.binv))
 
 
 def branch_and_bound(lp: LinearProgram,
-                     tie_key: Optional[Callable[[np.ndarray], tuple]] = None
-                     ) -> LpSolution:
+                     tie_key: Optional[Callable[[np.ndarray], tuple]] = None,
+                     root: Optional[LpSolution] = None) -> LpSolution:
     """Depth-first branch and bound over the LP's integer variables.
 
     A value within ``INT_TOL`` of an integer counts as integral; the
     search branches on the most fractional variable (ties by lowest
-    index).  Incumbent ties within 1e-9 are resolved by ``tie_key`` of the
-    value vector (default: lexicographically smallest rounded vector),
-    so results are order-independent.  The root is the first node; a
+    index).  A branch narrows that variable's bounds, and each child is
+    re-solved from its parent's basis.  Incumbent ties within 1e-9 are
+    resolved by ``tie_key`` of the value vector (default:
+    lexicographically smallest rounded vector), so results are
+    order-independent.  The root is the first node: ``root``, if given,
+    is ``simplex_solve(lp)`` already solved, else it is solved here.  A
     root that is not optimal is returned as solved, with its status and
     certificate.
     """
@@ -281,14 +482,17 @@ def branch_and_bound(lp: LinearProgram,
     incumbent: Optional[LpSolution] = None
     incumbent_key = None
     total_iters = 0
-    # node = list of (var index, "<=" floor / ">=" ceil, bound value)
-    stack: list[list[tuple[int, str, float]]] = [[]]
+    # node = (lower bounds, upper bounds, parent's basis; None at the root)
+    stack: list[tuple[np.ndarray, np.ndarray, Optional[Basis]]] = [(*lp.bounds(), None)]
     while stack:
-        bounds = stack.pop()
-        sol = simplex_solve(_with_bounds(lp, bounds))
+        lower, upper, start = stack.pop()
+        if start is None:
+            sol = root if root is not None else simplex_solve(lp)
+        else:
+            sol = simplex_solve(lp, lower, upper, start)
         total_iters += sol.iterations
         if sol.status != "Optimal":
-            if not bounds:
+            if start is None:
                 return sol
             continue
         if incumbent is not None and sol.objective > incumbent.objective + 1e-9:
@@ -310,22 +514,25 @@ def branch_and_bound(lp: LinearProgram,
                 incumbent_key = key
             continue
         v = sol.values[frac_j]
-        stack.append(bounds + [(frac_j, ">=", math.ceil(v))])
-        stack.append(bounds + [(frac_j, "<=", math.floor(v))])
+        raised, cut = lower.copy(), upper.copy()
+        raised[frac_j] = math.ceil(v)
+        cut[frac_j] = math.floor(v)
+        stack.append((raised, upper, sol.basis))
+        stack.append((lower, cut, sol.basis))
 
     if incumbent is None:
         return LpSolution(status="Infeasible", iterations=total_iters)
+    # The incumbent's integer columns lie within INT_TOL of integers, and
+    # a basic one off its integer carries that error into the columns it
+    # scales.  Re-solved cold with them fixed at those integers,
+    # they are bounds, not basic values, and carry no error.
+    rounded = np.round(incumbent.values[int_idx])
+    if not np.array_equal(rounded, incumbent.values[int_idx]):
+        lower, upper = lp.bounds()
+        lower[int_idx] = upper[int_idx] = rounded
+        fixed = simplex_solve(lp, lower, upper)
+        total_iters += fixed.iterations
+        if fixed.status == "Optimal":
+            incumbent = fixed
     incumbent.iterations = total_iters
     return incumbent
-
-
-def _with_bounds(lp: LinearProgram, bounds: Sequence[tuple[int, str, float]]
-                 ) -> LinearProgram:
-    node = LinearProgram()
-    node.variables = list(lp.variables)
-    node.constraints = list(lp.constraints)
-    node.objective = dict(lp.objective)
-    for j, rel, value in bounds:
-        node.add_constraint({j: 1.0}, rel, value,
-                            name=f"branch[{lp.variables[j].name}]")
-    return node

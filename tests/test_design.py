@@ -11,7 +11,7 @@ from mlgdesign import (Channel, DecompositionError, InfeasibleError,
                        check_conservation, enumerate_candidate_paths,
                        NodeRef, formulate_link_path, formulate_node_link,
                        solve_capacitated, solve_uncapacitated)
-from mlgdesign.design import _decompose_node_link, all_candidate_paths
+from mlgdesign.design import _decompose_node_link, _path_cost, all_candidate_paths
 from mlgdesign.mlg import cheapest_path, distances_to
 from helpers import big_problem, random_problem, t1_problem
 
@@ -86,6 +86,24 @@ class TestCandidatePaths:
                 for ch in problem.channels]
             self.assert_first_k_of_exhaustive(build_redundant_mlg(problem))
             checked += 1
+
+    def test_costs_are_left_to_right_sums(self):
+        """Every candidate costs the left-to-right sum of its channels,
+        as in the exhaustive enumeration, and the merged list is sorted
+        by that sum, then nodes: with costs 0.1/0.2/0.3, whose sums
+        depend on the order they are added in."""
+        rng = random.Random(67)
+        for _ in range(300):
+            problem = random_problem(rng, max_subs=3, max_servers=3,
+                                     max_intermediates=2, max_channels=14)
+            problem.channels = [dataclasses.replace(ch, cost=rng.choice((0.1, 0.2, 0.3)))
+                                for ch in problem.channels]
+            instance = build_redundant_mlg(problem)
+            for c in instance.commodities:
+                paths = enumerate_candidate_paths(instance, c, 8)
+                keys = [(_path_cost(instance.graph, p.nodes), p.nodes) for p in paths]
+                assert [p.cost for p in paths] == [cost for cost, _ in keys]
+                assert keys == sorted(keys)
 
 
 class TestCheapestPath:

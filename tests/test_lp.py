@@ -18,6 +18,51 @@ def single_var_lp():
     return lp
 
 
+def random_program(rng, bounded=False):
+    """A random LP over 2-6 columns and 2-6 rows, and the same program as
+    ``linprog`` keyword arguments.  ``bounded`` adds upper bounds, some
+    of them zero-width, and negative right-hand sides."""
+    n = rng.randint(2, 6)
+    m = rng.randint(2, 6)
+    uppers = [rng.choice((None, None, 0.0, 2.0, 3.5, 5.0, 8.0)) if bounded else None
+              for _ in range(n)]
+    lp = LinearProgram()
+    for j in range(n):
+        lp.add_var(f"x{j}", upper=uppers[j])
+    c = [rng.randint(-5, 8) for _ in range(n)]
+    lp.set_objective({j: float(c[j]) for j in range(n)})
+    a_ub, b_ub, a_eq, b_eq = [], [], [], []
+    for i in range(m):
+        coeffs = [rng.randint(-3, 5) for _ in range(n)]
+        rhs = rng.randint(-3 if bounded else 0, 12)
+        rel = rng.choice(["<=", "<=", ">=", "="])
+        lp.add_constraint({j: float(coeffs[j]) for j in range(n)}, rel,
+                          float(rhs), name=f"r{i}")
+        if rel == "<=":
+            a_ub.append(coeffs)
+            b_ub.append(rhs)
+        elif rel == ">=":
+            a_ub.append([-v for v in coeffs])
+            b_ub.append(-rhs)
+        else:
+            a_eq.append(coeffs)
+            b_eq.append(rhs)
+    return lp, dict(c=c, A_ub=a_ub or None, b_ub=b_ub or None,
+                    A_eq=a_eq or None, b_eq=b_eq or None,
+                    bounds=[(0, u) for u in uppers])
+
+
+def assert_matches_highs(sol, ref):
+    if ref.status == 3:  # unbounded
+        assert sol.status == "Unbounded"
+    elif ref.status == 2:  # infeasible
+        assert sol.status == "Infeasible"
+    else:
+        assert ref.status == 0
+        assert sol.status == "Optimal"
+        assert sol.objective == pytest.approx(ref.fun, abs=1e-7)
+
+
 class TestSimplex:
     def test_single_binding_constraint(self):
         sol = simplex_solve(single_var_lp())
@@ -71,43 +116,84 @@ class TestSimplex:
         sol = simplex_solve(single_var_lp())
         assert (sol.reduced_costs >= -1e-9).all()
 
+    def test_certificate_names_upper_bound(self):
+        lp = LinearProgram()
+        x = lp.add_var("x", upper=1.0)
+        lp.add_constraint({x: 1.0}, ">=", 2.0, name="need")
+        lp.set_objective({x: 1.0})
+        sol = simplex_solve(lp)
+        assert sol.status == "Infeasible"
+        assert sol.certificate == ["bound[x]", "need"]
+
+    def test_warm_certificate_names_upper_bound(self):
+        lp = LinearProgram()
+        x = lp.add_var("x", upper=3.0)
+        lp.add_constraint({x: 1.0}, ">=", 2.0, name="need")
+        lp.set_objective({x: 1.0})
+        lower, upper = lp.bounds()
+        upper[x] = 1.0
+        sol = simplex_solve(lp, lower, upper, simplex_solve(lp).basis)
+        assert sol.status == "Infeasible"
+        assert sol.certificate == ["bound[x]", "need"]
+
+    def test_crossed_bounds_named(self):
+        lp = single_var_lp()
+        sol = simplex_solve(lp, np.array([2.0]), np.array([1.0]))
+        assert sol.status == "Infeasible" and sol.certificate == ["bound[x]"]
+
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_scipy_on_random_programs(self, seed):
-        rng = random.Random(seed)
-        n = rng.randint(2, 6)
-        m = rng.randint(2, 6)
+        lp, ref_args = random_program(random.Random(seed))
+        assert_matches_highs(simplex_solve(lp), linprog(**ref_args, method="highs"))
+
+    @pytest.mark.parametrize("seed", range(150))
+    def test_matches_scipy_with_upper_bounds(self, seed):
+        """Finite and zero-width upper bounds, negative right-hand sides."""
+        lp, ref_args = random_program(random.Random(500 + seed), bounded=True)
+        assert_matches_highs(simplex_solve(lp), linprog(**ref_args, method="highs"))
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_warm_resolve_matches_scipy(self, seed):
+        """From an optimal basis, each column with a positive value is cut
+        to half that value, or raised above it, and re-solved warm."""
+        rng = random.Random(700 + seed)
+        sol = None
+        while sol is None or sol.status != "Optimal":
+            lp, ref_args = random_program(rng, bounded=True)
+            sol = simplex_solve(lp)
+        for j in np.nonzero(sol.values > 1e-6)[0]:
+            lower, upper = lp.bounds()
+            value = sol.values[j]
+            for lo, hi in ((0.0, value / 2), (value + 0.5, upper[j])):
+                if lo > hi:
+                    continue
+                lower[j], upper[j] = lo, hi
+                bounds = list(ref_args["bounds"])
+                bounds[j] = (lo, None if hi == math.inf else hi)
+                ref = linprog(**dict(ref_args, bounds=bounds), method="highs")
+                assert_matches_highs(simplex_solve(lp, lower, upper, sol.basis), ref)
+
+    def test_warm_resolve_takes_fewer_pivots(self):
+        """Both children of a fractional column: re-solved from the
+        parent's basis, each takes fewer pivots than solved cold."""
+        rng = random.Random(7)
         lp = LinearProgram()
-        for j in range(n):
-            lp.add_var(f"x{j}")
-        c = [rng.randint(-5, 8) for _ in range(n)]
-        lp.set_objective({j: float(c[j]) for j in range(n)})
-        a_ub, b_ub, a_eq, b_eq = [], [], [], []
-        for i in range(m):
-            coeffs = [rng.randint(-3, 5) for _ in range(n)]
-            rhs = rng.randint(0, 12)
-            rel = rng.choice(["<=", "<=", ">=", "="])
-            lp.add_constraint({j: float(coeffs[j]) for j in range(n)}, rel,
-                              float(rhs), name=f"r{i}")
-            if rel == "<=":
-                a_ub.append(coeffs)
-                b_ub.append(rhs)
-            elif rel == ">=":
-                a_ub.append([-v for v in coeffs])
-                b_ub.append(-rhs)
-            else:
-                a_eq.append(coeffs)
-                b_eq.append(rhs)
-        ref = linprog(c, A_ub=a_ub or None, b_ub=b_ub or None,
-                      A_eq=a_eq or None, b_eq=b_eq or None,
-                      bounds=(0, None), method="highs")
-        sol = simplex_solve(lp)
-        if ref.status == 3:  # unbounded
-            assert sol.status == "Unbounded"
-        elif ref.status == 2:  # infeasible
-            assert sol.status == "Infeasible"
-        else:
-            assert sol.status == "Optimal"
-            assert sol.objective == pytest.approx(ref.fun, abs=1e-7)
+        for j in range(30):
+            lp.add_var(f"y{j}", upper=1.0)
+        lp.set_objective({j: float(rng.randint(1, 9)) for j in range(30)})
+        for i in range(12):
+            lp.add_constraint({j: float(rng.randint(0, 4)) for j in range(30)}, ">=",
+                              float(rng.randint(5, 15)), name=f"cover{i}")
+        root = simplex_solve(lp)
+        j = next(j for j, v in enumerate(root.values) if 1e-6 < v < 1 - 1e-6)
+        for side in (0, 1):
+            lower, upper = lp.bounds()
+            (upper if side == 0 else lower)[j] = side
+            warm = simplex_solve(lp, lower, upper, root.basis)
+            cold = simplex_solve(lp, lower, upper)
+            assert warm.status == cold.status == "Optimal"
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+            assert warm.iterations < cold.iterations
 
 
 class TestBranchAndBound:
@@ -149,6 +235,23 @@ class TestBranchAndBound:
         sol = branch_and_bound(lp)
         assert sol.status == "Optimal" and sol.values[0] == pytest.approx(3.0)
         assert len(calls) == 1
+
+    def test_given_root_not_solved_again(self, monkeypatch):
+        lp = LinearProgram()
+        x = lp.add_var("x", integer=True)
+        lp.add_constraint({x: 1.0}, ">=", 3.0)
+        lp.set_objective({x: 1.0})
+        root = simplex_solve(lp)
+        calls = []
+
+        def counted(program, *args, **kwargs):
+            calls.append(program)
+            return simplex_solve(program, *args, **kwargs)
+
+        monkeypatch.setattr(lp_module, "simplex_solve", counted)
+        sol = branch_and_bound(lp, root=root)
+        assert sol.status == "Optimal" and sol.values[0] == pytest.approx(3.0)
+        assert calls == []
 
     def test_infeasible_root_keeps_certificate(self):
         lp = LinearProgram()
@@ -208,3 +311,35 @@ class TestBranchAndBound:
         else:
             assert sol.status == "Optimal"
             assert sol.objective == pytest.approx(ref.fun, abs=1e-7)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_scipy_milp_on_general_integers(self, seed):
+        """Integers with upper bounds 2-4, costs of either sign, and
+        covering and packing rows."""
+        from scipy.optimize import milp, LinearConstraint, Bounds
+        rng = random.Random(4000 + seed)
+        n = rng.randint(2, 5)
+        uppers = [rng.randint(2, 4) for _ in range(n)]
+        lp = LinearProgram()
+        for j in range(n):
+            lp.add_var(f"z{j}", upper=float(uppers[j]), integer=True)
+        c = [rng.randint(-4, 9) for _ in range(n)]
+        lp.set_objective({j: float(c[j]) for j in range(n)})
+        rows, lb, ub = [], [], []
+        for _ in range(rng.randint(1, 4)):
+            coeffs = [rng.randint(-2, 5) for _ in range(n)]
+            rhs = rng.randint(1, 11)
+            rel = rng.choice([">=", "<="])
+            lp.add_constraint({j: float(coeffs[j]) for j in range(n)}, rel, float(rhs))
+            rows.append(coeffs)
+            lb.append(rhs if rel == ">=" else -np.inf)
+            ub.append(np.inf if rel == ">=" else rhs)
+        ref = milp(c, constraints=LinearConstraint(rows, lb=lb, ub=ub),
+                   integrality=np.ones(n), bounds=Bounds(0, uppers))
+        sol = branch_and_bound(lp)
+        if ref.status == 2:  # infeasible
+            assert sol.status == "Infeasible"
+        else:
+            assert sol.status == "Optimal"
+            assert sol.objective == pytest.approx(ref.fun, abs=1e-7)
+            assert np.array_equal(sol.values, np.round(sol.values))
