@@ -65,48 +65,113 @@ _channel_cost = attrgetter("cost")
 
 
 def _k_shortest_paths(graph: MultiLayerGraph, src: str, dst: str, k: int,
-                      to_dst: dict[str, float], hop_cost: dict[tuple[str, str], float]):
-    """Yen's k cheapest simple paths, every search guided by ``to_dst``,
-    the exact distance map toward ``dst``.  Bans only lengthen paths, so
-    the map stays a consistent potential for every spur search.
+                      to_dst: dict[str, float],
+                      hops: dict[tuple[str, str], tuple[float, str]],
+                      ranked: dict[str, list[tuple[float, str]]]):
+    """Yen's k cheapest simple paths (Yen, 1971), with Lawler's rule,
+    lazy spurs and spurs read off the exact distance map ``to_dst``.
 
-    ``hop_cost`` maps each ordered pair of layer-1 neighbours to their
-    channel's cost.  A path costs the left-to-right sum of its hops, as
-    in :func:`_path_cost`: the root's sum, then each spur hop in turn."""
-    first = cheapest_path(graph, 1, [src], {dst}, _channel_cost, potential=to_dst)
-    if first is None:
+    ``hops`` maps each ordered pair of layer-1 neighbours to their
+    channel's (cost, name); ``ranked[x]`` lists x's neighbours v by
+    (hop cost + ``to_dst[v]``, v).  A path costs the left-to-right sum
+    of its hops, as in :func:`_path_cost`: the root's sum, then each
+    spur hop in turn.
+
+    The list is exactly Yen's:
+
+    - **Lawler's rule** (Lawler, 1972).  A spur root with its banned
+      next hops stands for the paths not found yet that start with the
+      root and leave it by another hop.  These sets partition the paths
+      not found yet, so no path is queued twice.  A path that left its
+      parent at index d is spurred from indices >= d only: a root before
+      d has the same bans as when the parent was spurred, so its spur
+      could only repeat a path already found or queued.
+    - **Lazy spurs.**  A root enters the queue with a lower bound: its
+      cost plus the least hop cost + ``to_dst`` over its allowed first
+      hops.  Its spur is searched only when that bound reaches the top
+      of the queue.  A bound sorts before a path of equal cost, so every
+      path that precedes another in (cost, nodes) order is queued before
+      that one is popped.
+    - **Read-off.**  The head of ``ranked[x]`` is x's smallest-id tight
+      successor y, tight meaning hop cost + ``to_dst[y] == to_dst[x]``.
+      A spur takes its root's best allowed first hop, then the heads
+      down to ``dst``.  Every hop of that chain is tight and the
+      smallest-id such hop, so when the chain meets neither the root nor
+      itself it is the cheapest spur with the smallest node sequence:
+      the path :func:`mlgdesign.mlg.cheapest_path` returns.  When it
+      does meet one (a banned node, or a loop of zero-cost channels),
+      ``cheapest_path`` searches the spur, guided by ``to_dst``; bans
+      only lengthen paths, so the map stays a consistent potential.
+    """
+    if not ranked.get(src):
         return []
-    found = [(_add_hops(0.0, first[1], hop_cost), first[1])]
-    candidates: list[tuple] = []
-    seen = {first[1]}
-    while len(found) < k:
-        _, prev = found[-1]
-        root_cost = 0.0
-        for i in range(len(prev) - 1):
-            root = prev[:i + 1]
-            if i:
-                root_cost += hop_cost[prev[i - 1], prev[i]]
-            banned_edges = set()
-            for _, p in found:
-                if p[:i + 1] == root and len(p) > i + 1:
-                    banned_edges.add((p[i], p[i + 1]))
-            spur = cheapest_path(graph, 1, [root[-1]], {dst}, _channel_cost,
-                                 frozenset(root[:-1]), banned_edges, to_dst)
+    bound, first_hop = ranked[src][0]
+    # (bound, 0, root, root cost, bans, first hop) stands for an unsearched
+    # spur; (cost, 1, path, root cost, bans, root index) for a found one
+    queue = [(bound, 0, (src,), 0.0, frozenset(), first_hop)]
+    found = []
+    while queue:
+        cost, is_path, nodes, root_cost, bans, extra = heapq.heappop(queue)
+        if not is_path:
+            spur = _read_spur(nodes, extra, dst, ranked)
             if spur is None:
-                continue
-            nodes = root[:-1] + spur[1]
-            if nodes not in seen:
-                seen.add(nodes)
-                heapq.heappush(candidates, (_add_hops(root_cost, spur[1], hop_cost), nodes))
-        if not candidates:
+                x = nodes[-1]
+                searched = cheapest_path(graph, 1, [x], {dst}, _channel_cost,
+                                         frozenset(nodes[:-1]), {(x, b) for b in bans},
+                                         to_dst)
+                if searched is None:
+                    continue
+                spur = searched[1]
+            heapq.heappush(queue, (_add_hops(root_cost, spur, hops), 1,
+                                   nodes[:-1] + spur, root_cost, bans, len(nodes) - 1))
+            continue
+        found.append((cost, nodes))
+        if len(found) == k:
             break
-        found.append(heapq.heappop(candidates))
+        d = extra
+        on_root = set(nodes[:d])
+        for i in range(d, len(nodes) - 1):
+            x, nxt = nodes[i], nodes[i + 1]
+            banned = bans | {nxt} if i == d else frozenset((nxt,))
+            for bound, v in ranked[x]:
+                if v not in banned and v not in on_root:
+                    heapq.heappush(queue, (root_cost + bound, 0, nodes[:i + 1],
+                                           root_cost, banned, v))
+                    break
+            on_root.add(x)
+            root_cost += hops[x, nxt][0]
     return found
 
 
-def _add_hops(cost: float, nodes, hop_cost: dict[tuple[str, str], float]) -> float:
+def _read_spur(root: tuple[str, ...], first_hop: str, dst: str,
+               ranked: dict[str, list[tuple[float, str]]]) -> Optional[tuple[str, ...]]:
+    """The root's last node, ``first_hop``, then each node's smallest-id
+    tight successor down to ``dst``; None if that meets the root or
+    itself."""
+    spur = [root[-1], first_hop]
+    on_path = set(root)
+    node = first_hop
+    while node != dst:
+        on_path.add(node)
+        node = ranked[node][0][1]
+        if node in on_path:
+            return None
+        spur.append(node)
+    return tuple(spur)
+
+
+def _hop_map(graph: MultiLayerGraph) -> dict[tuple[str, str], tuple[float, str]]:
+    """Each ordered pair of layer-1 neighbours -> their channel's (cost, name)."""
+    hops = {}
+    for edge in graph.intra_edges(1):
+        a, b = edge.ends
+        hops[a, b] = hops[b, a] = (edge.cost, edge.name or f"{a}-{b}")
+    return hops
+
+
+def _add_hops(cost: float, nodes, hops: dict[tuple[str, str], tuple[float, str]]) -> float:
     for hop in zip(nodes, nodes[1:]):
-        cost += hop_cost[hop]
+        cost += hops[hop][0]
     return cost
 
 
@@ -117,12 +182,10 @@ def _path_cost(graph: MultiLayerGraph, nodes) -> float:
     return cost
 
 
-def _path_channels(instance: BuiltInstance, nodes) -> tuple[str, ...]:
-    out = []
-    for a, b in zip(nodes, nodes[1:]):
-        edge = instance.graph.find_intra(1, a, b)
-        out.append(edge.name or f"{edge.ends[0]}-{edge.ends[1]}")
-    return tuple(out)
+def _candidate(server: str, nodes: tuple[str, ...], cost: float,
+               hops: dict[tuple[str, str], tuple[float, str]]) -> CandidatePath:
+    channels = tuple(hops[hop][1] for hop in zip(nodes, nodes[1:]))
+    return CandidatePath(server=server, nodes=nodes, channels=channels, cost=cost)
 
 
 def enumerate_candidate_paths(instance: BuiltInstance, commodity: Commodity,
@@ -136,24 +199,30 @@ def enumerate_candidate_paths(instance: BuiltInstance, commodity: Commodity,
     point (integers, halves, ...).  With costs such as 0.1/0.2/0.3, path
     costs equal in real arithmetic can round apart, so which of such
     tied paths make the first k can fall either way (see
-    :func:`mlgdesign.mlg.cheapest_path`).  One reverse Dijkstra from the
-    subscriber guides every search.
+    :func:`mlgdesign.mlg.cheapest_path`).
+
+    One reverse Dijkstra from the subscriber gives the exact distance
+    map; each node's neighbours ranked by hop cost plus that distance
+    then bound every spur and give the tight paths that
+    :func:`_k_shortest_paths` reads off without a search.  The same map
+    of ordered hops gives each path's cost and channel names.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     subscriber = commodity.sink.id
     to_subscriber = distances_to(instance.graph, 1, subscriber, _channel_cost)
-    hop_cost = {}
-    for edge in instance.graph.intra_edges(1):
-        a, b = edge.ends
-        hop_cost[a, b] = hop_cost[b, a] = edge.cost
+    hops = _hop_map(instance.graph)
+    ranked: dict[str, list[tuple[float, str]]] = {}
+    for (a, b), (cost, _name) in hops.items():
+        if a in to_subscriber:
+            ranked.setdefault(a, []).append((cost + to_subscriber[b], b))
+    for row in ranked.values():
+        row.sort()
     out = []
     for server in instance.server_ids():
         for cost, nodes in _k_shortest_paths(instance.graph, server, subscriber, k,
-                                             to_subscriber, hop_cost):
-            out.append(CandidatePath(server=server, nodes=nodes,
-                                     channels=_path_channels(instance, nodes),
-                                     cost=cost))
+                                             to_subscriber, hops, ranked):
+            out.append(_candidate(server, nodes, cost, hops))
     out.sort(key=lambda p: (p.cost, p.nodes))
     return out
 
@@ -162,12 +231,11 @@ def all_candidate_paths(instance: BuiltInstance,
                         commodity: Commodity) -> list[CandidatePath]:
     """Every simple server-to-subscriber path (exhaustive DFS)."""
     subscriber = commodity.sink.id
+    hops = _hop_map(instance.graph)
     out = []
     for server in instance.server_ids():
         for nodes in _simple_paths(instance.graph, server, subscriber):
-            out.append(CandidatePath(server=server, nodes=nodes,
-                                     channels=_path_channels(instance, nodes),
-                                     cost=_path_cost(instance.graph, nodes)))
+            out.append(_candidate(server, nodes, _add_hops(0.0, nodes, hops), hops))
     out.sort(key=lambda p: (p.cost, p.nodes))
     return out
 

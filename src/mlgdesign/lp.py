@@ -54,6 +54,10 @@ class LinearProgram:
 
     def add_var(self, name: str, upper: Optional[float] = None,
                 integer: bool = False) -> int:
+        """Append a column in [0, ``upper``]; None or +inf means no upper
+        bound.  A NaN or -inf bound raises ``ValueError``."""
+        if upper is not None and (math.isnan(upper) or upper == -math.inf):
+            raise ValueError(f"upper bound of {name!r} must be a number or +inf, not {upper}")
         self.variables.append(Variable(name=name, upper=upper, integer=integer))
         return len(self.variables) - 1
 
@@ -74,9 +78,8 @@ class LinearProgram:
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """(lower, upper) per variable as posed: 0, and ``upper`` with
-        None or a non-finite value read as no bound."""
-        upper = [v.upper if v.upper is not None and math.isfinite(v.upper) else math.inf
-                 for v in self.variables]
+        None read as no bound."""
+        upper = [math.inf if v.upper is None else v.upper for v in self.variables]
         return np.zeros(len(upper)), np.array(upper, dtype=float)
 
     def _check_finite(self):

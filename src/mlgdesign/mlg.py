@@ -271,10 +271,14 @@ def cheapest_path(graph: MultiLayerGraph, layer: int, starts: Iterable[str],
     or none in the map, cannot reach a goal and is never entered.
     Without a potential every node counts 0.
 
-    **Order contract.**  The heap is keyed by (cost + potential, cost,
-    node-id sequence), so the path returned is the one plain Dijkstra
+    **Order contract.**  The path returned is the one plain Dijkstra
     keyed by (cost, node-id sequence) pops first at a goal: the
     cheapest, ties broken by the lexicographically smallest sequence.
+    The heap is keyed by (cost + potential, node-id sequence, cost), so
+    entries of equal estimate pop in lexicographic depth-first order,
+    straight down the smallest tight path when the potential is exact.
+    For any one node an equal estimate means an equal cost, so the
+    first entry popped there is still its least by (cost, sequence).
     That holds exactly when lengths add exactly in binary floating
     point (integers, halves, ...).  With lengths such as 0.1/0.2/0.3,
     sums equal in real arithmetic can round apart, so such ties can
@@ -283,11 +287,11 @@ def cheapest_path(graph: MultiLayerGraph, layer: int, starts: Iterable[str],
     adj = graph._layer(layer)["adj"]  # expansion order cannot change the result
     inf = math.inf
     bound = (dict.fromkeys(adj, 0.0) if potential is None else potential).get
-    heap = [(left, 0.0, (s,)) for s in sorted(starts) if (left := bound(s, inf)) < inf]
+    heap = [(left, (s,), 0.0) for s in sorted(starts) if (left := bound(s, inf)) < inf]
     heapq.heapify(heap)
     best: dict[str, tuple] = {}
     while heap:
-        _, cost, path = heapq.heappop(heap)
+        _, path, cost = heapq.heappop(heap)
         node = path[-1]
         if node in best and best[node] <= (cost, path):
             continue
@@ -302,7 +306,7 @@ def cheapest_path(graph: MultiLayerGraph, layer: int, starts: Iterable[str],
             left = bound(nbr, inf)
             if left < inf:
                 step = cost + weight(edge)
-                heapq.heappush(heap, (step + left, step, path + (nbr,)))
+                heapq.heappush(heap, (step + left, path + (nbr,), step))
     return None
 
 

@@ -1,17 +1,19 @@
 import dataclasses
+import heapq
 import math
 import random
 
 import numpy as np
 import pytest
 
-from mlgdesign import (Channel, DecompositionError, InfeasibleError,
-                       LimitsExceeded, MultiLayerGraph, OracleLimits,
-                       brute_force_oracle, build_redundant_mlg, check_capacities,
-                       check_conservation, enumerate_candidate_paths,
-                       NodeRef, formulate_link_path, formulate_node_link,
-                       solve_capacitated, solve_uncapacitated)
-from mlgdesign.design import _decompose_node_link, _path_cost, all_candidate_paths
+from mlgdesign import (Channel, DecompositionError, DesignProblem, InfeasibleError,
+                       LimitsExceeded, MultiLayerGraph, OracleLimits, Server, Session,
+                       Subscriber, brute_force_oracle, build_redundant_mlg,
+                       check_capacities, check_conservation, design,
+                       enumerate_candidate_paths, NodeRef, formulate_link_path,
+                       formulate_node_link, solve_capacitated, solve_uncapacitated)
+from mlgdesign.design import (CandidatePath, _channel_cost, _decompose_node_link,
+                              _path_cost, all_candidate_paths)
 from mlgdesign.mlg import cheapest_path, distances_to
 from helpers import big_problem, random_problem, t1_problem
 
@@ -86,6 +88,118 @@ class TestCandidatePaths:
                 for ch in problem.channels]
             self.assert_first_k_of_exhaustive(build_redundant_mlg(problem))
             checked += 1
+
+    @staticmethod
+    def eager_yen(instance, commodity, k):
+        """Yen (1971) as first written: every root of every path found is
+        spurred by an unguided ``cheapest_path``, with no bound and no
+        distance map; merged over the servers like the candidate list."""
+        graph, dst = instance.graph, commodity.sink.id
+        weight = _channel_cost
+        out = []
+        for server in instance.server_ids():
+            first = cheapest_path(graph, 1, [server], {dst}, weight)
+            if first is None:
+                continue
+            found, candidates, seen = [first[1]], [], {first[1]}
+            while len(found) < k:
+                prev = found[-1]
+                for i in range(len(prev) - 1):
+                    root = prev[:i + 1]
+                    banned = {(p[i], p[i + 1]) for p in found if p[:i + 1] == root}
+                    spur = cheapest_path(graph, 1, [root[-1]], {dst}, weight,
+                                         frozenset(root[:-1]), banned)
+                    if spur is None:
+                        continue
+                    nodes = root[:-1] + spur[1]
+                    if nodes not in seen:
+                        seen.add(nodes)
+                        heapq.heappush(candidates, (_path_cost(graph, nodes), nodes))
+                if not candidates:
+                    break
+                found.append(heapq.heappop(candidates)[1])
+            for nodes in found:
+                channels = tuple(graph.find_intra(1, a, b).name
+                                 for a, b in zip(nodes, nodes[1:]))
+                out.append(CandidatePath(server=server, nodes=nodes, channels=channels,
+                                         cost=_path_cost(graph, nodes)))
+        out.sort(key=lambda p: (p.cost, p.nodes))
+        return out
+
+    @pytest.mark.parametrize("costs", [None, (0.0, 0.5, 1.0, 2.5)])
+    def test_eager_yen_on_big_problem(self, costs):
+        """At ladder scale, beyond the exhaustive check's reach, the list
+        equals eager Yen's element for element: on ``big_problem(seed=1)``
+        with unit costs and with mixed costs."""
+        problem = big_problem(seed=1)
+        if costs is not None:
+            rng = random.Random(5)
+            problem.channels = [dataclasses.replace(ch, cost=rng.choice(costs))
+                                for ch in problem.channels]
+        instance = build_redundant_mlg(problem)
+        for c in instance.commodities:
+            for k in (1, 4, 8):
+                assert enumerate_candidate_paths(instance, c, k) == self.eager_yen(
+                    instance, c, k)
+
+    @staticmethod
+    def one_subscriber(intermediates, channels):
+        """Server ``s`` and subscriber ``u`` over the given channels
+        (id, a, b, cost)."""
+        problem = DesignProblem(
+            subscribers=[Subscriber("u", [Session("u", 1.0)])],
+            servers=[Server("s", 1.0)], service_id="v", service_productivity=1.0,
+            intermediates=intermediates,
+            channels=[Channel(cid, (a, b), 1.0, cost) for cid, a, b, cost in channels])
+        instance = build_redundant_mlg(problem)
+        return instance, instance.commodities[0]
+
+    @staticmethod
+    def count_searches(monkeypatch):
+        calls = []
+        search = design.cheapest_path
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(design, "cheapest_path", counted)
+        return calls
+
+    @pytest.mark.parametrize("channels", [
+        # a-b costs 0, so a's and b's smallest-id tight successors are
+        # each other: the first path's chain loops and is searched
+        [("c1", "s", "a", 1.0), ("c2", "a", "b", 0.0), ("c3", "a", "u", 1.0),
+         ("c4", "b", "u", 1.0)],
+        # with x-u banned, the spur from root s-r-x leaves by w, whose
+        # tight successor is x itself, a node of the root
+        [("c1", "s", "r", 1.0), ("c2", "r", "x", 1.0), ("c3", "x", "u", 1.0),
+         ("c4", "x", "w", 1.0), ("c5", "w", "r", 1.0), ("c6", "w", "q", 1.0),
+         ("c7", "q", "u", 2.0)],
+    ])
+    def test_blocked_chains_are_searched(self, channels, monkeypatch):
+        """A successor chain that meets the root or itself falls back to
+        the search, and the list is still the exhaustive one's first k."""
+        ids = sorted({end for _, a, b, _ in channels for end in (a, b)} - {"s", "u"})
+        instance, c = self.one_subscriber(ids, channels)
+        every = all_candidate_paths(instance, c)
+        calls = self.count_searches(monkeypatch)
+        for k in (1, 2, 3, 4, 8):
+            assert enumerate_candidate_paths(instance, c, k) == every[:k]
+        assert calls
+
+    def test_positive_costs_k1_reads_map_only(self, monkeypatch):
+        """With positive costs the cheapest path per server is read off the
+        distance map: k = 1 makes no search, and k = 4 on the same
+        commodity does."""
+        instance = build_redundant_mlg(big_problem(seed=1))
+        calls = self.count_searches(monkeypatch)
+        for c in instance.commodities:
+            assert len(enumerate_candidate_paths(instance, c, 1)) == len(
+                instance.server_ids())
+        assert calls == []
+        enumerate_candidate_paths(instance, instance.commodities[0], 4)
+        assert calls
 
     def test_costs_are_left_to_right_sums(self):
         """Every candidate costs the left-to-right sum of its channels,

@@ -103,6 +103,22 @@ class TestSimplex:
         with pytest.raises(MalformedProgram):
             simplex_solve(lp)
 
+    @pytest.mark.parametrize("upper", [None, math.inf])
+    def test_no_upper_bound(self, upper):
+        lp = LinearProgram()
+        x = lp.add_var("x", upper=upper)
+        lp.add_constraint({x: 1.0}, ">=", 0.0)
+        lp.set_objective({x: -1.0})
+        assert lp.bounds()[1][x] == math.inf
+        assert simplex_solve(lp).status == "Unbounded"
+
+    @pytest.mark.parametrize("upper", [math.nan, -math.inf])
+    def test_nan_or_minus_inf_upper_bound_rejected(self, upper):
+        lp = LinearProgram()
+        with pytest.raises(ValueError, match="upper bound of 'x'"):
+            lp.add_var("x", upper=upper)
+        assert lp.variables == []
+
     def test_upper_bound_respected(self):
         lp = LinearProgram()
         x = lp.add_var("x", upper=2.0)
