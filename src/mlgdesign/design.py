@@ -10,8 +10,10 @@ Without single homing the node-link model aggregates every commodity
 into one min-cost flow.  That is exact: all commodities leave from the
 same servers and differ only in the sink that absorbs their demand, so
 any aggregate flow decomposes into server-to-sink paths, each credited
-to the commodity of the sink it ends at.  Single homing couples each
-commodity to its own server choice and keeps one flow per commodity.
+to the commodity of the sink it ends at.  Single homing keeps one such
+flow per server: the commodities homed on a server share it as their
+one source, and each subscriber's ``y`` binaries say how much of its
+demand each server's flow delivers.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -29,7 +31,7 @@ from .builder import BuiltInstance
 from .errors import DecompositionError, InfeasibleError, LimitsExceeded
 from .flows import CONSERVATION_TOL, Commodity, FlowAssignment
 from .lp import LinearProgram, branch_and_bound, simplex_solve
-from .mlg import MultiLayerGraph, NodeRef, cheapest_path, distances_to
+from .mlg import IntraEdge, MultiLayerGraph, NodeRef, cheapest_path, distances_to
 
 FLOW_EPS = 1e-9
 
@@ -62,20 +64,19 @@ class DesignSolution:
 # ---------------------------------------------------------------------------
 
 _channel_cost = attrgetter("cost")
+_Adjacency = Mapping[str, Mapping[str, IntraEdge]]  # node -> neighbour -> channel
 
 
 def _k_shortest_paths(graph: MultiLayerGraph, src: str, dst: str, k: int,
-                      to_dst: dict[str, float],
-                      hops: dict[tuple[str, str], tuple[float, str]],
+                      to_dst: dict[str, float], adj: _Adjacency,
                       ranked: dict[str, list[tuple[float, str]]]):
     """Yen's k cheapest simple paths (Yen, 1971), with Lawler's rule,
     lazy spurs and spurs read off the exact distance map ``to_dst``.
 
-    ``hops`` maps each ordered pair of layer-1 neighbours to their
-    channel's (cost, name); ``ranked[x]`` lists x's neighbours v by
-    (hop cost + ``to_dst[v]``, v).  A path costs the left-to-right sum
-    of its hops, as in :func:`_path_cost`: the root's sum, then each
-    spur hop in turn.
+    ``adj`` is layer 1's adjacency index; ``ranked[x]`` lists x's
+    neighbours v by (hop cost + ``to_dst[v]``, v).  A path costs the
+    left-to-right sum of its hops, as in :func:`_path_cost`: the root's
+    sum, then each spur hop in turn.
 
     The list is exactly Yen's:
 
@@ -122,7 +123,7 @@ def _k_shortest_paths(graph: MultiLayerGraph, src: str, dst: str, k: int,
                 if searched is None:
                     continue
                 spur = searched[1]
-            heapq.heappush(queue, (_add_hops(root_cost, spur, hops), 1,
+            heapq.heappush(queue, (_add_hops(root_cost, spur, adj), 1,
                                    nodes[:-1] + spur, root_cost, bans, len(nodes) - 1))
             continue
         found.append((cost, nodes))
@@ -139,7 +140,7 @@ def _k_shortest_paths(graph: MultiLayerGraph, src: str, dst: str, k: int,
                                            root_cost, banned, v))
                     break
             on_root.add(x)
-            root_cost += hops[x, nxt][0]
+            root_cost += adj[x][nxt].cost
     return found
 
 
@@ -160,18 +161,9 @@ def _read_spur(root: tuple[str, ...], first_hop: str, dst: str,
     return tuple(spur)
 
 
-def _hop_map(graph: MultiLayerGraph) -> dict[tuple[str, str], tuple[float, str]]:
-    """Each ordered pair of layer-1 neighbours -> their channel's (cost, name)."""
-    hops = {}
-    for edge in graph.intra_edges(1):
-        a, b = edge.ends
-        hops[a, b] = hops[b, a] = (edge.cost, edge.name or f"{a}-{b}")
-    return hops
-
-
-def _add_hops(cost: float, nodes, hops: dict[tuple[str, str], tuple[float, str]]) -> float:
-    for hop in zip(nodes, nodes[1:]):
-        cost += hops[hop][0]
+def _add_hops(cost: float, nodes, adj: _Adjacency) -> float:
+    for a, b in zip(nodes, nodes[1:]):
+        cost += adj[a][b].cost
     return cost
 
 
@@ -183,8 +175,9 @@ def _path_cost(graph: MultiLayerGraph, nodes) -> float:
 
 
 def _candidate(server: str, nodes: tuple[str, ...], cost: float,
-               hops: dict[tuple[str, str], tuple[float, str]]) -> CandidatePath:
-    channels = tuple(hops[hop][1] for hop in zip(nodes, nodes[1:]))
+               adj: _Adjacency) -> CandidatePath:
+    channels = tuple(edge.name or "-".join(edge.ends)
+                     for edge in (adj[a][b] for a, b in zip(nodes, nodes[1:])))
     return CandidatePath(server=server, nodes=nodes, channels=channels, cost=cost)
 
 
@@ -204,25 +197,22 @@ def enumerate_candidate_paths(instance: BuiltInstance, commodity: Commodity,
     One reverse Dijkstra from the subscriber gives the exact distance
     map; each node's neighbours ranked by hop cost plus that distance
     then bound every spur and give the tight paths that
-    :func:`_k_shortest_paths` reads off without a search.  The same map
-    of ordered hops gives each path's cost and channel names.
+    :func:`_k_shortest_paths` reads off without a search.  Layer 1's
+    adjacency index gives each path's cost and channel names; only the
+    distance map and the ranking are built per commodity.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     subscriber = commodity.sink.id
     to_subscriber = distances_to(instance.graph, 1, subscriber, _channel_cost)
-    hops = _hop_map(instance.graph)
-    ranked: dict[str, list[tuple[float, str]]] = {}
-    for (a, b), (cost, _name) in hops.items():
-        if a in to_subscriber:
-            ranked.setdefault(a, []).append((cost + to_subscriber[b], b))
-    for row in ranked.values():
-        row.sort()
+    adj = instance.graph.adjacency(1)
+    ranked = {a: sorted((edge.cost + to_subscriber[b], b) for b, edge in adj[a].items())
+              for a in to_subscriber}
     out = []
     for server in instance.server_ids():
         for cost, nodes in _k_shortest_paths(instance.graph, server, subscriber, k,
-                                             to_subscriber, hops, ranked):
-            out.append(_candidate(server, nodes, cost, hops))
+                                             to_subscriber, adj, ranked):
+            out.append(_candidate(server, nodes, cost, adj))
     out.sort(key=lambda p: (p.cost, p.nodes))
     return out
 
@@ -231,11 +221,11 @@ def all_candidate_paths(instance: BuiltInstance,
                         commodity: Commodity) -> list[CandidatePath]:
     """Every simple server-to-subscriber path (exhaustive DFS)."""
     subscriber = commodity.sink.id
-    hops = _hop_map(instance.graph)
+    adj = instance.graph.adjacency(1)
     out = []
     for server in instance.server_ids():
         for nodes in _simple_paths(instance.graph, server, subscriber):
-            out.append(_candidate(server, nodes, _add_hops(0.0, nodes, hops), hops))
+            out.append(_candidate(server, nodes, _add_hops(0.0, nodes, adj), adj))
     out.sort(key=lambda p: (p.cost, p.nodes))
     return out
 
@@ -268,7 +258,8 @@ class _Formulation:
     # (instance, form, values) -> per-commodity layer-1 route flows
     read_routes: Callable
     # var index -> role tuple: ("arc", group, channel, from, to), ("inject",
-    # group, server), ("assign", cid, server) or ("path", cid, CandidatePath)
+    # group, server), ("assign", cid, server) or ("path", cid, CandidatePath);
+    # a node-link group is its server under single homing, else None
     meta: dict[int, tuple] = field(default_factory=dict)
     channel_rows_vars: dict[str, list[int]] = field(default_factory=dict)
 
@@ -276,12 +267,16 @@ class _Formulation:
 def formulate_link_path(instance: BuiltInstance,
                         paths: dict[str, list[CandidatePath]],
                         single_homing: bool = False) -> _Formulation:
-    """Per-path flow columns and one demand row per commodity; the rows
-    both formulations share come from :func:`_add_shared_rows`."""
+    """Per-path flow columns and one demand row per commodity.  Under
+    single homing, ``homing[c,s]`` caps what commodity c draws from
+    server s at ``d_c * y[c,s]``.  The rows both formulations share come
+    from :func:`_add_shared_rows`."""
     form = _Formulation(lp=LinearProgram(), read_routes=_routes_from_path_vars,
                         channel_rows_vars={c: [] for c in instance.channel_edges})
     balance_rows: list[tuple[dict[int, float], str, float, str]] = []
+    homing_rows: list[tuple[dict[int, float], str, float, str]] = []
     from_server: list[dict[str, list[int]]] = []
+    y_rows: dict[tuple[str, str], dict[int, float]] = {}
     for commodity in instance.commodities:
         out: dict[str, list[int]] = {s: [] for s in instance.server_ids()}
         for idx, path in enumerate(paths.get(commodity.id, [])):
@@ -294,31 +289,46 @@ def formulate_link_path(instance: BuiltInstance,
         row = dict.fromkeys(itertools.chain(*out.values()), 1.0)
         balance_rows.append((row, "=", commodity.demand, f"demand[{commodity.id}]"))
         from_server.append(out)
-    _add_shared_rows(instance, form, balance_rows, from_server, single_homing)
+        if single_homing:
+            for server, cols in out.items():
+                if cols:
+                    y_rows[commodity.id, server] = dict.fromkeys(cols, 1.0)
+                    homing_rows.append((y_rows[commodity.id, server], "<=", 0.0,
+                                        f"homing[{commodity.id},{server}]"))
+    _add_shared_rows(instance, form, balance_rows + homing_rows, from_server,
+                     single_homing, y_rows)
     return form
 
 
 def formulate_node_link(instance: BuiltInstance,
                         single_homing: bool = False) -> _Formulation:
-    """Directed arc and server-injection columns per commodity group, and
-    one conservation row per layer-1 node with the group's demand there;
-    the rows both formulations share come from :func:`_add_shared_rows`.
+    """Directed arc and server-injection columns per flow group, and one
+    conservation row per layer-1 node and group; the rows both
+    formulations share come from :func:`_add_shared_rows`.
 
     Without single homing one group holds every commodity: they share
     the servers as sources, so the aggregate model (2E arcs + S
-    injections) is an exact single-commodity min-cost flow.  With single
-    homing each commodity is its own group, tied to one server by its
-    ``y``/``homing`` rows.
+    injections) is an exact single-commodity min-cost flow, each
+    subscriber's demand on the right-hand side of its row.
+
+    With single homing each server is a group (2E arcs + its injection).
+    The commodities homed on one server share that one source and
+    differ only in their sinks, so their flows form one single-source
+    flow, exact for the same reason (Ahuja, Magnanti & Orlin, *Network
+    Flows*, 1993, ch. 3).  Subscriber c's row in server s's group
+    carries ``-d_c * y[c,s]`` and a zero right-hand side, so ``y`` enters
+    the balance directly and needs no ``homing`` row: S(2E+1) + KS
+    columns, not K(2E+S) + KS.
     """
     channels = sorted(instance.channel_edges)
     form = _Formulation(lp=LinearProgram(), read_routes=_decompose_node_link,
                         channel_rows_vars={c: [] for c in channels})
     balance_rows: list[tuple[dict[int, float], str, float, str]] = []
     from_server: list[dict[str, list[int]]] = []
-    groups = ([(c,) for c in instance.commodities] if single_homing
-              else [tuple(instance.commodities)])
-    for group in groups:
-        tag = f"{group[0].id}," if single_homing else ""
+    y_rows: dict[tuple[str, str], dict[int, float]] = {}
+    demand = {c.sink.id: c.demand for c in instance.commodities}
+    for group in instance.server_ids() if single_homing else [None]:
+        tag = f"{group}," if single_homing else ""
         balance: dict[str, dict[int, float]] = {n: {} for n in instance.graph.nodes(1)}
         for ch_id in channels:
             edge = instance.channel_edges[ch_id]
@@ -331,54 +341,56 @@ def formulate_node_link(instance: BuiltInstance,
                 balance[to][j] = 1.0
                 balance[frm][j] = -1.0
         out: dict[str, list[int]] = {}
-        for server in instance.server_ids():
-            j = form.lp.add_var(f"inj[{tag}{server}]")
+        for server in [group] if single_homing else instance.server_ids():
+            j = form.lp.add_var(f"inj[{server}]")
             form.meta[j] = ("inject", group, server)
             out[server] = [j]
             balance[server][j] = 1.0
         from_server.append(out)
-        demand = {c.sink.id: c.demand for c in group}
-        balance_rows += [(row, "=", demand.get(node, 0.0), f"conservation[{tag}{node}]")
+        if single_homing:
+            y_rows.update(((c.id, group), balance[c.sink.id])
+                          for c in instance.commodities)
+        rhs = {} if single_homing else demand
+        balance_rows += [(row, "=", rhs.get(node, 0.0), f"conservation[{tag}{node}]")
                          for node, row in balance.items() if row or node in demand]
-    _add_shared_rows(instance, form, balance_rows, from_server, single_homing)
+    _add_shared_rows(instance, form, balance_rows, from_server, single_homing, y_rows)
     return form
 
 
 def _add_shared_rows(instance: BuiltInstance, form: _Formulation,
-                     balance_rows: list[tuple[dict[int, float], str, float, str]],
+                     rows: list[tuple[dict[int, float], str, float, str]],
                      from_server: list[dict[str, list[int]]],
-                     single_homing: bool) -> None:
-    """The ``y`` binaries with their ``assign``/``homing`` rows, then the
-    balance rows, then one capacity row per finite-capacity MLG arc the
-    columns use: the layer-1 channels (``capacity[ch]``) and the
-    ``3:service -> 2:server`` edges (``productivity[s]``).
+                     single_homing: bool,
+                     y_rows: dict[tuple[str, str], dict[int, float]]) -> None:
+    """Under single homing the ``y`` binaries with their ``assign`` rows;
+    then the formulation's own ``rows``; then one capacity row per
+    finite-capacity MLG arc the columns use: the layer-1 channels
+    (``capacity[ch]``) and the ``3:service -> 2:server`` edges
+    (``productivity[s]``).
 
-    ``from_server`` holds, per commodity group, the columns whose flow
-    leaves each server; under single homing a group is one commodity.
+    ``y[c,s]`` joins the row ``y_rows[c, s]``, if there is one, with
+    coefficient ``-d_c``.  ``from_server`` holds, per flow group, the
+    columns whose flow leaves each server.
     """
     lp = form.lp
     servers = instance.server_ids()
-    homing_rows = []
     if single_homing:
-        for commodity, out in zip(instance.commodities, from_server):
+        for commodity in instance.commodities:
             assign_row: dict[int, float] = {}
             for server in servers:
                 j = lp.add_var(f"y[{commodity.id},{server}]", upper=1.0, integer=True)
                 form.meta[j] = ("assign", commodity.id, server)
                 assign_row[j] = 1.0
-                if out[server]:
-                    coeffs = dict.fromkeys(out[server], 1.0)
-                    coeffs[j] = -commodity.demand
-                    homing_rows.append((coeffs, "<=", 0.0,
-                                        f"homing[{commodity.id},{server}]"))
+                if (commodity.id, server) in y_rows:
+                    y_rows[commodity.id, server][j] = -commodity.demand
             lp.add_constraint(assign_row, "=", 1.0, name=f"assign[{commodity.id}]")
-    # balance rows follow the assign rows, which need the y columns
-    for coeffs, relation, rhs, name in balance_rows + homing_rows:
+    # the formulation's rows follow the assign rows, which need the y columns
+    for coeffs, relation, rhs, name in rows:
         lp.add_constraint(coeffs, relation, rhs, name=name)
 
     arcs = [(f"capacity[{ch}]", form.channel_rows_vars[ch], instance.channel_edges[ch])
             for ch in sorted(form.channel_rows_vars)]
-    arcs += [(f"productivity[{s}]", [j for out in from_server for j in out[s]],
+    arcs += [(f"productivity[{s}]", [j for out in from_server for j in out.get(s, ())],
               instance.graph.find_inter(instance.service_node, NodeRef(2, s)))
              for s in servers]
     for name, cols, edge in arcs:
@@ -453,18 +465,23 @@ def _assemble_solution(instance: BuiltInstance,
 def _decompose_node_link(instance: BuiltInstance, form: _Formulation,
                          values: np.ndarray
                          ) -> dict[str, list[tuple[tuple[str, ...], float]]]:
-    """Path decomposition of each commodity group's arc flows.
+    """Path decomposition of each flow group's arc flows.
 
-    Opposing flow on a channel cancels first.  Each walk starts at the
-    first server with injection left, follows positive arcs (removing
-    any cycle it closes) and stops at the first node with unmet demand
-    in the group, whose commodity owns the path.  Each extraction,
-    cycle cancel or dead end zeroes an arc, injection or demand, which
-    bounds the loop; partial routes raise ``DecompositionError``.
+    A group's demand at a subscriber is the commodity's demand, or under
+    single homing ``d_c * y[c,s]`` in server s's group.  Opposing flow
+    on a channel cancels first.  Each walk starts at the first server
+    with injection left, follows positive arcs (removing any cycle it
+    closes) and stops at the first node with unmet demand in the group,
+    whose commodity owns the path.  Each extraction, cycle cancel or
+    dead end zeroes an arc, injection or demand, which bounds the loop;
+    partial routes raise ``DecompositionError``.
     """
     routes: dict[str, list[tuple[tuple[str, ...], float]]] = {
         c.id: [] for c in instance.commodities}
-    flows: dict[tuple, tuple[dict, dict]] = {}
+    commodities = {c.id: c for c in instance.commodities}
+    owner = {c.sink.id: c.id for c in instance.commodities}
+    flows: dict[Optional[str], tuple[dict, dict]] = {}
+    homed: dict[str, dict[str, float]] = {}  # server -> sink -> d_c * y[c,s]
     for j, meta in form.meta.items():
         if meta[0] in ("arc", "inject") and values[j] > FLOW_EPS:
             arcs, inject = flows.setdefault(meta[1], ({}, {}))
@@ -472,6 +489,9 @@ def _decompose_node_link(instance: BuiltInstance, form: _Formulation,
                 arcs[meta[3:]] = arcs.get(meta[3:], 0.0) + float(values[j])
             else:
                 inject[meta[2]] = float(values[j])
+        elif meta[0] == "assign" and values[j] > FLOW_EPS:
+            c = commodities[meta[1]]
+            homed.setdefault(meta[2], {})[c.sink.id] = c.demand * float(values[j])
 
     for group, (arcs, inject) in flows.items():
         for frm, to in list(arcs):
@@ -482,8 +502,8 @@ def _decompose_node_link(instance: BuiltInstance, form: _Formulation,
         heads: dict[str, list[str]] = {}
         for frm, to in sorted(arcs):
             heads.setdefault(frm, []).append(to)
-        need = {c.sink.id: c.demand for c in group}
-        owner = {c.sink.id: c.id for c in group}
+        need = ({c.sink.id: c.demand for c in instance.commodities} if group is None
+                else homed.get(group, {}))
         for _ in range(len(arcs) + len(inject) + len(need) + 1):
             start = next((s for s in sorted(inject) if inject[s] > FLOW_EPS), None)
             if start is None:

@@ -1,6 +1,7 @@
 """Self-contained linear programming: a bounded two-phase revised simplex
 with an anti-cycling fallback, dual simplex re-solves from a given
-basis, and depth-first branch and bound for integer variables.
+basis, and depth-first branch and bound for integer variables that
+takes the up branch first.
 
 Every column lies between a lower and an upper bound (0 and
 ``Variable.upper`` unless a caller narrows them).  A nonbasic column
@@ -8,7 +9,11 @@ sits at one of its bounds and the ratio test flips it to the other, so
 a bound never becomes a row (Chvátal, *Linear Programming*, 1983,
 ch. 8).  A branch narrows one bound of one column; the parent's optimal
 basis stays dual feasible, so each child is re-solved from it with the
-dual simplex (Koberstein, PhD thesis, Paderborn, 2005).
+dual simplex (Koberstein, PhD thesis, Paderborn, 2005).  The search
+takes the up branch first: in the design models a binary's up branch
+opens a channel or homes a subscriber, which tends to reach feasible
+integer points soon (Achterberg, Koch & Martin, *Oper. Res. Letters*
+33, 2005, on node selection).
 
 Sized for desk-scale design instances; robustness and determinism are
 prioritized over raw speed.
@@ -467,11 +472,19 @@ def branch_and_bound(lp: LinearProgram,
     A value within ``INT_TOL`` of an integer counts as integral; the
     search branches on the most fractional variable (ties by lowest
     index).  A branch narrows that variable's bounds, and each child is
-    re-solved from its parent's basis.  Incumbent ties within 1e-9 are
-    resolved by ``tie_key`` of the value vector (default:
-    lexicographically smallest rounded vector), so results are
-    order-independent.  The root is the first node: ``root``, if given,
-    is ``simplex_solve(lp)`` already solved, else it is solved here.  A
+    re-solved from its parent's basis.  The up child (``x >= ceil(v)``)
+    is explored before the down child.
+
+    Nodes whose bound is within 1e-9 of the incumbent are still
+    explored, and among integral node solutions tied within 1e-9 the
+    smallest ``tie_key`` of the value vector wins (default: the
+    lexicographically smallest vector rounded to 9 decimals).  Only a
+    node worse than some integral solution is pruned, so every node
+    whose solution could tie the optimum is solved whatever the node
+    order, and the result does not depend on that order.
+
+    The root is the first node: ``root``, if given, is
+    ``simplex_solve(lp)`` already solved, else it is solved here.  A
     root that is not optimal is returned as solved, with its status and
     certificate.
     """
@@ -480,7 +493,7 @@ def branch_and_bound(lp: LinearProgram,
         raise ValueError("branch_and_bound requires at least one integer variable")
 
     if tie_key is None:
-        tie_key = lambda x: tuple(round(v, 9) for v in x)
+        tie_key = lambda x: tuple(np.round(x, 9).tolist())
 
     incumbent: Optional[LpSolution] = None
     incumbent_key = None
@@ -501,8 +514,8 @@ def branch_and_bound(lp: LinearProgram,
         if incumbent is not None and sol.objective > incumbent.objective + 1e-9:
             continue  # keep exploring ties for deterministic tie-breaking
         frac_j, frac_amount = -1, -1.0
-        for j in int_idx:
-            f = abs(sol.values[j] - round(sol.values[j]))
+        for j, v in zip(int_idx, sol.values[int_idx].tolist()):
+            f = abs(v - round(v))
             if f > INT_TOL and f > frac_amount + 1e-12:
                 frac_amount = f
                 frac_j = j
@@ -520,8 +533,8 @@ def branch_and_bound(lp: LinearProgram,
         raised, cut = lower.copy(), upper.copy()
         raised[frac_j] = math.ceil(v)
         cut[frac_j] = math.floor(v)
-        stack.append((raised, upper, sol.basis))
         stack.append((lower, cut, sol.basis))
+        stack.append((raised, upper, sol.basis))  # popped first
 
     if incumbent is None:
         return LpSolution(status="Infeasible", iterations=total_iters)

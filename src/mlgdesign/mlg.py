@@ -216,6 +216,10 @@ class MultiLayerGraph:
             return self.find_intra(a.layer, a.id, b.id)
         return self.find_inter(a, b)
 
+    def adjacency(self, layer: int) -> Mapping[str, Mapping[str, IntraEdge]]:
+        """The layer's adjacency index, node -> neighbour -> edge; read only."""
+        return self._layer(layer)["adj"]
+
     def neighbors(self, layer: int, node_id: str) -> list[tuple[str, IntraEdge]]:
         """(neighbour id, edge) pairs of ``node_id``, sorted by neighbour."""
         return sorted(self._layer(layer)["adj"].get(node_id, {}).items())
@@ -284,7 +288,7 @@ def cheapest_path(graph: MultiLayerGraph, layer: int, starts: Iterable[str],
     sums equal in real arithmetic can round apart, so such ties can
     fall either way, with or without a potential.
     """
-    adj = graph._layer(layer)["adj"]  # expansion order cannot change the result
+    adj = graph.adjacency(layer)  # expansion order cannot change the result
     inf = math.inf
     bound = (dict.fromkeys(adj, 0.0) if potential is None else potential).get
     heap = [(left, (s,), 0.0) for s in sorted(starts) if (left := bound(s, inf)) < inf]
@@ -318,7 +322,7 @@ def distances_to(graph: MultiLayerGraph, layer: int, goal: str,
     Nodes that cannot reach the goal are left out.  The result is a
     consistent ``potential`` for :func:`cheapest_path` toward ``goal``.
     """
-    adj = graph._layer(layer)["adj"]
+    adj = graph.adjacency(layer)
     heap = [(0.0, goal)]
     dist: dict[str, float] = {}
     while heap:
@@ -334,7 +338,7 @@ def distances_to(graph: MultiLayerGraph, layer: int, goal: str,
 
 def _component_labels(graph: MultiLayerGraph, layer: int) -> dict[str, str]:
     """Node -> one node of its connected component within one layer."""
-    adj = graph._layer(layer)["adj"]
+    adj = graph.adjacency(layer)
     label: dict[str, str] = {}
     for root in adj:
         if root in label:

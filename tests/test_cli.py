@@ -143,7 +143,7 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("formulation, flags, balance_row", [
         ("node-link", (), "conservation[u1]"),
-        ("node-link", ("--single-homing",), "conservation[u1,u1]"),
+        ("node-link", ("--single-homing",), "conservation[s1,u1]"),
         ("node-link", ("--mode", "uncapacitated"), "conservation[u1]"),
         ("link-path", (), "demand[u1]"),
         ("link-path", ("--single-homing",), "demand[u1]"),

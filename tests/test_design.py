@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+import mlgdesign.lp as lp_module
 from mlgdesign import (Channel, DecompositionError, DesignProblem, InfeasibleError,
                        LimitsExceeded, MultiLayerGraph, OracleLimits, Server, Session,
                        Subscriber, brute_force_oracle, build_redundant_mlg,
@@ -319,10 +320,19 @@ class TestFormulations:
 
     def test_node_link_single_homing_shape(self, t1_instance):
         lp = formulate_node_link(t1_instance, single_homing=True).lp
-        # 2 commodities x (10 arcs + 2 injections) + 4 homing binaries
-        assert len(lp.variables) == 28
+        # one flow per server: 2 servers x (10 arcs + 1 injection) + 4 homing binaries
+        assert len(lp.variables) == 26
+        assert len(lp.integer_indices()) == 4
         names = [c.name for c in lp.constraints]
-        assert sum(n.startswith("conservation[") for n in names) == 10
+        assert sum(n.startswith("conservation[s1,") for n in names) == 5
+        assert sum(n.startswith("conservation[s2,") for n in names) == 5
+        assert not any(n.startswith("homing[") for n in names)
+        # y[u1,s1] takes u1's demand of 3 out of s1's flow at u1's node
+        col = {v.name: j for j, v in enumerate(lp.variables)}
+        row = next(c for c in lp.constraints if c.name == "conservation[s1,u1]")
+        assert row.rhs == 0.0
+        assert row.coeffs[col["y[u1,s1]"]] == -3.0
+        assert col["y[u1,s2]"] not in row.coeffs
 
     def test_single_homing_adds_binaries(self, t1_instance):
         lp = formulate_node_link(t1_instance, single_homing=True).lp
@@ -354,8 +364,10 @@ class TestFormulations:
     def test_single_homing_row_layout(self, t1_instance, formulation, balance):
         lp = self.formulate(t1_instance, formulation, single_homing=True)
         kinds = [c.name.split("[")[0] for c in lp.constraints]
+        # node-link's y columns enter its conservation rows: no homing rows
+        homing = ["homing"] if formulation == "link-path" else []
         assert [k for i, k in enumerate(kinds) if i == 0 or k != kinds[i - 1]] == \
-            ["assign", balance, "homing", "capacity", "productivity"]
+            ["assign", balance, *homing, "capacity", "productivity"]
 
 
 class TestSolveCapacitated:
@@ -433,6 +445,27 @@ class TestSolveUncapacitated:
     def test_negative_fixed_cost_rejected(self, t1_instance):
         with pytest.raises(ValueError):
             solve_uncapacitated(t1_instance, {"b1": -1.0})
+
+    @pytest.mark.parametrize("formulation", ["node-link", "link-path"])
+    def test_branch_and_bound_size(self, formulation, monkeypatch):
+        """Branching up first finds the optimum of this 12-subscriber,
+        26-channel instance in 241 (node-link) and 223 (link-path) LP
+        solves; down first took 3849 and 3693."""
+        calls = []
+        original = lp_module.simplex_solve
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(lp_module, "simplex_solve", counted)
+        monkeypatch.setattr(design, "simplex_solve", counted)
+        instance = build_redundant_mlg(
+            big_problem(seed=1, n_sub=12, n_srv=3, n_int=2, n_ch=26, slack=1))
+        fixed = {ch: 1.0 for ch in instance.channel_edges}
+        sol = solve_uncapacitated(instance, fixed, formulation=formulation)
+        assert sol.objective == pytest.approx(78.0, abs=1e-6)
+        assert len(calls) <= 500
 
 
 class TestOracle:
