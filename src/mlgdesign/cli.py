@@ -11,6 +11,7 @@ arguments), 3 internal/IO failure, 4 oracle limits exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -254,6 +255,7 @@ def export_dot(graph: mlg.MultiLayerGraph, path: Optional[str] = None) -> str:
 # command-line driver
 # ---------------------------------------------------------------------------
 
+@functools.cache  # built on first use, not at import, and reused by every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mlgdesign",

@@ -49,7 +49,7 @@ class InfeasibleError(MlgError):
     """The optimization problem admits no feasible solution.
 
     ``certificate`` lists the constraint names participating in the
-    phase-1 infeasibility certificate.
+    simplex's infeasibility certificate.
     """
 
     def __init__(self, certificate=None, message=None):

@@ -1,15 +1,19 @@
-"""Self-contained linear programming: a bounded two-phase revised simplex
-with an anti-cycling fallback, dual simplex re-solves from a given
-basis, and depth-first branch and bound for integer variables that
-takes the up branch first.
+"""Self-contained linear programming: a bounded revised simplex with an
+anti-cycling fallback, and depth-first branch and bound for integer
+variables that takes the up branch first.
 
 Every column lies between a lower and an upper bound (0 and
 ``Variable.upper`` unless a caller narrows them).  A nonbasic column
 sits at one of its bounds and the ratio test flips it to the other, so
 a bound never becomes a row (Chvátal, *Linear Programming*, 1983,
-ch. 8).  A branch narrows one bound of one column; the parent's optimal
-basis stays dual feasible, so each child is re-solved from it with the
-dual simplex (Koberstein, PhD thesis, Paderborn, 2005).  The search
+ch. 8).  Each row has one logical column, and every solve takes one
+road: the dual simplex to a feasible basis, then the primal simplex to
+an optimal one.  A cold solve starts the dual simplex from the logical
+basis on the costs clipped at zero, which that basis is dual feasible
+for, so no phase 1 is needed (Koberstein, *The dual simplex method*,
+PhD thesis, Paderborn, 2005, ch. 4).  A branch narrows one bound of one
+column; the parent's optimal basis stays dual feasible, so each child
+is re-solved from it on the true costs.  The search
 takes the up branch first: in the design models a binary's up branch
 opens a channel or homes a subscriber, which tends to reach feasible
 integer points soon (Achterberg, Koch & Martin, *Oper. Res. Letters*
@@ -98,76 +102,40 @@ class LinearProgram:
 
 
 class _StandardForm:
-    """An LP's rows over its columns, one slack per inequality and one
-    artificial per row not of ``<=`` form.  Each row is signed so that
-    its right-hand side, less what the lower bounds use of it, is
-    nonnegative: the slack and artificial columns then form a feasible
-    first basis.  Shared by every solve restarted from one of its bases,
-    and never mutated."""
+    """An LP's rows over its columns, then one logical column per row
+    (B = I): a ``<=`` row's slack in [0, inf), a ``>=`` row negated into
+    ``<=`` form with the same slack, and an ``=`` row's logical fixed at
+    [0, 0].  Shared by every solve restarted from one of its bases, and
+    never mutated."""
 
-    def __init__(self, lp: LinearProgram, lower: np.ndarray):
-        rows = []  # (dense coeffs over structural vars, relation, rhs, name)
-        n = len(lp.variables)
-        for con in lp.constraints:
-            dense = np.zeros(n)
-            for j, c in con.coeffs.items():
-                dense[j] = c
-            rows.append([dense, con.relation, float(con.rhs), con.name])
-        shifted = lower.any()
-        for row in rows:
-            if row[2] - (row[0] @ lower if shifted else 0.0) < 0:
-                row[0] = -row[0]
-                row[2] = -row[2]
-                row[1] = {"<=": ">=", ">=": "<=", "=": "="}[row[1]]
-
-        m = len(rows)
-        self.m, self.n = m, n
-        self.row_names = [r[3] for r in rows]
+    def __init__(self, lp: LinearProgram):
+        n, m = len(lp.variables), len(lp.constraints)
+        self.m, self.n, self.total = m, n, n + m
+        self.row_names = [con.name for con in lp.constraints]
         self.var_names = [v.name for v in lp.variables]
-        n_slack = sum(1 for r in rows if r[1] != "=")
-        n_art = sum(1 for r in rows if r[1] != "<=")
-        total = n + n_slack + n_art
-        A = np.zeros((m, total))
-        b = np.zeros(m)
-        seed = np.zeros(m, dtype=int)
-        self.artificial = np.zeros(total, dtype=bool)
-        s = n
-        a = n + n_slack
-        for i, (dense, rel, rhs, _name) in enumerate(rows):
-            A[i, :n] = dense
-            b[i] = rhs
-            if rel == "<=":
-                A[i, s] = 1.0
-                seed[i] = s
-                s += 1
-            elif rel == ">=":
-                A[i, s] = -1.0
-                s += 1
-                A[i, a] = 1.0
-                seed[i] = a
-                self.artificial[a] = True
-                a += 1
-            else:
-                A[i, a] = 1.0
-                seed[i] = a
-                self.artificial[a] = True
-                a += 1
-        self.A = A
-        self.b = b
-        self.seed = seed
-        self.total = total
-        self.cost = np.zeros(total)
+        self.A = np.zeros((m, n + m))
+        self.b = np.zeros(m)
+        self.logical_upper = np.full(m, np.inf)
+        for i, con in enumerate(lp.constraints):
+            sign = -1.0 if con.relation == ">=" else 1.0
+            for j, c in con.coeffs.items():
+                self.A[i, j] = sign * c
+            self.b[i] = sign * con.rhs
+            if con.relation == "=":
+                self.logical_upper[i] = 0.0
+        self.A[range(m), range(n, n + m)] = 1.0
+        self.cost = np.zeros(n + m)
         for j, c in lp.objective.items():
             self.cost[j] = c
 
 
 @dataclass(frozen=True, eq=False)
 class Basis:
-    """A basis of one LP's standard form (its columns, then one slack
-    per inequality row, then the artificials): the basic column of each
-    row and the nonbasic columns that sit at their upper bound.  It also
-    keeps the form and the basis inverse, so a solve can restart from
-    it without building the one or inverting the other again."""
+    """A basis of one LP's standard form (its columns, then one logical
+    column per row): the basic column of each row and the nonbasic
+    columns that sit at their upper bound.  It also keeps the form and
+    the basis inverse, so a solve can restart from it without building
+    the one or inverting the other again."""
 
     columns: np.ndarray
     at_upper: np.ndarray
@@ -196,21 +164,18 @@ class _Tableau:
         self.form = form
         self.A = form.A  # never mutated
         self.m, self.total = form.m, form.total
-        self.lower = np.zeros(form.total)
-        self.lower[:form.n] = lower
-        self.upper = np.full(form.total, np.inf)
-        self.upper[:form.n] = upper
+        self.lower = np.concatenate([lower, np.zeros(form.m)])
+        self.upper = np.concatenate([upper, form.logical_upper])
         if start is None:
-            self.basis = form.seed.copy()
-            self.binv = np.eye(form.m)  # the slack/artificial seed columns
+            self.basis = np.arange(form.n, form.total)  # the logical columns
+            self.binv = np.eye(form.m)
             self.at_upper = np.zeros(form.total, dtype=bool)
-            self.xb = form.b - self.A[:, :form.n] @ lower
         else:
             self.basis = start.columns.copy()
             self.binv = start.inverse.copy()
             # a column whose bounds now meet sits at its lower bound
             self.at_upper = start.at_upper & (self.upper > self.lower)
-            self.xb = self.binv @ (form.b - self.A @ self.values(basic=None))
+        self.xb = self.basic_values()
         self.iterations = 0
 
     def values(self, basic: Optional[np.ndarray]) -> np.ndarray:
@@ -219,6 +184,12 @@ class _Tableau:
         x = np.where(self.at_upper, self.upper, self.lower)
         x[self.basis] = 0.0 if basic is None else basic
         return x
+
+    def basic_values(self) -> np.ndarray:
+        """The basic values read off the basis inverse and the nonbasic
+        bounds, ``binv @ (b - A x_N)``, free of the rounding that pivots
+        accumulate in ``xb``."""
+        return self.binv @ (self.form.b - self.A @ self.values(basic=None))
 
     def _pivot(self, row: int, col: int, direction: np.ndarray,
                to_upper: bool = False) -> None:
@@ -254,9 +225,8 @@ class _Tableau:
     def duals(self, cost: np.ndarray) -> np.ndarray:
         return cost[self.basis] @ self.binv
 
-    def run(self, cost: np.ndarray, allowed: np.ndarray,
-            max_iter: int) -> tuple[str, np.ndarray]:
-        """Bounded revised primal simplex on the current basis.
+    def run(self, cost: np.ndarray, max_iter: int) -> tuple[str, np.ndarray]:
+        """Bounded revised primal simplex from a primal-feasible basis.
 
         Returns (status, reduced_costs).  A column at its lower bound
         enters on a negative reduced cost, one at its upper bound on a
@@ -267,16 +237,13 @@ class _Tableau:
         costs are recomputed from the basis inverse every iteration, so
         the optimality certificate is exact.
         """
-        blocked = ~allowed | (self.upper <= self.lower)  # fixed columns never move
-        # With every column in [0, inf), none sits at an upper bound and
-        # no basic value can rise into one: skip the work for those cases.
-        boxed = bool(self.lower.any() or (self.upper < np.inf).any())
+        blocked = self.upper <= self.lower  # fixed columns never move
         bland = False
         degenerate_run = 0
         for _ in range(max_iter):
             red = cost - self.duals(cost) @ self.A
-            gain = np.where(self.at_upper, -red, red) if boxed else red.copy()
-            gain[blocked] = np.inf  # never enter disallowed columns
+            gain = np.where(self.at_upper, -red, red)
+            gain[blocked] = np.inf
             if bland:
                 candidates = np.nonzero(gain < -PIVOT_TOL)[0]
                 if candidates.size == 0:
@@ -289,14 +256,13 @@ class _Tableau:
             direction = self.binv @ self.A[:, col]
             # basic values fall by ``move`` per unit the entering column moves
             move = -direction if self.at_upper[col] else direction
-            room = self.xb - self.lower[self.basis] if boxed else self.xb
             ratios = np.full(self.m, np.inf)
             falling = move > PIVOT_TOL
-            ratios[falling] = room[falling] / move[falling]
-            if boxed:  # the ratio is infinite without an upper bound
-                rising = move < -PIVOT_TOL
-                ratios[rising] = ((self.upper[self.basis][rising] - self.xb[rising])
-                                  / -move[rising])
+            ratios[falling] = ((self.xb[falling] - self.lower[self.basis][falling])
+                               / move[falling])
+            rising = move < -PIVOT_TOL
+            ratios[rising] = ((self.upper[self.basis][rising] - self.xb[rising])
+                              / -move[rising])
             best = ratios.min(initial=np.inf)
             span = self.upper[col] - self.lower[col]
             if span == np.inf and best == np.inf:
@@ -317,8 +283,7 @@ class _Tableau:
             self._pivot(row, col, direction, to_upper=bool(move[row] < 0))
         raise MalformedProgram("simplex iteration limit exceeded")
 
-    def dual_run(self, cost: np.ndarray, allowed: np.ndarray,
-                 max_iter: int) -> Optional[list[str]]:
+    def dual_run(self, cost: np.ndarray, max_iter: int) -> Optional[list[str]]:
         """Bounded dual simplex from a dual-feasible basis, until every
         basic value is within its bounds (then None).  If a basic value
         out of its bounds cannot be moved toward them by any column, the
@@ -329,8 +294,11 @@ class _Tableau:
         ties going to the largest pivot, then the lowest column.  After
         a long run of degenerate pivots, Bland's rule: the lowest basic
         column out of bounds leaves and the lowest tied column enters.
+        The reduced costs are updated by the pivot row, not recomputed:
+        they only steer the ratio test, and ``run`` recomputes its own.
         """
-        blocked = ~allowed | (self.upper <= self.lower)
+        blocked = self.upper <= self.lower
+        red = cost - self.duals(cost) @ self.A
         bland = False
         degenerate_run = 0
         for _ in range(max_iter):
@@ -357,7 +325,6 @@ class _Tableau:
                 return self._certificate(
                     self.binv[row], -alpha if to_upper else alpha,
                     self.basis[row] if to_upper else None)
-            red = cost - self.duals(cost) @ self.A
             slack = np.maximum(np.where(self.at_upper, -red, red), 0.0)
             cols = np.nonzero(eligible)[0]
             ratios = slack[cols] / toward[cols]
@@ -371,6 +338,7 @@ class _Tableau:
             else:
                 degenerate_run = 0
             self._pivot(row, col, self.binv @ self.A[:, col], to_upper)
+            red -= red[col] / alpha[col] * alpha
         raise MalformedProgram("simplex iteration limit exceeded")
 
     def _certificate(self, multipliers: np.ndarray, gradient: np.ndarray,
@@ -394,22 +362,24 @@ class _Tableau:
 def simplex_solve(lp: LinearProgram, lower: Optional[np.ndarray] = None,
                   upper: Optional[np.ndarray] = None,
                   start: Optional[Basis] = None) -> LpSolution:
-    """Bounded two-phase revised simplex.
+    """Bounded revised simplex: the dual simplex to a feasible basis,
+    then the primal simplex to an optimal one.
 
     Column ``j`` lies within ``[lower[j], upper[j]]``, by default
     ``lp.bounds()``.  With ``start``, the basis of an earlier solve of
     this same program (its rows and columns unchanged), the solve
-    restarts from it: the dual simplex brings the basic values within
-    the bounds given here, then the primal simplex ends the solve.
-    Otherwise phase 1 starts from the slack and artificial columns.
+    restarts from it on the true costs.  Otherwise it starts from the
+    logical basis, which is dual feasible for the costs clipped at zero
+    (Koberstein, 2005, ch. 4, on cost modification); the primal
+    simplex then restores the true costs.
 
     Returns Optimal with reduced costs and the final basis, Infeasible
     with a certificate, or Unbounded.  A certificate names the
     constraint rows of the proof, and as ``bound[<variable name>]``
     each variable whose upper bound the proof rests on; lower bounds
     are never named.  Crossed bounds name the variable the same way.
-    Each phase is limited to 50 * (rows + columns) + 1000 pivots and
-    bound flips of the standard form; past that it raises
+    Each of the two runs is limited to 50 * (rows + columns) + 1000
+    pivots and bound flips of the standard form; past that it raises
     MalformedProgram.
     """
     lower = np.zeros(len(lp.variables)) if lower is None else np.asarray(lower, dtype=float)
@@ -420,42 +390,22 @@ def simplex_solve(lp: LinearProgram, lower: Optional[np.ndarray] = None,
             f"bound[{lp.variables[j].name}]" for j in crossed])
     if start is None:
         lp._check_finite()
-        form = _StandardForm(lp, lower)
+        form = _StandardForm(lp)
+        dual_cost = np.maximum(form.cost, 0.0)
     else:
         form = start.form
+        dual_cost = form.cost
     tab = _Tableau(form, lower, upper, start)
     max_iter = 50 * (tab.m + tab.total) + 1000
-    allowed = ~form.artificial
 
-    if start is not None:
-        certificate = tab.dual_run(form.cost, allowed, max_iter)
-        if certificate is not None:
-            return LpSolution(status="Infeasible", certificate=certificate,
-                              iterations=tab.iterations)
-    elif form.artificial.any():
-        phase1_cost = np.where(form.artificial, 1.0, 0.0)
-        status, red = tab.run(phase1_cost, np.ones(tab.total, dtype=bool), max_iter)
-        infeas = float(phase1_cost[tab.basis] @ tab.xb)
-        if status != "Optimal" or infeas > FEAS_TOL:
-            # rows with nonzero multipliers, and the upper bounds the
-            # phase-1 reduced costs press against, form the Farkas certificate
-            return LpSolution(status="Infeasible", iterations=tab.iterations,
-                              certificate=tab._certificate(tab.duals(phase1_cost), red))
-        # drive remaining artificials out of the basis
-        for i in range(tab.m):
-            if form.artificial[tab.basis[i]]:
-                tableau_row = tab.binv[i] @ tab.A
-                pivot_cols = np.nonzero(
-                    (np.abs(tableau_row) > PIVOT_TOL) & ~form.artificial)[0]
-                if pivot_cols.size:
-                    col = int(pivot_cols[0])
-                    tab._pivot(i, col, tab.binv @ tab.A[:, col])
-                # else: redundant row, harmless to leave the artificial basic at 0
-
-    status, red = tab.run(form.cost, allowed, max_iter)
+    certificate = tab.dual_run(dual_cost, max_iter)
+    if certificate is not None:
+        return LpSolution(status="Infeasible", certificate=certificate,
+                          iterations=tab.iterations)
+    status, red = tab.run(form.cost, max_iter)
     if status == "Unbounded":
         return LpSolution(status="Unbounded", iterations=tab.iterations)
-    x = tab.values(tab.xb)[:form.n].copy()
+    x = tab.values(tab.basic_values())[:form.n].copy()
     x[np.abs(x) < 1e-12] = 0.0
     objective = float(form.cost[:form.n] @ x)
     return LpSolution(status="Optimal", values=x, objective=objective,

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from helpers import random_problem
+from helpers import big_problem, random_problem
 from mlgdesign import (DecompositionError, NoRealization, ProblemFormatError,
                        build_redundant_mlg, design, realization_path)
 from mlgdesign.cli import (export_dot, main, parse_problem, problem_from_dict,
@@ -121,6 +121,26 @@ class TestSolveCommand:
             ["b1", "b2", "b3", "b4"]
         assert doc["validation"] == {"capacities_ok": True,
                                      "conservation_ok": True}
+
+    @pytest.mark.parametrize("problem,argv,objective", [
+        (random_problem(random.Random(9069)), ["--single-homing"], 6.0),
+        (big_problem(seed=1, n_sub=12, n_srv=3, n_int=2, n_ch=26, slack=1),
+         ["--single-homing", "--formulation", "link-path"], 64.0),
+        (random_problem(random.Random(9083)),
+         ["--mode", "uncapacitated", "--formulation", "link-path"], 8.0),
+    ], ids=["corpus-9069", "big-12-26", "corpus-9083-fixed-charge"])
+    def test_integral_optimum_written_exactly(self, tmp_path, problem, argv, objective):
+        """Integral demands and costs give an integral optimum, written
+        without the rounding noise simplex pivots leave in basic values
+        (once objectives of 5.999999999999999 and 63.99999999999999, and
+        route flows of 3.9999999999999996 and 1.9999999999999996)."""
+        path, out = tmp_path / "problem.json", tmp_path / "sol.json"
+        write_problem(problem, str(path))
+        assert main(["solve", str(path), *argv, "-o", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["objective"] == objective
+        flows = [r["flow"] for routes in doc["routes"].values() for r in routes]
+        assert flows and all(f == round(f) for f in flows)
 
     def test_uncapacitated_default_costs(self, t1_path, tmp_path):
         out = tmp_path / "sol.json"

@@ -449,7 +449,7 @@ class TestSolveUncapacitated:
     @pytest.mark.parametrize("formulation", ["node-link", "link-path"])
     def test_branch_and_bound_size(self, formulation, monkeypatch):
         """Branching up first finds the optimum of this 12-subscriber,
-        26-channel instance in 241 (node-link) and 223 (link-path) LP
+        26-channel instance in 215 (node-link) and 199 (link-path) LP
         solves; down first took 3849 and 3693."""
         calls = []
         original = lp_module.simplex_solve

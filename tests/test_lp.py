@@ -157,6 +157,28 @@ class TestSimplex:
         sol = simplex_solve(lp, np.array([2.0]), np.array([1.0]))
         assert sol.status == "Infeasible" and sol.certificate == ["bound[x]"]
 
+    def test_dependent_equality_rows_consistent(self):
+        """A row twice another: one of their logicals stays basic at 0."""
+        lp = LinearProgram()
+        x, y = lp.add_var("x"), lp.add_var("y")
+        lp.add_constraint({x: 1.0, y: 1.0}, "=", 2.0, name="once")
+        lp.add_constraint({x: 2.0, y: 2.0}, "=", 4.0, name="twice")
+        lp.set_objective({x: 1.0, y: 2.0})
+        sol = simplex_solve(lp)
+        ref = linprog([1, 2], A_eq=[[1, 1], [2, 2]], b_eq=[2, 4], method="highs")
+        assert_matches_highs(sol, ref)
+        assert sol.values.tolist() == [2.0, 0.0]
+
+    def test_dependent_equality_rows_contradictory(self):
+        lp = LinearProgram()
+        x, y = lp.add_var("x"), lp.add_var("y")
+        lp.add_constraint({x: 1.0, y: 1.0}, "=", 2.0, name="two")
+        lp.add_constraint({x: 1.0, y: 1.0}, "=", 3.0, name="three")
+        lp.set_objective({x: 1.0, y: 1.0})
+        sol = simplex_solve(lp)
+        assert sol.status == "Infeasible"
+        assert sorted(sol.certificate) == ["three", "two"]
+
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_scipy_on_random_programs(self, seed):
         lp, ref_args = random_program(random.Random(seed))
