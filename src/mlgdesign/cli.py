@@ -377,6 +377,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "solve" and args.k < 1:
         parser.error(f"argument --k: must be >= 1, got {args.k}")
+    if getattr(args, "fixed_costs", None) is not None and args.mode != "uncapacitated":
+        parser.error("argument --fixed-costs: only with --mode uncapacitated")
     handlers = {"validate": _cmd_validate, "solve": _cmd_solve,
                 "export-dot": _cmd_export_dot, "oracle": _cmd_oracle}
     try:

@@ -75,8 +75,8 @@ def _k_shortest_paths(graph: MultiLayerGraph, src: str, dst: str, k: int,
 
     ``adj`` is layer 1's adjacency index; ``ranked[x]`` lists x's
     neighbours v by (hop cost + ``to_dst[v]``, v).  A path costs the
-    left-to-right sum of its hops, as in :func:`_path_cost`: the root's
-    sum, then each spur hop in turn.
+    left-to-right sum of its hops, as :func:`_add_hops` adds them: the
+    root's sum, then each spur hop in turn.
 
     The list is exactly Yen's:
 
@@ -164,13 +164,6 @@ def _read_spur(root: tuple[str, ...], first_hop: str, dst: str,
 def _add_hops(cost: float, nodes, adj: _Adjacency) -> float:
     for a, b in zip(nodes, nodes[1:]):
         cost += adj[a][b].cost
-    return cost
-
-
-def _path_cost(graph: MultiLayerGraph, nodes) -> float:
-    cost = 0.0
-    for a, b in zip(nodes, nodes[1:]):
-        cost += graph.find_intra(1, a, b).cost
     return cost
 
 
@@ -422,6 +415,7 @@ def _assemble_solution(instance: BuiltInstance,
         s: [] for s in instance.server_ids()}
     per_server_sub: dict[tuple[str, str], float] = {}
     objective = fixed_cost_part
+    adj = instance.graph.adjacency(1)
 
     for commodity in instance.commodities:
         for nodes, flow in route_flows.get(commodity.id, []):
@@ -434,7 +428,7 @@ def _assemble_solution(instance: BuiltInstance,
             flow_assignment.add_path(commodity.id, full, flow)
             per_server_sub[(server, subscriber)] = (
                 per_server_sub.get((server, subscriber), 0.0) + flow)
-            objective += flow * _path_cost(instance.graph, nodes)
+            objective += flow * _add_hops(0.0, nodes, adj)
 
     edge_flows = flow_assignment.edge_totals()
     # derived layer-2 / layer-3 annotations (not independently optimized)
@@ -552,26 +546,6 @@ def _routes_from_path_vars(instance: BuiltInstance, form: _Formulation,
     return routes
 
 
-def _homing_tie_key(instance: BuiltInstance, form: _Formulation):
-    """Tie-break incumbents by the assignment vector (server per
-    subscriber, subscribers in id order)."""
-    slots: dict[str, list[tuple[str, int]]] = {}
-    for j, meta in form.meta.items():
-        if meta[0] == "assign":
-            _, cid, server = meta
-            slots.setdefault(cid, []).append((server, j))
-    order = sorted(slots)
-
-    def key(values: np.ndarray) -> tuple:
-        vec = []
-        for cid in order:
-            chosen = sorted(s for s, j in slots[cid] if values[j] > 0.5)
-            vec.append(tuple(chosen))
-        return tuple(vec)
-
-    return key
-
-
 # ---------------------------------------------------------------------------
 # drivers
 # ---------------------------------------------------------------------------
@@ -582,7 +556,7 @@ def solve_capacitated(instance: BuiltInstance, formulation: str = "node-link",
     if not instance.commodities:
         return _assemble_solution(instance, {})
     form = _build_formulation(instance, formulation, k, single_homing)
-    _sol, relaxed, routes = _solve(instance, form, _homing_tie_key(instance, form))
+    _sol, relaxed, routes = _solve(instance, form)
     return _assemble_solution(instance, routes, relaxation_objective=relaxed)
 
 
@@ -628,7 +602,7 @@ def _build_formulation(instance, formulation, k, single_homing) -> _Formulation:
     raise ValueError(f"unknown formulation {formulation!r}")
 
 
-def _solve(instance: BuiltInstance, form: _Formulation, tie_key=None):
+def _solve(instance: BuiltInstance, form: _Formulation):
     """Root LP, branch and bound from that root when the LP has integer
     columns, then routes: (solution, root relaxation objective, routes).
     A root or search that ends other than optimal raises
@@ -638,7 +612,7 @@ def _solve(instance: BuiltInstance, form: _Formulation, tie_key=None):
         raise InfeasibleError(certificate=relax.certificate)
     sol = relax
     if form.lp.integer_indices():
-        sol = branch_and_bound(form.lp, tie_key=tie_key, root=relax)
+        sol = branch_and_bound(form.lp, root=relax)
         if sol.status != "Optimal":
             raise InfeasibleError(certificate=sol.certificate)
     return sol, relax.objective, form.read_routes(instance, form, sol.values)
@@ -660,7 +634,15 @@ def brute_force_oracle(instance: BuiltInstance, mode: str = "capacitated",
                        channel_fixed_costs: Optional[dict[str, float]] = None,
                        limits: OracleLimits = OracleLimits()) -> DesignSolution:
     """Exact optimum by exhaustive enumeration; independent of the
-    simplex path (scipy solves the per-configuration path LPs)."""
+    simplex path (scipy solves the per-configuration path LPs).
+
+    One path LP per configuration: a channel subset (every subset in
+    uncapacitated mode, whose fixed costs it adds; only the full set
+    when capacitated) times a server per subscriber (under single
+    homing; otherwise any server).  Ties within 1e-9 go to the smallest
+    (subset, servers)."""
+    if mode not in ("capacitated", "uncapacitated"):
+        raise ValueError(f"unknown oracle mode {mode!r}")
     if (len(instance.commodities) > limits.max_commodities
             or len(instance.channel_edges) > limits.max_channels
             or len(instance.graph.nodes(1)) > limits.max_layer1_nodes):
@@ -670,62 +652,38 @@ def brute_force_oracle(instance: BuiltInstance, mode: str = "capacitated",
 
     all_paths = {c.id: all_candidate_paths(instance, c)
                  for c in instance.commodities}
-
-    if mode == "capacitated" and not single_homing:
-        result = _oracle_lp(instance, all_paths)
-        if result is None:
-            raise InfeasibleError(message="oracle: no feasible routing")
-        objective, routes = result
-        return _assemble_solution(instance, routes)
-
-    if mode == "capacitated" and single_homing:
-        best = None
-        cids = [c.id for c in instance.commodities]
-        for combo in itertools.product(instance.server_ids(), repeat=len(cids)):
+    channels = tuple(sorted(instance.channel_edges))
+    uncapacitated = mode == "uncapacitated"
+    fixed = (channel_fixed_costs or {}) if uncapacitated else {}
+    subsets = ([s for r in range(len(channels) + 1)
+                for s in itertools.combinations(channels, r)]
+               if uncapacitated else [channels])
+    combos = (list(itertools.product(instance.server_ids(), repeat=len(all_paths)))
+              if single_homing else [None])
+    best = None
+    for subset in subsets:
+        allowed = set(subset)
+        for combo in combos:
             restricted = {
-                cid: [p for p in all_paths[cid] if p.server == combo[i]]
-                for i, cid in enumerate(cids)}
-            if any(not ps for ps in restricted.values()):
+                cid: [p for p in ps if set(p.channels) <= allowed
+                      and (combo is None or p.server == combo[i])]
+                for i, (cid, ps) in enumerate(all_paths.items())}
+            if not all(restricted.values()):
                 continue
             result = _oracle_lp(instance, restricted)
             if result is None:
                 continue
-            objective, routes = result
-            key = (objective, combo)
-            if best is None or objective < best[0][0] - 1e-9 or (
-                    objective <= best[0][0] + 1e-9 and combo < best[0][1]):
-                best = (key, routes)
-        if best is None:
-            raise InfeasibleError(message="oracle: no feasible assignment")
-        return _assemble_solution(instance, best[1])
-
-    if mode == "uncapacitated":
-        fixed = channel_fixed_costs or {}
-        channels = sorted(instance.channel_edges)
-        best = None
-        for r in range(len(channels) + 1):
-            for subset in itertools.combinations(channels, r):
-                allowed = set(subset)
-                restricted = {
-                    cid: [p for p in ps if set(p.channels) <= allowed]
-                    for cid, ps in all_paths.items()}
-                if any(not ps for ps in restricted.values()):
-                    continue
-                result = _oracle_lp(instance, restricted)
-                if result is None:
-                    continue
-                flow_obj, routes = result
-                total = flow_obj + sum(float(fixed.get(ch, 0.0)) for ch in subset)
-                if best is None or total < best[0] - 1e-9 or (
-                        total <= best[0] + 1e-9 and subset < best[1]):
-                    best = (total, subset, routes, flow_obj)
-        if best is None:
-            raise InfeasibleError(message="oracle: no feasible channel subset")
-        _total, subset, routes, flow_obj = best
-        return _assemble_solution(instance, routes, selected=list(subset),
-                                  fixed_cost_part=best[0] - flow_obj)
-
-    raise ValueError(f"unknown oracle mode {mode!r}")
+            flow_obj, routes = result
+            total = flow_obj + sum(float(fixed.get(ch, 0.0)) for ch in subset)
+            if best is None or total < best[0] - 1e-9 or (
+                    total <= best[0] + 1e-9 and (subset, combo) < best[1]):
+                best = (total, (subset, combo), routes, flow_obj)
+    if best is None:
+        raise InfeasibleError(message="oracle: no feasible design")
+    total, (subset, _combo), routes, flow_obj = best
+    return _assemble_solution(instance, routes,
+                              selected=list(subset) if uncapacitated else None,
+                              fixed_cost_part=total - flow_obj)
 
 
 def _oracle_lp(instance: BuiltInstance,

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -415,7 +415,6 @@ def simplex_solve(lp: LinearProgram, lower: Optional[np.ndarray] = None,
 
 
 def branch_and_bound(lp: LinearProgram,
-                     tie_key: Optional[Callable[[np.ndarray], tuple]] = None,
                      root: Optional[LpSolution] = None) -> LpSolution:
     """Depth-first branch and bound over the LP's integer variables.
 
@@ -425,13 +424,10 @@ def branch_and_bound(lp: LinearProgram,
     re-solved from its parent's basis.  The up child (``x >= ceil(v)``)
     is explored before the down child.
 
-    Nodes whose bound is within 1e-9 of the incumbent are still
-    explored, and among integral node solutions tied within 1e-9 the
-    smallest ``tie_key`` of the value vector wins (default: the
-    lexicographically smallest vector rounded to 9 decimals).  Only a
-    node worse than some integral solution is pruned, so every node
-    whose solution could tie the optimum is solved whatever the node
-    order, and the result does not depend on that order.
+    A node whose relaxation does not beat the incumbent by more than
+    1e-9 is pruned, and every integral node that survives becomes the
+    incumbent.  The node order is fixed, so the result is the first
+    optimum that order reaches, and it is deterministic.
 
     The root is the first node: ``root``, if given, is
     ``simplex_solve(lp)`` already solved, else it is solved here.  A
@@ -442,11 +438,7 @@ def branch_and_bound(lp: LinearProgram,
     if not int_idx:
         raise ValueError("branch_and_bound requires at least one integer variable")
 
-    if tie_key is None:
-        tie_key = lambda x: tuple(np.round(x, 9).tolist())
-
     incumbent: Optional[LpSolution] = None
-    incumbent_key = None
     total_iters = 0
     # node = (lower bounds, upper bounds, parent's basis; None at the root)
     stack: list[tuple[np.ndarray, np.ndarray, Optional[Basis]]] = [(*lp.bounds(), None)]
@@ -461,8 +453,8 @@ def branch_and_bound(lp: LinearProgram,
             if start is None:
                 return sol
             continue
-        if incumbent is not None and sol.objective > incumbent.objective + 1e-9:
-            continue  # keep exploring ties for deterministic tie-breaking
+        if incumbent is not None and sol.objective >= incumbent.objective - 1e-9:
+            continue
         frac_j, frac_amount = -1, -1.0
         for j, v in zip(int_idx, sol.values[int_idx].tolist()):
             f = abs(v - round(v))
@@ -470,14 +462,7 @@ def branch_and_bound(lp: LinearProgram,
                 frac_amount = f
                 frac_j = j
         if frac_j < 0:
-            key = tie_key(sol.values)
-            better = (incumbent is None
-                      or sol.objective < incumbent.objective - 1e-9
-                      or (sol.objective <= incumbent.objective + 1e-9
-                          and key < incumbent_key))
-            if better:
-                incumbent = sol
-                incumbent_key = key
+            incumbent = sol
             continue
         v = sol.values[frac_j]
         raised, cut = lower.copy(), upper.copy()

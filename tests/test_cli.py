@@ -214,18 +214,19 @@ class TestSolveCommand:
     @pytest.mark.parametrize("command, flags, costs", [
         ("solve", ["--k", "0"], None),
         ("solve", ["--formulation", "link-path", "--k", "-1"], None),
-        ("solve", [], {"b9": 1.0}),
-        ("oracle", [], {"b9": 1.0}),
-        ("solve", [], {"b1": -1.0}),
-        ("oracle", [], {"b1": -1.0}),
-        ("solve", [], {"b1": math.nan}),
+        ("solve", ["--mode", "uncapacitated"], {"b9": 1.0}),
+        ("oracle", ["--mode", "uncapacitated"], {"b9": 1.0}),
+        ("solve", ["--mode", "uncapacitated"], {"b1": -1.0}),
+        ("oracle", ["--mode", "uncapacitated"], {"b1": -1.0}),
+        ("solve", ["--mode", "uncapacitated"], {"b1": math.nan}),
+        ("solve", ["--single-homing"], {"b1": 1.0}),  # fixed costs, capacitated
+        ("oracle", [], {"b1": 1.0}),
     ])
     def test_invalid_arguments_exit(self, t1_path, tmp_path, command, flags,
                                     costs):
         argv = [command, t1_path, *flags, "-o", str(tmp_path / "sol.json")]
         if costs is not None:
-            argv += ["--mode", "uncapacitated",
-                     "--fixed-costs", write_json(tmp_path, costs, "costs.json")]
+            argv += ["--fixed-costs", write_json(tmp_path, costs, "costs.json")]
         assert exit_code(argv) == 2
         assert not (tmp_path / "sol.json").exists()
 

