@@ -272,8 +272,9 @@ def _build_parser() -> argparse.ArgumentParser:
                          default="capacitated")
     p_solve.add_argument("--formulation", choices=["node-link", "link-path"],
                          default="node-link")
-    p_solve.add_argument("--k", type=int, default=4,
-                         help="candidate paths per server (link-path)")
+    p_solve.add_argument("--k", type=int, default=None,
+                         help="at most this many candidate paths per server "
+                              "(link-path only; default 4)")
     p_solve.add_argument("--single-homing", action="store_true")
     p_solve.add_argument("--fixed-costs", metavar="FILE",
                          help="JSON map channel id -> fixed cost (uncapacitated)")
@@ -375,8 +376,13 @@ def _write_report(solution: design.DesignSolution, instance: builder.BuiltInstan
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "solve" and args.k < 1:
-        parser.error(f"argument --k: must be >= 1, got {args.k}")
+    if args.command == "solve":
+        if args.k is not None and args.formulation != "link-path":
+            parser.error("argument --k: only with --formulation link-path")
+        if args.k is None:
+            args.k = 4
+        if args.k < 1:
+            parser.error(f"argument --k: must be >= 1, got {args.k}")
     if getattr(args, "fixed_costs", None) is not None and args.mode != "uncapacitated":
         parser.error("argument --fixed-costs: only with --mode uncapacitated")
     handlers = {"validate": _cmd_validate, "solve": _cmd_solve,

@@ -23,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Mapping, Optional
+from typing import Callable, Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -67,11 +67,13 @@ _channel_cost = attrgetter("cost")
 _Adjacency = Mapping[str, Mapping[str, IntraEdge]]  # node -> neighbour -> channel
 
 
-def _k_shortest_paths(graph: MultiLayerGraph, src: str, dst: str, k: int,
+def _k_shortest_paths(graph: MultiLayerGraph, src: str, dst: str,
                       to_dst: dict[str, float], adj: _Adjacency,
                       ranked: dict[str, list[tuple[float, str]]]):
-    """Yen's k cheapest simple paths (Yen, 1971), with Lawler's rule,
-    lazy spurs and spurs read off the exact distance map ``to_dst``.
+    """Yen's cheapest simple paths (Yen, 1971), yielded as (cost, nodes)
+    in (cost, nodes) order, with Lawler's rule, lazy spurs and spurs
+    read off the exact distance map ``to_dst``.  A caller takes the first
+    k; nothing past the last path taken is searched.
 
     ``adj`` is layer 1's adjacency index; ``ranked[x]`` lists x's
     neighbours v by (hop cost + ``to_dst[v]``, v).  A path costs the
@@ -105,12 +107,11 @@ def _k_shortest_paths(graph: MultiLayerGraph, src: str, dst: str, k: int,
       only lengthen paths, so the map stays a consistent potential.
     """
     if not ranked.get(src):
-        return []
+        return
     bound, first_hop = ranked[src][0]
     # (bound, 0, root, root cost, bans, first hop) stands for an unsearched
     # spur; (cost, 1, path, root cost, bans, root index) for a found one
     queue = [(bound, 0, (src,), 0.0, frozenset(), first_hop)]
-    found = []
     while queue:
         cost, is_path, nodes, root_cost, bans, extra = heapq.heappop(queue)
         if not is_path:
@@ -126,9 +127,7 @@ def _k_shortest_paths(graph: MultiLayerGraph, src: str, dst: str, k: int,
             heapq.heappush(queue, (_add_hops(root_cost, spur, adj), 1,
                                    nodes[:-1] + spur, root_cost, bans, len(nodes) - 1))
             continue
-        found.append((cost, nodes))
-        if len(found) == k:
-            break
+        yield cost, nodes
         d = extra
         on_root = set(nodes[:d])
         for i in range(d, len(nodes) - 1):
@@ -141,7 +140,6 @@ def _k_shortest_paths(graph: MultiLayerGraph, src: str, dst: str, k: int,
                     break
             on_root.add(x)
             root_cost += adj[x][nxt].cost
-    return found
 
 
 def _read_spur(root: tuple[str, ...], first_hop: str, dst: str,
@@ -186,6 +184,18 @@ def enumerate_candidate_paths(instance: BuiltInstance, commodity: Commodity,
     costs equal in real arithmetic can round apart, so which of such
     tied paths make the first k can fall either way (see
     :func:`mlgdesign.mlg.cheapest_path`).
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    out = [p for paths in _paths_by_server(instance, commodity).values()
+           for p in itertools.islice(paths, k)]
+    out.sort(key=lambda p: (p.cost, p.nodes))
+    return out
+
+
+def _paths_by_server(instance: BuiltInstance, commodity: Commodity):
+    """Per server, an iterator over its Yen paths to the commodity's
+    subscriber as :class:`CandidatePath`, in (cost, nodes) order.
 
     One reverse Dijkstra from the subscriber gives the exact distance
     map; each node's neighbours ranked by hop cost plus that distance
@@ -194,20 +204,18 @@ def enumerate_candidate_paths(instance: BuiltInstance, commodity: Commodity,
     adjacency index gives each path's cost and channel names; only the
     distance map and the ranking are built per commodity.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     subscriber = commodity.sink.id
     to_subscriber = distances_to(instance.graph, 1, subscriber, _channel_cost)
     adj = instance.graph.adjacency(1)
     ranked = {a: sorted((edge.cost + to_subscriber[b], b) for b, edge in adj[a].items())
               for a in to_subscriber}
-    out = []
-    for server in instance.server_ids():
-        for cost, nodes in _k_shortest_paths(instance.graph, server, subscriber, k,
+
+    def paths(server):
+        for cost, nodes in _k_shortest_paths(instance.graph, server, subscriber,
                                              to_subscriber, adj, ranked):
-            out.append(_candidate(server, nodes, cost, adj))
-    out.sort(key=lambda p: (p.cost, p.nodes))
-    return out
+            yield _candidate(server, nodes, cost, adj)
+
+    return {server: paths(server) for server in instance.server_ids()}
 
 
 def all_candidate_paths(instance: BuiltInstance,
@@ -552,12 +560,126 @@ def _routes_from_path_vars(instance: BuiltInstance, form: _Formulation,
 
 def solve_capacitated(instance: BuiltInstance, formulation: str = "node-link",
                       k: int = 4, single_homing: bool = False) -> DesignSolution:
-    """Minimize total carried flow cost under channel and server capacities."""
+    """Minimize total carried flow cost under channel and server capacities.
+
+    Link-path without single homing prices its candidates (see
+    :func:`_price_link_path`): the same optimum as over the first k
+    paths per server, which it enumerates only as far as needed."""
     if not instance.commodities:
         return _assemble_solution(instance, {})
-    form = _build_formulation(instance, formulation, k, single_homing)
-    _sol, relaxed, routes = _solve(instance, form)
+    if formulation == "link-path" and not single_homing:
+        form, sol = _price_link_path(instance, k)
+        routes, relaxed = form.read_routes(instance, form, sol.values), sol.objective
+    else:
+        form = _build_formulation(instance, formulation, k, single_homing)
+        _sol, relaxed, routes = _solve(instance, form)
     return _assemble_solution(instance, routes, relaxation_objective=relaxed)
+
+
+def _price_link_path(instance: BuiltInstance, k: int):
+    """The capacitated link-path LP over at most k Yen paths per
+    (commodity, server) pool, each pool grown only while its next path
+    could enter (Ford & Fulkerson, 1958, on path generation): (form,
+    optimal solution).  Raises ``InfeasibleError`` when the full LP is
+    infeasible.
+
+    Each pool starts with its first path.  A path outside the pool of
+    (c, s) enters ``demand[c]``, ``productivity[s]`` and ``capacity``
+    rows.  A ``capacity`` row's dual is <= 0, so the path's reduced cost
+    is at least its cost less ``sigma_c + rho_s``, the duals of the
+    first two.  Yen yields paths by nondecreasing cost, so after each
+    optimal solve a pool with fewer than k paths takes next paths while
+    its last costs less than ``sigma_c + rho_s - 1e-9``.  The new paths
+    are appended as columns, with a ``capacity`` row for each channel
+    new to the LP, and the LP is re-solved from its last basis.  When no
+    pool grows, no path of the full LP has a negative reduced cost.
+
+    A commodity whose first paths cannot carry its demand on their own
+    (each carries at most its server's productivity and its least
+    channel capacity) starts with complete pools.  If a solve is still
+    infeasible, every pool is completed and the solve continues from
+    the infeasible basis; a verdict then is the full LP's.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    productivity = {s: instance.graph.find_inter(instance.service_node, NodeRef(2, s)).capacity
+                    for s in instance.server_ids()}
+    pools: dict[tuple[str, str], tuple[list[CandidatePath], Iterator[CandidatePath]]] = {}
+    initial: dict[str, list[CandidatePath]] = {}
+    for c in instance.commodities:
+        mine = []
+        for server, paths in _paths_by_server(instance, c).items():
+            pools[c.id, server] = (list(itertools.islice(paths, 1)), paths)
+            mine.append(pools[c.id, server])
+        carry = sum(min(productivity[pool[0].server],
+                        *(instance.channel_edges[ch].capacity for ch in pool[0].channels))
+                    for pool, _ in mine if pool)
+        if carry < c.demand:
+            for pool, paths in mine:
+                _grow(pool, paths, k, math.inf)
+        initial[c.id] = sorted((p for pool, _ in mine for p in pool),
+                               key=lambda p: (p.cost, p.nodes))
+
+    form = formulate_link_path(instance, initial)
+    lp = form.lp
+    rows = {con.name: i for i, con in enumerate(lp.constraints)}
+    count = {cid: len(paths) for cid, paths in initial.items()}
+    sol = simplex_solve(lp)
+    completed = False
+    while sol.status == "Optimal" or not completed:
+        completed = completed or sol.status != "Optimal"
+        new = []
+        for (cid, server), (pool, paths) in pools.items():
+            limit = math.inf
+            if sol.status == "Optimal":
+                row = rows.get(f"productivity[{server}]")
+                limit = (sol.duals[rows[f"demand[{cid}]"]]
+                         + (0.0 if row is None else sol.duals[row]) - 1e-9)
+            new += [(cid, p) for p in _grow(pool, paths, k, limit)]
+        if not new:
+            break
+        for cid, path in new:
+            _append_path(instance, form, rows, f"x[{cid},{count[cid]}]", cid, path)
+            count[cid] += 1
+        sol = simplex_solve(lp, start=sol.basis)
+    if sol.status != "Optimal":
+        raise InfeasibleError(certificate=sol.certificate)
+    return form, sol
+
+
+def _append_path(instance: BuiltInstance, form: _Formulation, rows: dict[str, int],
+                 name: str, cid: str, path: CandidatePath) -> None:
+    """Append ``path`` as a column of the link-path LP, with a
+    ``capacity`` row for each finite channel new to it; ``rows`` maps
+    row names to indices and gains the new rows."""
+    lp = form.lp
+    j = lp.add_var(name)
+    form.meta[j] = ("path", cid, path)
+    lp.objective[j] = path.cost
+    for ch in path.channels:
+        form.channel_rows_vars[ch].append(j)
+        capacity = instance.channel_edges[ch].capacity
+        if f"capacity[{ch}]" not in rows and math.isfinite(capacity):
+            rows[f"capacity[{ch}]"] = len(lp.constraints)
+            lp.add_constraint({}, "<=", capacity, name=f"capacity[{ch}]")
+    for row in (f"demand[{cid}]", f"productivity[{path.server}]",
+                *(f"capacity[{ch}]" for ch in path.channels)):
+        if row in rows:
+            lp.constraints[rows[row]].coeffs[j] = 1.0
+
+
+def _grow(pool: list[CandidatePath], paths: Iterator[CandidatePath], k: int,
+          limit: float) -> list[CandidatePath]:
+    """Take next paths into ``pool`` while it holds fewer than k and its
+    last costs less than ``limit``; returns those taken."""
+    taken = []
+    while pool and len(pool) < k and pool[-1].cost < limit:
+        path = next(paths, None)
+        if path is None:
+            break
+        pool.append(path)
+        taken.append(path)
+    return taken
 
 
 def solve_uncapacitated(instance: BuiltInstance,

@@ -8,12 +8,15 @@ sits at one of its bounds and the ratio test flips it to the other, so
 a bound never becomes a row (Chvátal, *Linear Programming*, 1983,
 ch. 8).  Each row has one logical column, and every solve takes one
 road: the dual simplex to a feasible basis, then the primal simplex to
-an optimal one.  A cold solve starts the dual simplex from the logical
-basis on the costs clipped at zero, which that basis is dual feasible
-for, so no phase 1 is needed (Koberstein, *The dual simplex method*,
+an optimal one.  The dual simplex runs on the costs shifted to make
+its start dual feasible: from the logical basis that clips them at
+zero, so no phase 1 is needed (Koberstein, *The dual simplex method*,
 PhD thesis, Paderborn, 2005, ch. 4).  A branch narrows one bound of one
 column; the parent's optimal basis stays dual feasible, so each child
-is re-solved from it on the true costs.  The search
+is re-solved from it on the true costs.  A solve can also restart from
+a basis found before columns and rows were appended, as column
+generation does; an optimal solve returns the row duals that price
+such columns.  The search
 takes the up branch first: in the design models a binary's up branch
 opens a channel or homes a subscriber, which tends to reach feasible
 integer points soon (Achterberg, Koch & Martin, *Oper. Res. Letters*
@@ -104,9 +107,9 @@ class LinearProgram:
 class _StandardForm:
     """An LP's rows over its columns, then one logical column per row
     (B = I): a ``<=`` row's slack in [0, inf), a ``>=`` row negated into
-    ``<=`` form with the same slack, and an ``=`` row's logical fixed at
-    [0, 0].  Shared by every solve restarted from one of its bases, and
-    never mutated."""
+    ``<=`` form (``sign`` -1) with the same slack, and an ``=`` row's
+    logical fixed at [0, 0].  Shared by every solve restarted from one
+    of its bases, and never mutated."""
 
     def __init__(self, lp: LinearProgram):
         n, m = len(lp.variables), len(lp.constraints)
@@ -115,9 +118,10 @@ class _StandardForm:
         self.var_names = [v.name for v in lp.variables]
         self.A = np.zeros((m, n + m))
         self.b = np.zeros(m)
+        self.sign = np.ones(m)
         self.logical_upper = np.full(m, np.inf)
         for i, con in enumerate(lp.constraints):
-            sign = -1.0 if con.relation == ">=" else 1.0
+            sign = self.sign[i] = -1.0 if con.relation == ">=" else 1.0
             for j, c in con.coeffs.items():
                 self.A[i, j] = sign * c
             self.b[i] = sign * con.rhs
@@ -142,6 +146,28 @@ class Basis:
     form: _StandardForm = field(repr=False)
     inverse: np.ndarray = field(repr=False)
 
+    def extended(self, form: _StandardForm) -> Basis:
+        """This basis in ``form``, the standard form of its program after
+        columns and rows were appended: the old columns keep their index
+        and the logicals move past the new columns, each new column is
+        nonbasic at its lower bound, and each new row's logical is
+        basic.  With R the
+        new rows over the old basic columns, the inverse of
+        [[B, 0], [R, I]] is [[B^-1, 0], [-R B^-1, I]]."""
+        old = self.form
+        if old.n > form.n or old.m > form.m:
+            raise ValueError("a start basis must come from this program or a part of it")
+        grown = form.n - old.n
+        remap = np.where(self.columns < old.n, self.columns, self.columns + grown)
+        columns = np.concatenate([remap, np.arange(form.n + old.m, form.total)])
+        at_upper = np.zeros(form.total, dtype=bool)
+        at_upper[:old.n] = self.at_upper[:old.n]
+        at_upper[form.n:form.n + old.m] = self.at_upper[old.n:]
+        inverse = np.eye(form.m)
+        inverse[:old.m, :old.m] = self.inverse
+        inverse[old.m:, :old.m] = -form.A[old.m:, remap] @ self.inverse
+        return Basis(columns, at_upper, form, inverse)
+
 
 @dataclass
 class LpSolution:
@@ -151,7 +177,9 @@ class LpSolution:
     iterations: int = 0
     certificate: list[str] = field(default_factory=list)
     reduced_costs: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    basis: Optional[Basis] = None  # the final basis of an optimal solve
+    # one per row as posed, of an optimal solve: <= 0 on a <= row, >= 0 on a >= row
+    duals: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    basis: Optional[Basis] = None  # the final basis of an optimal or infeasible solve
 
 
 class _Tableau:
@@ -225,6 +253,9 @@ class _Tableau:
     def duals(self, cost: np.ndarray) -> np.ndarray:
         return cost[self.basis] @ self.binv
 
+    def final_basis(self) -> Basis:
+        return Basis(self.basis, self.at_upper, self.form, self.binv)
+
     def run(self, cost: np.ndarray, max_iter: int) -> tuple[str, np.ndarray]:
         """Bounded revised primal simplex from a primal-feasible basis.
 
@@ -284,10 +315,17 @@ class _Tableau:
         raise MalformedProgram("simplex iteration limit exceeded")
 
     def dual_run(self, cost: np.ndarray, max_iter: int) -> Optional[list[str]]:
-        """Bounded dual simplex from a dual-feasible basis, until every
-        basic value is within its bounds (then None).  If a basic value
-        out of its bounds cannot be moved toward them by any column, the
-        program is infeasible: returns that row's certificate.
+        """Bounded dual simplex, until every basic value is within its
+        bounds (then None).  If a basic value out of its bounds cannot be
+        moved toward them by any column, the program is infeasible:
+        returns that row's certificate.
+
+        It runs on ``cost`` shifted so that the start is dual feasible:
+        each nonbasic column whose reduced cost has the wrong sign by
+        more than ``PIVOT_TOL`` gets a cost that prices it at 0 (from
+        the logical basis that clips the costs at zero; Koberstein,
+        2005, ch. 4, on cost shifting).  Basic costs are unchanged, so
+        the duals are too.
 
         The leaving row is the one farthest out of its bounds; the
         entering column keeps every reduced cost of the right sign,
@@ -299,6 +337,7 @@ class _Tableau:
         """
         blocked = self.upper <= self.lower
         red = cost - self.duals(cost) @ self.A
+        red[np.where(self.at_upper, red, -red) > PIVOT_TOL] = 0.0  # the shift
         bland = False
         degenerate_run = 0
         for _ in range(max_iter):
@@ -366,16 +405,20 @@ def simplex_solve(lp: LinearProgram, lower: Optional[np.ndarray] = None,
     then the primal simplex to an optimal one.
 
     Column ``j`` lies within ``[lower[j], upper[j]]``, by default
-    ``lp.bounds()``.  With ``start``, the basis of an earlier solve of
-    this same program (its rows and columns unchanged), the solve
-    restarts from it on the true costs.  Otherwise it starts from the
-    logical basis, which is dual feasible for the costs clipped at zero
-    (Koberstein, 2005, ch. 4, on cost modification); the primal
+    ``lp.bounds()``.  Without ``start`` the solve begins at the logical
+    basis.  ``start`` is the basis of an earlier solve of this program,
+    optimal or infeasible, and the solve restarts from it.  Columns and
+    rows may have been appended to the program since: old rows may gain
+    coefficients in new columns, and nothing else of them may change.
+    The basis is then extended by :meth:`Basis.extended`, with no
+    refactorization.  The dual simplex runs on the costs shifted to make
+    its start dual feasible (see ``_Tableau.dual_run``); the primal
     simplex then restores the true costs.
 
-    Returns Optimal with reduced costs and the final basis, Infeasible
-    with a certificate, or Unbounded.  A certificate names the
-    constraint rows of the proof, and as ``bound[<variable name>]``
+    Returns Optimal with reduced costs, the duals of the rows as posed
+    and the final basis; Infeasible with a certificate and, past the
+    bound check, the final basis; or Unbounded.  A certificate names
+    the constraint rows of the proof, and as ``bound[<variable name>]``
     each variable whose upper bound the proof rests on; lower bounds
     are never named.  Crossed bounds name the variable the same way.
     Each of the two runs is limited to 50 * (rows + columns) + 1000
@@ -388,20 +431,21 @@ def simplex_solve(lp: LinearProgram, lower: Optional[np.ndarray] = None,
     if crossed.size:
         return LpSolution(status="Infeasible", certificate=[
             f"bound[{lp.variables[j].name}]" for j in crossed])
-    if start is None:
+    if start is None or (start.form.n, start.form.m) != (len(lp.variables),
+                                                         len(lp.constraints)):
         lp._check_finite()
         form = _StandardForm(lp)
-        dual_cost = np.maximum(form.cost, 0.0)
+        if start is not None:
+            start = start.extended(form)
     else:
         form = start.form
-        dual_cost = form.cost
     tab = _Tableau(form, lower, upper, start)
     max_iter = 50 * (tab.m + tab.total) + 1000
 
-    certificate = tab.dual_run(dual_cost, max_iter)
+    certificate = tab.dual_run(form.cost, max_iter)
     if certificate is not None:
         return LpSolution(status="Infeasible", certificate=certificate,
-                          iterations=tab.iterations)
+                          iterations=tab.iterations, basis=tab.final_basis())
     status, red = tab.run(form.cost, max_iter)
     if status == "Unbounded":
         return LpSolution(status="Unbounded", iterations=tab.iterations)
@@ -411,7 +455,8 @@ def simplex_solve(lp: LinearProgram, lower: Optional[np.ndarray] = None,
     return LpSolution(status="Optimal", values=x, objective=objective,
                       iterations=tab.iterations,
                       reduced_costs=red[:form.n].copy(),
-                      basis=Basis(tab.basis, tab.at_upper, form, tab.binv))
+                      duals=tab.duals(form.cost) * form.sign,
+                      basis=tab.final_basis())
 
 
 def branch_and_bound(lp: LinearProgram,

@@ -103,3 +103,11 @@ def big_problem(seed: int, n_sub: int = 20, n_srv: int = 5, n_int: int = 10,
         intermediates=ints,
         channels=[Channel(f"b{i:02d}", pair, capacity=float(rng.randint(5, 30)))
                   for i, pair in enumerate(pairs)])
+
+
+def scaled_big_problem(seed: int, scale: float) -> DesignProblem:
+    """``big_problem`` with every count multiplied by ``scale`` and rounded
+    (the benchmark's ladder rungs)."""
+    return big_problem(seed, n_sub=round(20 * scale), n_srv=round(5 * scale),
+                       n_int=round(10 * scale), n_ch=round(60 * scale),
+                       slack=round(5 * scale))

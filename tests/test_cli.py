@@ -161,6 +161,28 @@ class TestSolveCommand:
         assert "infeasible" in err
         assert "productivity[" in err
 
+    def test_five_routes_need_k_five(self, tmp_path, capsys):
+        """One server and subscriber joined by five disjoint two-hop
+        routes of capacity 1, demand 5: four paths per server cannot
+        carry it, and the certificate is the full four-path LP's."""
+        doc = {"subscribers": [{"id": "u1", "sessions": [5.0]}],
+               "servers": [{"id": "s1", "productivity": 5.0}],
+               "service": {"id": "v0", "productivity": 5.0},
+               "intermediate": [{"id": f"z{i}"} for i in range(1, 6)],
+               "channels": [{"id": f"{side}{i}", "ends": [end, f"z{i}"], "capacity": 1.0}
+                            for side, end in (("a", "s1"), ("b", "u1"))
+                            for i in range(1, 6)]}
+        path, out = write_json(tmp_path, doc), tmp_path / "sol.json"
+        assert main(["solve", path, "--formulation", "link-path", "--k", "4",
+                     "-o", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "infeasible: problem is infeasible (certificate rows: demand[u1], "
+            "capacity[a1], capacity[a2], capacity[a3], capacity[a4])\n")
+        assert not out.exists()
+        assert main(["solve", path, "--formulation", "link-path", "--k", "5",
+                     "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["objective"] == 10.0
+
     @pytest.mark.parametrize("formulation, flags, balance_row", [
         ("node-link", (), "conservation[u1]"),
         ("node-link", ("--single-homing",), "conservation[s1,u1]"),
@@ -221,6 +243,8 @@ class TestSolveCommand:
         ("solve", ["--mode", "uncapacitated"], {"b1": math.nan}),
         ("solve", ["--single-homing"], {"b1": 1.0}),  # fixed costs, capacitated
         ("oracle", [], {"b1": 1.0}),
+        ("solve", ["--k", "4"], None),  # node-link takes no --k
+        ("solve", ["--formulation", "node-link", "--k", "2"], None),
     ])
     def test_invalid_arguments_exit(self, t1_path, tmp_path, command, flags,
                                     costs):

@@ -15,8 +15,9 @@ from mlgdesign import (Channel, DecompositionError, DesignProblem, InfeasibleErr
                        formulate_node_link, solve_capacitated, solve_uncapacitated)
 from mlgdesign.design import (CandidatePath, _add_hops, _channel_cost,
                               _decompose_node_link, all_candidate_paths)
+from mlgdesign.lp import simplex_solve
 from mlgdesign.mlg import cheapest_path, distances_to
-from helpers import big_problem, random_problem, t1_problem
+from helpers import big_problem, random_problem, scaled_big_problem, t1_problem
 
 
 def commodity(instance, cid):
@@ -421,6 +422,60 @@ class TestSolveCapacitated:
         assert check_conservation(t1_instance.graph, sol.flow_assignment,
                                   t1_instance.commodities).ok
         assert check_capacities(t1_instance.graph, sol.flow_assignment).ok
+
+
+class TestPricedLinkPath:
+    COSTS = (0.1, 0.2, 0.3, 0.5, 1.0, 2.5)
+
+    @classmethod
+    def instances(cls, redraw):
+        """The acceptance corpus and ``big_problem`` seeds 1-5 at 0.5x and
+        1x, with channel costs as drawn or redrawn from ``COSTS``."""
+        problems = [(random.Random(seed), random_problem(random.Random(seed)))
+                    for seed in range(9000, 9100)]
+        problems += [(random.Random(seed), scaled_big_problem(seed, scale))
+                     for seed in range(1, 6) for scale in (0.5, 1)]
+        for rng, problem in problems:
+            if redraw:
+                problem.channels = [dataclasses.replace(ch, cost=rng.choice(cls.COSTS))
+                                    for ch in problem.channels]
+            yield build_redundant_mlg(problem)
+
+    @pytest.mark.parametrize("redraw", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 4, 8])
+    def test_same_optimum_as_full_pools(self, k, redraw):
+        """Pools grown by the duals reach the optimum of the LP over every
+        server's first k paths, within 1e-9 relative, or both are
+        infeasible.  Every column priced in is one of those paths."""
+        for instance in self.instances(redraw):
+            paths = {c.id: enumerate_candidate_paths(instance, c, k)
+                     for c in instance.commodities}
+            full = simplex_solve(formulate_link_path(instance, paths).lp)
+            try:
+                form, priced = design._price_link_path(instance, k)
+            except InfeasibleError:
+                assert full.status == "Infeasible"
+                continue
+            assert full.status == "Optimal"
+            assert priced.objective == pytest.approx(full.objective, rel=1e-9)
+            for j, meta in form.meta.items():
+                assert meta[2] in paths[meta[1]]
+
+    def test_final_lp_small_at_2x(self, monkeypatch):
+        """At ``big_problem(seed=1)`` 2x the last LP solved has at most 600
+        columns; over every server's first 4 paths it has 1,591."""
+        sizes = []
+        solve = design.simplex_solve
+
+        def counted(lp, *args, **kwargs):
+            sizes.append(len(lp.variables))
+            return solve(lp, *args, **kwargs)
+
+        monkeypatch.setattr(design, "simplex_solve", counted)
+        instance = build_redundant_mlg(scaled_big_problem(1, 2))
+        sol = solve_capacitated(instance, formulation="link-path", k=4)
+        assert sol.objective == pytest.approx(249.0, abs=1e-6)
+        assert sizes and max(sizes) <= 600
 
 
 class TestSolveUncapacitated:

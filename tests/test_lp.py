@@ -63,6 +63,37 @@ def assert_matches_highs(sol, ref):
         assert sol.objective == pytest.approx(ref.fun, abs=1e-7)
 
 
+def highs(lp):
+    """``linprog`` (HiGHS) on a ``LinearProgram`` as posed."""
+    n = len(lp.variables)
+    a_ub, b_ub, a_eq, b_eq = [], [], [], []
+    for con in lp.constraints:
+        row = [con.coeffs.get(j, 0.0) for j in range(n)]
+        if con.relation == "=":
+            a_eq.append(row)
+            b_eq.append(con.rhs)
+        else:
+            sign = -1.0 if con.relation == ">=" else 1.0
+            a_ub.append([sign * v for v in row])
+            b_ub.append(sign * con.rhs)
+    return linprog([lp.objective.get(j, 0.0) for j in range(n)],
+                   A_ub=a_ub or None, b_ub=b_ub or None,
+                   A_eq=a_eq or None, b_eq=b_eq or None,
+                   bounds=[(0, v.upper) for v in lp.variables], method="highs")
+
+
+def covering_program(rng, n=30, m=12):
+    """Binary-bounded columns covering ``m`` random >= rows."""
+    lp = LinearProgram()
+    for j in range(n):
+        lp.add_var(f"y{j}", upper=1.0)
+    lp.set_objective({j: float(rng.randint(1, 9)) for j in range(n)})
+    for i in range(m):
+        lp.add_constraint({j: float(rng.randint(0, 4)) for j in range(n)}, ">=",
+                          float(rng.randint(5, 15)), name=f"cover{i}")
+    return lp
+
+
 class TestSimplex:
     def test_single_binding_constraint(self):
         sol = simplex_solve(single_var_lp())
@@ -214,14 +245,7 @@ class TestSimplex:
     def test_warm_resolve_takes_fewer_pivots(self):
         """Both children of a fractional column: re-solved from the
         parent's basis, each takes fewer pivots than solved cold."""
-        rng = random.Random(7)
-        lp = LinearProgram()
-        for j in range(30):
-            lp.add_var(f"y{j}", upper=1.0)
-        lp.set_objective({j: float(rng.randint(1, 9)) for j in range(30)})
-        for i in range(12):
-            lp.add_constraint({j: float(rng.randint(0, 4)) for j in range(30)}, ">=",
-                              float(rng.randint(5, 15)), name=f"cover{i}")
+        lp = covering_program(random.Random(7))
         root = simplex_solve(lp)
         j = next(j for j, v in enumerate(root.values) if 1e-6 < v < 1 - 1e-6)
         for side in (0, 1):
@@ -232,6 +256,99 @@ class TestSimplex:
             assert warm.status == cold.status == "Optimal"
             assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
             assert warm.iterations < cold.iterations
+
+
+class TestDuals:
+    @pytest.mark.parametrize("seed", range(80))
+    def test_duals_certify_the_optimum(self, seed):
+        """On seeded programs with =, <= and >= rows and upper bounds,
+        the duals of the rows as posed are dual feasible and
+        complementary to the optimum within 1e-7, and price it at the
+        ``linprog`` (HiGHS) objective."""
+        rng = random.Random(900 + seed)
+        sol = None
+        while sol is None or sol.status != "Optimal":
+            lp, ref_args = random_program(rng, bounded=True)
+            sol = simplex_solve(lp)
+        n = len(lp.variables)
+        a = np.array([[con.coeffs.get(j, 0.0) for j in range(n)] for con in lp.constraints])
+        b = np.array([con.rhs for con in lp.constraints])
+        relation = [con.relation for con in lp.constraints]
+        c = np.array([lp.objective.get(j, 0.0) for j in range(n)])
+        y, x, upper = sol.duals, sol.values, lp.bounds()[1]
+        assert y.shape == (len(lp.constraints),)
+        for i, rel in enumerate(relation):
+            if rel == "<=":
+                assert y[i] <= 1e-7
+            elif rel == ">=":
+                assert y[i] >= -1e-7
+            assert y[i] * (a[i] @ x - b[i]) == pytest.approx(0.0, abs=1e-7)
+        red = c - y @ a
+        assert red == pytest.approx(sol.reduced_costs, abs=1e-7)
+        for j in range(n):
+            if x[j] < upper[j] - 1e-7:  # off its upper bound: may not gain by rising
+                assert red[j] >= -1e-7
+            if x[j] > 1e-7:  # off zero: may not gain by falling
+                assert red[j] <= 1e-7
+        finite = np.isfinite(upper)
+        dual_objective = b @ y + upper[finite] @ np.minimum(red[finite], 0.0)
+        ref = linprog(**ref_args, method="highs")
+        assert dual_objective == pytest.approx(ref.fun, abs=1e-7)
+        assert sol.objective == pytest.approx(ref.fun, abs=1e-7)
+
+
+class TestAppendedRestart:
+    def test_appended_column_and_row_fewer_pivots(self):
+        """A column priced below zero by the duals and a row over it and
+        old columns that cuts off the old optimum, appended to a solved
+        program: re-solved from the old basis, the grown program reaches
+        its cold optimum (and HiGHS's) in fewer pivots."""
+        lp = covering_program(random.Random(7))
+        sol = simplex_solve(lp)
+        rows = {i: 3.0 for i in range(len(lp.constraints))}
+        price = sum(sol.duals[i] * v for i, v in rows.items())
+        j = lp.add_var("new", upper=1.0)
+        lp.objective[j] = price - 2.0  # reduced cost -2
+        for i, v in rows.items():
+            lp.constraints[i].coeffs[j] = v
+        used = [i for i in range(j) if sol.values[i] > 1e-6][:3]
+        lp.add_constraint({**dict.fromkeys(used, 1.0), j: 1.0}, "<=",
+                          sum(sol.values[used]) - 0.5, name="joint")
+        warm = simplex_solve(lp, start=sol.basis)
+        cold = simplex_solve(lp)
+        assert warm.status == cold.status == "Optimal"
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+        assert warm.objective == pytest.approx(highs(lp).fun, abs=1e-7)
+        assert warm.objective < sol.objective - 1e-9
+        assert warm.iterations < cold.iterations
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_continues_from_infeasible_basis(self, seed):
+        """An infeasible program keeps its final basis; columns that
+        can move every row either way, appended with a high cost, make
+        it feasible, and the solve continues from that basis to the
+        ``linprog`` optimum of the grown program."""
+        rng = random.Random(1300 + seed)
+        sol = None
+        while sol is None or sol.status != "Infeasible" or sol.basis is None:
+            lp, _ = random_program(rng, bounded=True)
+            sol = simplex_solve(lp)
+        m = len(lp.constraints)
+        for i in range(m):
+            for sign in (1.0, -1.0):
+                j = lp.add_var(f"fix{i}{sign:+.0f}")
+                lp.objective[j] = 50.0
+                lp.constraints[i].coeffs[j] = sign
+        grown = simplex_solve(lp, start=sol.basis)
+        assert_matches_highs(grown, highs(lp))
+        assert grown.status == "Optimal"
+
+    def test_start_from_a_larger_program_rejected(self):
+        lp = covering_program(random.Random(7))
+        big = simplex_solve(lp)
+        small = covering_program(random.Random(7), m=11)
+        with pytest.raises(ValueError, match="start basis"):
+            simplex_solve(small, start=big.basis)
 
 
 class TestBranchAndBound:
