@@ -31,7 +31,8 @@ from .builder import BuiltInstance
 from .errors import DecompositionError, InfeasibleError, LimitsExceeded
 from .flows import CONSERVATION_TOL, Commodity, FlowAssignment
 from .lp import LinearProgram, branch_and_bound, simplex_solve
-from .mlg import IntraEdge, MultiLayerGraph, NodeRef, cheapest_path, distances_to
+from .mlg import (IntraEdge, MultiLayerGraph, NodeRef, cheapest_path, cheapest_paths_from,
+                  distances_to)
 
 FLOW_EPS = 1e-9
 
@@ -67,18 +68,20 @@ _channel_cost = attrgetter("cost")
 _Adjacency = Mapping[str, Mapping[str, IntraEdge]]  # node -> neighbour -> channel
 
 
-def _k_shortest_paths(graph: MultiLayerGraph, src: str, dst: str,
-                      to_dst: dict[str, float], adj: _Adjacency,
-                      ranked: dict[str, list[tuple[float, str]]]):
-    """Yen's cheapest simple paths (Yen, 1971), yielded as (cost, nodes)
-    in (cost, nodes) order, with Lawler's rule, lazy spurs and spurs
-    read off the exact distance map ``to_dst``.  A caller takes the first
-    k; nothing past the last path taken is searched.
+def _k_shortest_paths(graph: MultiLayerGraph, first: tuple[float, tuple[str, ...]],
+                      ranked: _Ranking):
+    """Yen's cheapest simple paths (Yen, 1971) from ``first[1][0]`` to
+    ``ranked.dst``, yielded as (cost, nodes) in (cost, nodes) order,
+    with Lawler's rule, lazy spurs and spurs read off the exact distance
+    map ``ranked.to_dst``.  ``first`` is the cheapest such path as
+    :func:`mlgdesign.mlg.cheapest_path` returns it.  A caller takes the
+    first k; nothing past the last path taken is searched, and nothing
+    of ``ranked`` is read before the first spur.
 
-    ``adj`` is layer 1's adjacency index; ``ranked[x]`` lists x's
-    neighbours v by (hop cost + ``to_dst[v]``, v).  A path costs the
-    left-to-right sum of its hops, as :func:`_add_hops` adds them: the
-    root's sum, then each spur hop in turn.
+    ``ranked[x]`` lists x's neighbours v by (hop cost + ``to_dst[v]``,
+    v).  A path costs the left-to-right sum of its hops, as
+    :func:`_add_hops` adds them: the root's sum, then each spur hop in
+    turn.
 
     The list is exactly Yen's:
 
@@ -88,7 +91,9 @@ def _k_shortest_paths(graph: MultiLayerGraph, src: str, dst: str,
       not found yet, so no path is queued twice.  A path that left its
       parent at index d is spurred from indices >= d only: a root before
       d has the same bans as when the parent was spurred, so its spur
-      could only repeat a path already found or queued.
+      could only repeat a path already found or queued.  The first path
+      left its (empty) parent at index 0; the partition holds for any
+      cheapest first path.
     - **Lazy spurs.**  A root enters the queue with a lower bound: its
       cost plus the least hop cost + ``to_dst`` over its allowed first
       hops.  Its spur is searched only when that bound reaches the top
@@ -106,12 +111,10 @@ def _k_shortest_paths(graph: MultiLayerGraph, src: str, dst: str,
       ``cheapest_path`` searches the spur, guided by ``to_dst``; bans
       only lengthen paths, so the map stays a consistent potential.
     """
-    if not ranked.get(src):
-        return
-    bound, first_hop = ranked[src][0]
+    adj, dst = graph.adjacency(1), ranked.dst
     # (bound, 0, root, root cost, bans, first hop) stands for an unsearched
     # spur; (cost, 1, path, root cost, bans, root index) for a found one
-    queue = [(bound, 0, (src,), 0.0, frozenset(), first_hop)]
+    queue = [(first[0], 1, first[1], 0.0, frozenset(), 0)]
     while queue:
         cost, is_path, nodes, root_cost, bans, extra = heapq.heappop(queue)
         if not is_path:
@@ -120,7 +123,7 @@ def _k_shortest_paths(graph: MultiLayerGraph, src: str, dst: str,
                 x = nodes[-1]
                 searched = cheapest_path(graph, 1, [x], {dst}, _channel_cost,
                                          frozenset(nodes[:-1]), {(x, b) for b in bans},
-                                         to_dst)
+                                         ranked.to_dst)
                 if searched is None:
                     continue
                 spur = searched[1]
@@ -142,8 +145,30 @@ def _k_shortest_paths(graph: MultiLayerGraph, src: str, dst: str,
             root_cost += adj[x][nxt].cost
 
 
+class _Ranking(dict):
+    """Layer-1 node x -> x's neighbours v ranked by (hop cost +
+    ``to_dst[v]``, v), where ``to_dst`` is the exact distance map to
+    ``dst`` (one reverse Dijkstra, :func:`mlgdesign.mlg.distances_to`).
+    The map is built on the first read, and each node's list on its own
+    first read, so a subscriber none of whose pools grows costs neither.
+    """
+
+    def __init__(self, graph: MultiLayerGraph, dst: str):
+        super().__init__()
+        self.graph, self.dst = graph, dst
+        self.to_dst: Optional[dict[str, float]] = None
+
+    def __missing__(self, x: str) -> list[tuple[float, str]]:
+        if self.to_dst is None:
+            self.to_dst = distances_to(self.graph, 1, self.dst, _channel_cost)
+        to_dst = self.to_dst
+        ranked = self[x] = sorted((edge.cost + to_dst[v], v)
+                                  for v, edge in self.graph.adjacency(1)[x].items())
+        return ranked
+
+
 def _read_spur(root: tuple[str, ...], first_hop: str, dst: str,
-               ranked: dict[str, list[tuple[float, str]]]) -> Optional[tuple[str, ...]]:
+               ranked: _Ranking) -> Optional[tuple[str, ...]]:
     """The root's last node, ``first_hop``, then each node's smallest-id
     tight successor down to ``dst``; None if that meets the root or
     itself."""
@@ -187,35 +212,44 @@ def enumerate_candidate_paths(instance: BuiltInstance, commodity: Commodity,
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    out = [p for paths in _paths_by_server(instance, commodity).values()
+    trees = _server_trees(instance)
+    out = [p for paths in _paths_by_server(instance, commodity, trees).values()
            for p in itertools.islice(paths, k)]
     out.sort(key=lambda p: (p.cost, p.nodes))
     return out
 
 
-def _paths_by_server(instance: BuiltInstance, commodity: Commodity):
-    """Per server, an iterator over its Yen paths to the commodity's
-    subscriber as :class:`CandidatePath`, in (cost, nodes) order.
+def _server_trees(instance: BuiltInstance) -> dict[str, dict[str, tuple]]:
+    """Per server, its cheapest layer-1 path to every node it reaches
+    (:func:`mlgdesign.mlg.cheapest_paths_from`): the first path of each
+    of its pools, for every commodity at once."""
+    return {server: cheapest_paths_from(instance.graph, 1, server, _channel_cost)
+            for server in instance.server_ids()}
 
-    One reverse Dijkstra from the subscriber gives the exact distance
-    map; each node's neighbours ranked by hop cost plus that distance
-    then bound every spur and give the tight paths that
-    :func:`_k_shortest_paths` reads off without a search.  Layer 1's
-    adjacency index gives each path's cost and channel names; only the
-    distance map and the ranking are built per commodity.
+
+def _paths_by_server(instance: BuiltInstance, commodity: Commodity,
+                     trees: dict[str, dict[str, tuple]]):
+    """Per server that reaches the commodity's subscriber, an iterator
+    over its Yen paths there as :class:`CandidatePath`, in (cost, nodes)
+    order.
+
+    The first path comes from the server's tree in ``trees`` (see
+    :func:`_server_trees`).  The servers share one :class:`_Ranking` of
+    the subscriber, which is built only when some server's iterator is
+    asked for a second path.  Layer 1's adjacency index gives each
+    path's cost and channel names.
     """
     subscriber = commodity.sink.id
-    to_subscriber = distances_to(instance.graph, 1, subscriber, _channel_cost)
     adj = instance.graph.adjacency(1)
-    ranked = {a: sorted((edge.cost + to_subscriber[b], b) for b, edge in adj[a].items())
-              for a in to_subscriber}
+    ranked = _Ranking(instance.graph, subscriber)
 
     def paths(server):
-        for cost, nodes in _k_shortest_paths(instance.graph, server, subscriber,
-                                             to_subscriber, adj, ranked):
+        for cost, nodes in _k_shortest_paths(instance.graph, trees[server][subscriber],
+                                             ranked):
             yield _candidate(server, nodes, cost, adj)
 
-    return {server: paths(server) for server in instance.server_ids()}
+    return {server: paths(server) for server in instance.server_ids()
+            if subscriber in trees[server]}
 
 
 def all_candidate_paths(instance: BuiltInstance,
@@ -583,11 +617,14 @@ def _price_link_path(instance: BuiltInstance, k: int):
     optimal solution).  Raises ``InfeasibleError`` when the full LP is
     infeasible.
 
-    Each pool starts with its first path.  A path outside the pool of
-    (c, s) enters ``demand[c]``, ``productivity[s]`` and ``capacity``
-    rows.  A ``capacity`` row's dual is <= 0, so the path's reduced cost
-    is at least its cost less ``sigma_c + rho_s``, the duals of the
-    first two.  Yen yields paths by nondecreasing cost, so after each
+    Each pool starts with its first path, read off its server's
+    cheapest-path tree; one tree per server serves every commodity, and
+    a subscriber's distance map is built only when one of its pools
+    takes a second path (see :func:`_paths_by_server`).  A path outside
+    the pool of (c, s) enters ``demand[c]``, ``productivity[s]`` and
+    ``capacity`` rows.  A ``capacity`` row's dual is <= 0, so the path's
+    reduced cost is at least its cost less ``sigma_c + rho_s``, the
+    duals of the first two.  Yen yields paths by nondecreasing cost, so after each
     optimal solve a pool with fewer than k paths takes next paths while
     its last costs less than ``sigma_c + rho_s - 1e-9``.  The new paths
     are appended as columns, with a ``capacity`` row for each channel
@@ -604,16 +641,17 @@ def _price_link_path(instance: BuiltInstance, k: int):
         raise ValueError("k must be >= 1")
     productivity = {s: instance.graph.find_inter(instance.service_node, NodeRef(2, s)).capacity
                     for s in instance.server_ids()}
+    trees = _server_trees(instance)
     pools: dict[tuple[str, str], tuple[list[CandidatePath], Iterator[CandidatePath]]] = {}
     initial: dict[str, list[CandidatePath]] = {}
     for c in instance.commodities:
         mine = []
-        for server, paths in _paths_by_server(instance, c).items():
-            pools[c.id, server] = (list(itertools.islice(paths, 1)), paths)
+        for server, paths in _paths_by_server(instance, c, trees).items():
+            pools[c.id, server] = ([next(paths)], paths)
             mine.append(pools[c.id, server])
         carry = sum(min(productivity[pool[0].server],
                         *(instance.channel_edges[ch].capacity for ch in pool[0].channels))
-                    for pool, _ in mine if pool)
+                    for pool, _ in mine)
         if carry < c.demand:
             for pool, paths in mine:
                 _grow(pool, paths, k, math.inf)
@@ -623,18 +661,22 @@ def _price_link_path(instance: BuiltInstance, k: int):
     form = formulate_link_path(instance, initial)
     lp = form.lp
     rows = {con.name: i for i, con in enumerate(lp.constraints)}
+    demand_rows = {cid: rows[f"demand[{cid}]"] for cid in initial}
+    productivity_rows = {s: rows[f"productivity[{s}]"] for s in productivity
+                         if f"productivity[{s}]" in rows}
     count = {cid: len(paths) for cid, paths in initial.items()}
     sol = simplex_solve(lp)
     completed = False
     while sol.status == "Optimal" or not completed:
         completed = completed or sol.status != "Optimal"
+        sigma, rho = dict.fromkeys(demand_rows, math.inf), {}
+        if sol.status == "Optimal":
+            duals = sol.duals.tolist()
+            sigma = {cid: duals[i] for cid, i in demand_rows.items()}
+            rho = {s: duals[i] for s, i in productivity_rows.items()}
         new = []
         for (cid, server), (pool, paths) in pools.items():
-            limit = math.inf
-            if sol.status == "Optimal":
-                row = rows.get(f"productivity[{server}]")
-                limit = (sol.duals[rows[f"demand[{cid}]"]]
-                         + (0.0 if row is None else sol.duals[row]) - 1e-9)
+            limit = sigma[cid] + rho.get(server, 0.0) - 1e-9
             new += [(cid, p) for p in _grow(pool, paths, k, limit)]
         if not new:
             break
@@ -673,7 +715,7 @@ def _grow(pool: list[CandidatePath], paths: Iterator[CandidatePath], k: int,
     """Take next paths into ``pool`` while it holds fewer than k and its
     last costs less than ``limit``; returns those taken."""
     taken = []
-    while pool and len(pool) < k and pool[-1].cost < limit:
+    while len(pool) < k and pool[-1].cost < limit:
         path = next(paths, None)
         if path is None:
             break

@@ -94,25 +94,26 @@ class LinearProgram:
         upper = [math.inf if v.upper is None else v.upper for v in self.variables]
         return np.zeros(len(upper)), np.array(upper, dtype=float)
 
-    def _check_finite(self):
-        values = list(self.objective.values())
-        for con in self.constraints:
-            values.extend(con.coeffs.values())
-            values.append(con.rhs)
-        for v in values:
-            if not math.isfinite(v):
-                raise MalformedProgram("NaN or infinite coefficient in program")
-
 
 class _StandardForm:
     """An LP's rows over its columns, then one logical column per row
     (B = I): a ``<=`` row's slack in [0, inf), a ``>=`` row negated into
     ``<=`` form (``sign`` -1) with the same slack, and an ``=`` row's
     logical fixed at [0, 0].  Shared by every solve restarted from one
-    of its bases, and never mutated."""
+    of its bases, and never mutated.
 
-    def __init__(self, lp: LinearProgram):
+    ``base``, if given, is the form of this program before columns and
+    rows were appended.  Its blocks are copied, and only what is new is
+    read from ``lp``: the new rows, the old rows' coefficients in new
+    columns and the new columns' costs.  Raises ``ValueError`` when
+    ``lp`` is smaller than ``base``'s program, and ``MalformedProgram``
+    when a number read is NaN or infinite."""
+
+    def __init__(self, lp: LinearProgram, base: Optional[_StandardForm] = None):
         n, m = len(lp.variables), len(lp.constraints)
+        n0, m0 = (0, 0) if base is None else (base.n, base.m)
+        if n0 > n or m0 > m:
+            raise ValueError("a start basis must come from this program or a part of it")
         self.m, self.n, self.total = m, n, n + m
         self.row_names = [con.name for con in lp.constraints]
         self.var_names = [v.name for v in lp.variables]
@@ -120,17 +121,30 @@ class _StandardForm:
         self.b = np.zeros(m)
         self.sign = np.ones(m)
         self.logical_upper = np.full(m, np.inf)
-        for i, con in enumerate(lp.constraints):
+        self.cost = np.zeros(n + m)
+        if base is not None:
+            self.A[:m0, :n0] = base.A[:, :n0]
+            self.b[:m0], self.sign[:m0] = base.b, base.sign
+            self.logical_upper[:m0] = base.logical_upper
+            self.cost[:n0] = base.cost[:n0]
+        for i, (con, sign) in enumerate(zip(lp.constraints, self.sign[:m0].tolist())):
+            for j, c in con.coeffs.items():
+                if j >= n0:
+                    self.A[i, j] = sign * c
+        for i, con in enumerate(lp.constraints[m0:], m0):
             sign = self.sign[i] = -1.0 if con.relation == ">=" else 1.0
             for j, c in con.coeffs.items():
                 self.A[i, j] = sign * c
             self.b[i] = sign * con.rhs
             if con.relation == "=":
                 self.logical_upper[i] = 0.0
-        self.A[range(m), range(n, n + m)] = 1.0
-        self.cost = np.zeros(n + m)
         for j, c in lp.objective.items():
-            self.cost[j] = c
+            if j >= n0:
+                self.cost[j] = c
+        new = (self.A[:m0, n0:n], self.A[m0:, :n], self.b[m0:], self.cost[n0:n])
+        if not all(np.isfinite(block).all() for block in new):
+            raise MalformedProgram("NaN or infinite coefficient in program")
+        self.A[range(m), range(n, n + m)] = 1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,8 +169,6 @@ class Basis:
         new rows over the old basic columns, the inverse of
         [[B, 0], [R, I]] is [[B^-1, 0], [-R B^-1, I]]."""
         old = self.form
-        if old.n > form.n or old.m > form.m:
-            raise ValueError("a start basis must come from this program or a part of it")
         grown = form.n - old.n
         remap = np.where(self.columns < old.n, self.columns, self.columns + grown)
         columns = np.concatenate([remap, np.arange(form.n + old.m, form.total)])
@@ -410,8 +422,9 @@ def simplex_solve(lp: LinearProgram, lower: Optional[np.ndarray] = None,
     optimal or infeasible, and the solve restarts from it.  Columns and
     rows may have been appended to the program since: old rows may gain
     coefficients in new columns, and nothing else of them may change.
-    The basis is then extended by :meth:`Basis.extended`, with no
-    refactorization.  The dual simplex runs on the costs shifted to make
+    The standard form is then grown from the basis's (only the new
+    numbers are read and checked), and the basis is extended by
+    :meth:`Basis.extended`, with no refactorization.  The dual simplex runs on the costs shifted to make
     its start dual feasible (see ``_Tableau.dual_run``); the primal
     simplex then restores the true costs.
 
@@ -431,12 +444,11 @@ def simplex_solve(lp: LinearProgram, lower: Optional[np.ndarray] = None,
     if crossed.size:
         return LpSolution(status="Infeasible", certificate=[
             f"bound[{lp.variables[j].name}]" for j in crossed])
-    if start is None or (start.form.n, start.form.m) != (len(lp.variables),
-                                                         len(lp.constraints)):
-        lp._check_finite()
+    if start is None:
         form = _StandardForm(lp)
-        if start is not None:
-            start = start.extended(form)
+    elif (start.form.n, start.form.m) != (len(lp.variables), len(lp.constraints)):
+        form = _StandardForm(lp, start.form)
+        start = start.extended(form)
     else:
         form = start.form
     tab = _Tableau(form, lower, upper, start)

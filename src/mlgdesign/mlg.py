@@ -9,7 +9,8 @@ connected components, :func:`realization_path` computes the witnessing
 path.  :func:`cheapest_path` is the one simple-path search over a
 layer's adjacency index, optionally guided by a potential such as the
 exact distance map of :func:`distances_to`; realization and the design
-solver's candidate paths both use it.
+solver's candidate paths both use it.  :func:`cheapest_paths_from` is
+the same search from one start, settling every node it reaches.
 """
 
 from __future__ import annotations
@@ -312,6 +313,35 @@ def cheapest_path(graph: MultiLayerGraph, layer: int, starts: Iterable[str],
                 step = cost + weight(edge)
                 heapq.heappush(heap, (step + left, path + (nbr,), step))
     return None
+
+
+def cheapest_paths_from(graph: MultiLayerGraph, layer: int, start: str,
+                        weight: Callable[[IntraEdge], float]
+                        ) -> dict[str, tuple[float, tuple[str, ...]]]:
+    """Cheapest path from ``start`` to every node of one layer it reaches:
+    node -> ``(cost, nodes)``, costs summed left to right.
+
+    This is :func:`cheapest_path`'s heap loop without a goal or a
+    potential: entries keyed by (cost, node-id sequence) pop in the same
+    order, so for every goal the path is exactly the one
+    ``cheapest_path(graph, layer, [start], {goal}, weight)`` returns,
+    with inexact costs too.  A key never falls below its parent's, so a
+    node's first pop settles it and no entry is pushed toward a settled
+    node.
+    """
+    adj = graph.adjacency(layer)
+    heap = [(0.0, (start,))]
+    best: dict[str, tuple[float, tuple[str, ...]]] = {}
+    while heap:
+        cost, path = heapq.heappop(heap)
+        node = path[-1]
+        if node in best:
+            continue
+        best[node] = cost, path
+        for nbr, edge in adj[node].items():
+            if nbr not in best:
+                heapq.heappush(heap, (cost + weight(edge), path + (nbr,)))
+    return best
 
 
 def distances_to(graph: MultiLayerGraph, layer: int, goal: str,

@@ -16,7 +16,7 @@ from mlgdesign import (Channel, DecompositionError, DesignProblem, InfeasibleErr
 from mlgdesign.design import (CandidatePath, _add_hops, _channel_cost,
                               _decompose_node_link, all_candidate_paths)
 from mlgdesign.lp import simplex_solve
-from mlgdesign.mlg import cheapest_path, distances_to
+from mlgdesign.mlg import cheapest_path, cheapest_paths_from, distances_to
 from helpers import big_problem, random_problem, scaled_big_problem, t1_problem
 
 
@@ -158,22 +158,22 @@ class TestCandidatePaths:
         return instance, instance.commodities[0]
 
     @staticmethod
-    def count_searches(monkeypatch):
+    def count_calls(monkeypatch, name):
+        """The arguments of every later call to ``design.<name>``."""
         calls = []
-        search = design.cheapest_path
+        original = getattr(design, name)
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return search(*args, **kwargs)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(design, "cheapest_path", counted)
+        monkeypatch.setattr(design, name, counted)
         return calls
 
     @pytest.mark.parametrize("channels", [
-        # a-b costs 0, so a's and b's smallest-id tight successors are
-        # each other: the first path's chain loops and is searched
-        [("c1", "s", "a", 1.0), ("c2", "a", "b", 0.0), ("c3", "a", "u", 1.0),
-         ("c4", "b", "u", 1.0)],
+        # a-b costs 0: with a-u banned, the spur from root s-a enters b,
+        # whose smallest-id tight successor is a, a node of the root
+        [("c1", "s", "a", 1.0), ("c2", "a", "b", 0.0), ("c3", "a", "u", 1.0)],
         # with x-u banned, the spur from root s-r-x leaves by w, whose
         # tight successor is x itself, a node of the root
         [("c1", "s", "r", 1.0), ("c2", "r", "x", 1.0), ("c3", "x", "u", 1.0),
@@ -186,23 +186,39 @@ class TestCandidatePaths:
         ids = sorted({end for _, a, b, _ in channels for end in (a, b)} - {"s", "u"})
         instance, c = self.one_subscriber(ids, channels)
         every = all_candidate_paths(instance, c)
-        calls = self.count_searches(monkeypatch)
+        calls = self.count_calls(monkeypatch, "cheapest_path")
         for k in (1, 2, 3, 4, 8):
             assert enumerate_candidate_paths(instance, c, k) == every[:k]
         assert calls
 
-    def test_positive_costs_k1_reads_map_only(self, monkeypatch):
-        """With positive costs the cheapest path per server is read off the
-        distance map: k = 1 makes no search, and k = 4 on the same
-        commodity does."""
+    def test_k1_builds_no_map(self, monkeypatch):
+        """The cheapest path per server comes from the server's cheapest-path
+        tree: k = 1 builds no distance map and makes no spur search, and
+        k = 4 on the same commodity does both."""
         instance = build_redundant_mlg(big_problem(seed=1))
-        calls = self.count_searches(monkeypatch)
+        calls = self.count_calls(monkeypatch, "cheapest_path")
+        maps = self.count_calls(monkeypatch, "distances_to")
         for c in instance.commodities:
             assert len(enumerate_candidate_paths(instance, c, 1)) == len(
                 instance.server_ids())
-        assert calls == []
+        assert calls == maps == []
         enumerate_candidate_paths(instance, instance.commodities[0], 4)
-        assert calls
+        assert calls and len(maps) == 1
+
+    def test_priced_link_path_builds_maps_only_for_growing_pools(self, monkeypatch):
+        """Capacitated link-path builds a subscriber's distance map only when
+        one of its pools takes a second path: none at k = 1, and at most
+        10 for the 40 commodities of ``big_problem(seed=1)`` at 2x with
+        k = 4."""
+        maps = self.count_calls(monkeypatch, "distances_to")
+        instance = build_redundant_mlg(big_problem(seed=1))
+        solve_capacitated(instance, formulation="link-path", k=1)
+        assert maps == []
+        instance = build_redundant_mlg(scaled_big_problem(1, 2))
+        assert len(instance.commodities) == 40
+        sol = solve_capacitated(instance, formulation="link-path", k=4)
+        assert sol.objective == pytest.approx(249.0, abs=1e-6)
+        assert 0 < len(maps) <= 10
 
     def test_costs_are_left_to_right_sums(self):
         """Every candidate costs the left-to-right sum of its channels,
@@ -291,6 +307,32 @@ class TestCheapestPath:
                              potential={"a": 0.0, "b": 0.0, "d": 0.0}) == (2.0, ("a", "b", "d"))
         assert cheapest_path(g, 1, ["a"], {"d"}, weight,
                              potential={"b": 0.0, "c": 0.0, "d": 0.0}) is None
+
+    @pytest.mark.parametrize("costs", [None, (0.0, 0.5, 1.0, 2.5), (0.1, 0.2, 0.3)])
+    def test_tree_matches_goal_search(self, costs):
+        """From every server to every layer-1 node, the settle-every-node
+        search returns exactly the path and cost of the goal search
+        without a potential: on the acceptance corpus with costs as
+        drawn, mixed with zero-cost channels, and with 0.1/0.2/0.3, whose
+        sums depend on the order they are added in."""
+        weight = _channel_cost
+        for seed in range(9000, 9100):
+            rng = random.Random(seed)
+            problem = random_problem(rng)
+            if costs is not None:
+                problem.channels = [dataclasses.replace(ch, cost=rng.choice(costs))
+                                    for ch in problem.channels]
+            instance = build_redundant_mlg(problem)
+            graph = instance.graph
+            adj = graph.adjacency(1)
+            for server in instance.server_ids():
+                tree = cheapest_paths_from(graph, 1, server, weight)
+                for goal in graph.nodes(1):
+                    assert tree.get(goal) == cheapest_path(graph, 1, [server], {goal},
+                                                           weight)
+                    if goal in tree:
+                        cost, nodes = tree[goal]
+                        assert cost == _add_hops(0.0, nodes, adj)
 
     def test_distances_to(self):
         g = self.diamond()

@@ -343,6 +343,57 @@ class TestAppendedRestart:
         assert_matches_highs(grown, highs(lp))
         assert grown.status == "Optimal"
 
+    @staticmethod
+    def append_columns_and_rows(lp, rng):
+        """Random columns with coefficients in some old rows, then random
+        rows over old and new columns."""
+        n, m = len(lp.variables), len(lp.constraints)
+        for j in range(n, n + rng.randint(0, 4)):
+            lp.add_var(f"new{j}", upper=rng.choice((None, 1.0)))
+            lp.objective[j] = float(rng.randint(-3, 6))
+            for i in rng.sample(range(m), rng.randint(0, m)):
+                lp.constraints[i].coeffs[j] = float(rng.randint(-3, 5))
+        for i in range(rng.randint(0, 3)):
+            cols = rng.sample(range(len(lp.variables)), 2)
+            lp.add_constraint({j: float(rng.randint(-3, 5)) for j in cols},
+                              rng.choice(["<=", ">=", "="]), float(rng.randint(-2, 9)),
+                              name=f"new_row{i}")
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_grown_form_equals_fresh_form(self, seed):
+        """The standard form grown from an earlier one equals the form built
+        cold, array for array, after columns and rows are
+        appended once and again; the matrix equals [sign * rows, I] read
+        entry by entry."""
+        rng = random.Random(1700 + seed)
+        lp, _ = random_program(rng, bounded=True)
+        form = lp_module._StandardForm(lp)
+        for _ in range(2):
+            self.append_columns_and_rows(lp, rng)
+            grown = lp_module._StandardForm(lp, form)
+            form = lp_module._StandardForm(lp)
+            n, m = len(lp.variables), len(lp.constraints)
+            dense = np.hstack([np.array([[(-1.0 if con.relation == ">=" else 1.0)
+                                          * con.coeffs.get(j, 0.0) for j in range(n)]
+                                         for con in lp.constraints]).reshape(m, n),
+                               np.eye(m)])
+            assert np.array_equal(form.A, dense)
+            for attr in ("A", "b", "sign", "logical_upper", "cost"):
+                assert np.array_equal(getattr(grown, attr), getattr(form, attr)), attr
+            for attr in ("m", "n", "total", "row_names", "var_names"):
+                assert getattr(grown, attr) == getattr(form, attr), attr
+
+    @pytest.mark.parametrize("where", ["old row", "new row", "objective"])
+    def test_nan_in_appended_column_rejected(self, where):
+        lp = covering_program(random.Random(7))
+        sol = simplex_solve(lp)
+        j = lp.add_var("new")
+        lp.objective[j] = math.nan if where == "objective" else 1.0
+        lp.constraints[0].coeffs[j] = math.nan if where == "old row" else 1.0
+        lp.add_constraint({j: math.nan if where == "new row" else 1.0}, "<=", 1.0)
+        with pytest.raises(MalformedProgram):
+            simplex_solve(lp, start=sol.basis)
+
     def test_start_from_a_larger_program_rejected(self):
         lp = covering_program(random.Random(7))
         big = simplex_solve(lp)
