@@ -14,6 +14,16 @@ to the commodity of the sink it ends at.  Single homing keeps one such
 flow per server: the commodities homed on a server share it as their
 one source, and each subscriber's ``y`` binaries say how much of its
 demand each server's flow delivers.
+
+Where a formulation knows a dual-feasible basis, its root LP starts
+there rather than at the logical basis: the dual simplex then only
+repairs the rows that basis leaves out of bounds.  Node-link without
+single homing starts from the servers' cheapest-path forest (see
+:func:`formulate_node_link`), priced link-path from each commodity's
+cheapest path (see :func:`_price_link_path`).  The model and its
+optimum are the same; only which of several equal-cost optima is
+returned can differ.  Single homing and the integer link-path roots
+start from the logical basis, whose optimum steers branch and bound.
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ import numpy as np
 from .builder import BuiltInstance
 from .errors import DecompositionError, InfeasibleError, LimitsExceeded
 from .flows import CONSERVATION_TOL, Commodity, FlowAssignment
-from .lp import LinearProgram, branch_and_bound, simplex_solve
+from .lp import Basis, LinearProgram, branch_and_bound, simplex_solve
 from .mlg import (IntraEdge, MultiLayerGraph, NodeRef, cheapest_path, cheapest_paths_from,
                   distances_to)
 
@@ -198,7 +208,8 @@ def _candidate(server: str, nodes: tuple[str, ...], cost: float,
 
 
 def enumerate_candidate_paths(instance: BuiltInstance, commodity: Commodity,
-                              k: int) -> list[CandidatePath]:
+                              k: int, trees: Optional[dict[str, dict[str, tuple]]] = None
+                              ) -> list[CandidatePath]:
     """Up to k loop-free cheapest layer-1 paths per server, merged and
     sorted by (cost, node sequence).  A path's cost is its left-to-right
     sum, as in :func:`all_candidate_paths`.
@@ -209,10 +220,14 @@ def enumerate_candidate_paths(instance: BuiltInstance, commodity: Commodity,
     costs equal in real arithmetic can round apart, so which of such
     tied paths make the first k can fall either way (see
     :func:`mlgdesign.mlg.cheapest_path`).
+
+    ``trees`` is :func:`_server_trees` of the instance, built here when
+    not given; a caller enumerating every commodity builds it once.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    trees = _server_trees(instance)
+    if trees is None:
+        trees = _server_trees(instance)
     out = [p for paths in _paths_by_server(instance, commodity, trees).values()
            for p in itertools.islice(paths, k)]
     out.sort(key=lambda p: (p.cost, p.nodes))
@@ -223,7 +238,7 @@ def _server_trees(instance: BuiltInstance) -> dict[str, dict[str, tuple]]:
     """Per server, its cheapest layer-1 path to every node it reaches
     (:func:`mlgdesign.mlg.cheapest_paths_from`): the first path of each
     of its pools, for every commodity at once."""
-    return {server: cheapest_paths_from(instance.graph, 1, server, _channel_cost)
+    return {server: cheapest_paths_from(instance.graph, 1, [server], _channel_cost)
             for server in instance.server_ids()}
 
 
@@ -297,6 +312,9 @@ class _Formulation:
     # a node-link group is its server under single homing, else None
     meta: dict[int, tuple] = field(default_factory=dict)
     channel_rows_vars: dict[str, list[int]] = field(default_factory=dict)
+    # row -> column of a dual-feasible start basis (lp.Basis.of); empty
+    # when the root LP starts from the logical basis
+    start: dict[int, int] = field(default_factory=dict)
 
 
 def formulate_link_path(instance: BuiltInstance,
@@ -354,6 +372,17 @@ def formulate_node_link(instance: BuiltInstance,
     carries ``-d_c * y[c,s]`` and a zero right-hand side, so ``y`` enters
     the balance directly and needs no ``homing`` row: S(2E+1) + KS
     columns, not K(2E+S) + KS.
+
+    Without single homing the root LP starts from the forest basis of
+    the servers' cheapest-path forest (:func:`mlgdesign.mlg.cheapest_paths_from`
+    from every server): each server's row has its injection, each node
+    the forest reaches the arc from its parent, every other row its
+    logical.  The duals are then the forest's distances d, so arc a->b
+    prices at cost + d(a) - d(b) >= 0: the start is dual feasible, and
+    the dual simplex only repairs the ``capacity`` and ``productivity``
+    rows (Ahuja, Magnanti & Orlin, 1993, ch. 11, on tree bases).
+    Columns and rows appended later keep their logicals and leave it
+    dual feasible when their costs are >= 0.
     """
     channels = sorted(instance.channel_edges)
     form = _Formulation(lp=LinearProgram(), read_routes=_decompose_node_link,
@@ -362,6 +391,7 @@ def formulate_node_link(instance: BuiltInstance,
     from_server: list[dict[str, list[int]]] = []
     y_rows: dict[tuple[str, str], dict[int, float]] = {}
     demand = {c.sink.id: c.demand for c in instance.commodities}
+    arcs: dict[tuple[str, str], int] = {}  # (from, to) -> column, in the last group
     for group in instance.server_ids() if single_homing else [None]:
         tag = f"{group}," if single_homing else ""
         balance: dict[str, dict[int, float]] = {n: {} for n in instance.graph.nodes(1)}
@@ -375,6 +405,7 @@ def formulate_node_link(instance: BuiltInstance,
                 form.channel_rows_vars[ch_id].append(j)
                 balance[to][j] = 1.0
                 balance[frm][j] = -1.0
+                arcs[frm, to] = j
         out: dict[str, list[int]] = {}
         for server in [group] if single_homing else instance.server_ids():
             j = form.lp.add_var(f"inj[{server}]")
@@ -386,9 +417,18 @@ def formulate_node_link(instance: BuiltInstance,
             y_rows.update(((c.id, group), balance[c.sink.id])
                           for c in instance.commodities)
         rhs = {} if single_homing else demand
-        balance_rows += [(row, "=", rhs.get(node, 0.0), f"conservation[{tag}{node}]")
-                         for node, row in balance.items() if row or node in demand]
+        kept = [node for node, row in balance.items() if row or node in demand]
+        balance_rows += [(balance[node], "=", rhs.get(node, 0.0),
+                          f"conservation[{tag}{node}]") for node in kept]
     _add_shared_rows(instance, form, balance_rows, from_server, single_homing, y_rows)
+    if not single_homing:
+        # one group, so no assign rows: its conservation rows come first,
+        # and ``out`` maps each server to its injection column
+        row = {node: i for i, node in enumerate(kept)}
+        form.start = {row[server]: cols[0] for server, cols in out.items()}
+        forest = cheapest_paths_from(instance.graph, 1, out, _channel_cost)
+        form.start.update((row[node], arcs[path[-2], node])
+                          for node, (_cost, path) in forest.items() if node not in out)
     return form
 
 
@@ -631,6 +671,11 @@ def _price_link_path(instance: BuiltInstance, k: int):
     new to the LP, and the LP is re-solved from its last basis.  When no
     pool grows, no path of the full LP has a negative reduced cost.
 
+    The first solve starts with each commodity's cheapest path basic in
+    its ``demand`` row, every other row on its logical.  Then sigma_c is
+    that path's cost and every other path of c prices at its cost less
+    sigma_c >= 0, so the start is dual feasible.
+
     A commodity whose first paths cannot carry its demand on their own
     (each carries at most its server's productivity and its least
     channel capacity) starts with complete pools.  If a solve is still
@@ -665,7 +710,11 @@ def _price_link_path(instance: BuiltInstance, k: int):
     productivity_rows = {s: rows[f"productivity[{s}]"] for s in productivity
                          if f"productivity[{s}]" in rows}
     count = {cid: len(paths) for cid, paths in initial.items()}
-    sol = simplex_solve(lp)
+    # a demand row's lowest column is its commodity's cheapest path, the
+    # first of ``initial[c]``, which is sorted by (cost, nodes)
+    sol = simplex_solve(lp, start=Basis.of(lp, {i: min(lp.constraints[i].coeffs)
+                                                 for i in demand_rows.values()
+                                                 if lp.constraints[i].coeffs}))
     completed = False
     while sol.status == "Optimal" or not completed:
         completed = completed or sol.status != "Optimal"
@@ -760,7 +809,8 @@ def _build_formulation(instance, formulation, k, single_homing) -> _Formulation:
     if formulation == "node-link":
         return formulate_node_link(instance, single_homing=single_homing)
     if formulation == "link-path":
-        paths = {c.id: enumerate_candidate_paths(instance, c, k)
+        trees = _server_trees(instance)
+        paths = {c.id: enumerate_candidate_paths(instance, c, k, trees=trees)
                  for c in instance.commodities}
         return formulate_link_path(instance, paths, single_homing=single_homing)
     raise ValueError(f"unknown formulation {formulation!r}")
@@ -770,8 +820,10 @@ def _solve(instance: BuiltInstance, form: _Formulation):
     """Root LP, branch and bound from that root when the LP has integer
     columns, then routes: (solution, root relaxation objective, routes).
     A root or search that ends other than optimal raises
-    ``InfeasibleError``."""
-    relax = simplex_solve(form.lp)
+    ``InfeasibleError``.  The root starts from ``form.start``, if the
+    formulation names one."""
+    start = Basis.of(form.lp, form.start) if form.start else None
+    relax = simplex_solve(form.lp, start=start)
     if relax.status != "Optimal":
         raise InfeasibleError(certificate=relax.certificate)
     sol = relax

@@ -16,7 +16,9 @@ column; the parent's optimal basis stays dual feasible, so each child
 is re-solved from it on the true costs.  A solve can also restart from
 a basis found before columns and rows were appended, as column
 generation does; an optimal solve returns the row duals that price
-such columns.  The search
+such columns.  A cold solve may start from a crash basis the caller
+names by its columns (:meth:`Basis.of`) in place of the logical one.
+The search
 takes the up branch first: in the design models a binary's up branch
 opens a channel or homes a subscriber, which tends to reach feasible
 integer points soon (Achterberg, Koch & Martin, *Oper. Res. Letters*
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -153,12 +155,58 @@ class Basis:
     column per row): the basic column of each row and the nonbasic
     columns that sit at their upper bound.  It also keeps the form and
     the basis inverse, so a solve can restart from it without building
-    the one or inverting the other again."""
+    the one or inverting the other again.  A solve returns its final
+    basis; :meth:`of` builds one from given columns."""
 
     columns: np.ndarray
     at_upper: np.ndarray
     form: _StandardForm = field(repr=False)
     inverse: np.ndarray = field(repr=False)
+
+    @classmethod
+    def of(cls, lp: LinearProgram, columns: Mapping[int, int]) -> Basis:
+        """The basis of ``lp`` in which row i has column ``columns[i]``
+        and every other row its logical, each nonbasic column at its
+        lower bound: a crash basis a formulation reads off its own
+        structure (Bixby, *ORSA J. Computing* 4, 1992).
+
+        The inverse is reached from B = I by one pivot per given column,
+        in the map's order, and a pivot updates only the rows where the
+        entering column's direction is nonzero.  When the columns form a
+        forest over node rows (a source column at each root, an arc into
+        each other node) and each comes after its parent's, every pivot
+        is +-1 and the inverse is exact.  Raises
+        ``ValueError`` for a row or column out of range, a column given
+        twice, a logical column, or a zero pivot (the columns are
+        dependent in that order)."""
+        form = _StandardForm(lp)
+        cols = np.fromiter(columns.values(), dtype=int, count=len(columns))
+        for row, col in columns.items():
+            if not 0 <= row < form.m or not 0 <= col < form.total:
+                raise ValueError(f"row {row} or column {col} is out of range")
+            if col >= form.n:
+                raise ValueError(f"column {col} is a logical column")
+        if len(set(cols.tolist())) < cols.size:
+            raise ValueError("a column is given twice")
+        # the given columns' nonzero entries, column after column
+        owner, entries = np.nonzero(form.A[:, cols].T)
+        values = form.A[entries, cols[owner]]
+        ends = np.searchsorted(owner, np.arange(cols.size + 1)).tolist()
+        basis = np.arange(form.n, form.total)
+        inverse = np.eye(form.m)
+        for k, (row, col) in enumerate(columns.items()):
+            part = slice(ends[k], ends[k + 1])
+            direction = inverse[:, entries[part]] @ values[part]
+            piv = direction[row]
+            if abs(piv) <= PIVOT_TOL:
+                raise ValueError(f"column {col} has a zero pivot in row {row}")
+            if piv != 1.0:
+                inverse[row] /= piv
+            direction[row] = 0.0
+            hit = direction.nonzero()[0]
+            inverse[hit] -= np.multiply.outer(direction[hit], inverse[row])
+            basis[row] = col
+        return cls(basis, np.zeros(form.total, dtype=bool), form, inverse)
 
     def extended(self, form: _StandardForm) -> Basis:
         """This basis in ``form``, the standard form of its program after
@@ -418,8 +466,9 @@ def simplex_solve(lp: LinearProgram, lower: Optional[np.ndarray] = None,
 
     Column ``j`` lies within ``[lower[j], upper[j]]``, by default
     ``lp.bounds()``.  Without ``start`` the solve begins at the logical
-    basis.  ``start`` is the basis of an earlier solve of this program,
-    optimal or infeasible, and the solve restarts from it.  Columns and
+    basis.  ``start`` is a basis of this program from :meth:`Basis.of`,
+    or the basis of an earlier solve of it, optimal or infeasible, and
+    the solve starts from it.  Columns and
     rows may have been appended to the program since: old rows may gain
     coefficients in new columns, and nothing else of them may change.
     The standard form is then grown from the basis's (only the new

@@ -10,7 +10,8 @@ path.  :func:`cheapest_path` is the one simple-path search over a
 layer's adjacency index, optionally guided by a potential such as the
 exact distance map of :func:`distances_to`; realization and the design
 solver's candidate paths both use it.  :func:`cheapest_paths_from` is
-the same search from one start, settling every node it reaches.
+the same search from one start or several, settling every node it
+reaches: a cheapest-path tree, or a forest rooted at the starts.
 """
 
 from __future__ import annotations
@@ -315,22 +316,26 @@ def cheapest_path(graph: MultiLayerGraph, layer: int, starts: Iterable[str],
     return None
 
 
-def cheapest_paths_from(graph: MultiLayerGraph, layer: int, start: str,
+def cheapest_paths_from(graph: MultiLayerGraph, layer: int, starts: Iterable[str],
                         weight: Callable[[IntraEdge], float]
                         ) -> dict[str, tuple[float, tuple[str, ...]]]:
-    """Cheapest path from ``start`` to every node of one layer it reaches:
-    node -> ``(cost, nodes)``, costs summed left to right.
+    """Cheapest path from any start to every node of one layer it
+    reaches: node -> ``(cost, nodes)``, costs summed left to right, in
+    the order the nodes are settled.  Each path's parent (its second
+    last node) is settled before it, so the paths form a forest rooted
+    at the starts.
 
     This is :func:`cheapest_path`'s heap loop without a goal or a
     potential: entries keyed by (cost, node-id sequence) pop in the same
     order, so for every goal the path is exactly the one
-    ``cheapest_path(graph, layer, [start], {goal}, weight)`` returns,
+    ``cheapest_path(graph, layer, starts, {goal}, weight)`` returns,
     with inexact costs too.  A key never falls below its parent's, so a
     node's first pop settles it and no entry is pushed toward a settled
-    node.
+    node.  A start that a zero-cost path from a smaller start reaches is
+    settled on that path.
     """
     adj = graph.adjacency(layer)
-    heap = [(0.0, (start,))]
+    heap = [(0.0, (s,)) for s in sorted(starts)]
     best: dict[str, tuple[float, tuple[str, ...]]] = {}
     while heap:
         cost, path = heapq.heappop(heap)

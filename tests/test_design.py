@@ -15,7 +15,7 @@ from mlgdesign import (Channel, DecompositionError, DesignProblem, InfeasibleErr
                        formulate_node_link, solve_capacitated, solve_uncapacitated)
 from mlgdesign.design import (CandidatePath, _add_hops, _channel_cost,
                               _decompose_node_link, all_candidate_paths)
-from mlgdesign.lp import simplex_solve
+from mlgdesign.lp import Basis, simplex_solve
 from mlgdesign.mlg import cheapest_path, cheapest_paths_from, distances_to
 from helpers import big_problem, random_problem, scaled_big_problem, t1_problem
 
@@ -220,6 +220,18 @@ class TestCandidatePaths:
         assert sol.objective == pytest.approx(249.0, abs=1e-6)
         assert 0 < len(maps) <= 10
 
+    def test_integer_link_path_builds_one_tree_per_server(self, monkeypatch):
+        """The link-path formulation of the integer modes builds one
+        cheapest-path tree per server and shares it among the commodities:
+        5 trees at ``big_problem(seed=1)``, where one set per commodity
+        made 100."""
+        trees = self.count_calls(monkeypatch, "cheapest_paths_from")
+        instance = build_redundant_mlg(big_problem(seed=1, slack=1))
+        for single_homing in (False, True):
+            trees.clear()
+            design._build_formulation(instance, "link-path", 4, single_homing)
+            assert [args[2] for args in trees] == [[s] for s in instance.server_ids()]
+
     def test_costs_are_left_to_right_sums(self):
         """Every candidate costs the left-to-right sum of its channels,
         as in the exhaustive enumeration, and the merged list is sorted
@@ -326,13 +338,48 @@ class TestCheapestPath:
             graph = instance.graph
             adj = graph.adjacency(1)
             for server in instance.server_ids():
-                tree = cheapest_paths_from(graph, 1, server, weight)
+                tree = cheapest_paths_from(graph, 1, [server], weight)
                 for goal in graph.nodes(1):
                     assert tree.get(goal) == cheapest_path(graph, 1, [server], {goal},
                                                            weight)
                     if goal in tree:
                         cost, nodes = tree[goal]
                         assert cost == _add_hops(0.0, nodes, adj)
+
+    @pytest.mark.parametrize("costs", [None, (0.0, 0.5, 1.0, 2.5), (0.1, 0.2, 0.3)])
+    def test_forest_merges_server_trees(self, costs):
+        """From every server at once the search returns, per node, the
+        goal search's path from all servers, and settles each path's
+        parent before it.  When costs add exactly (as drawn, and mixed
+        with zero-cost channels) that is the least (cost, nodes) over the
+        single-server trees.  With 0.1/0.2/0.3 equal sums can round
+        apart, so there only the costs agree, to rounding.  On the
+        acceptance corpus and ``big_problem`` seeds 1-3 (5 servers)."""
+        weight = _channel_cost
+        problems = [(random.Random(seed), random_problem(random.Random(seed)))
+                    for seed in range(9000, 9100)]
+        problems += [(random.Random(seed), big_problem(seed)) for seed in range(1, 4)]
+        for rng, problem in problems:
+            if costs is not None:
+                problem.channels = [dataclasses.replace(ch, cost=rng.choice(costs))
+                                    for ch in problem.channels]
+            instance = build_redundant_mlg(problem)
+            graph, servers = instance.graph, instance.server_ids()
+            forest = cheapest_paths_from(graph, 1, servers, weight)
+            merged: dict = {}
+            for server in servers:
+                for node, entry in cheapest_paths_from(graph, 1, [server], weight).items():
+                    merged[node] = min(merged.get(node, entry), entry)
+            assert forest.keys() == merged.keys()
+            settled = list(forest)
+            for node, (cost, nodes) in forest.items():
+                assert (cost, nodes) == cheapest_path(graph, 1, servers, {node}, weight)
+                if len(nodes) > 1:
+                    assert settled.index(nodes[-2]) < settled.index(node)
+                if costs == (0.1, 0.2, 0.3):
+                    assert cost == pytest.approx(merged[node][0], rel=1e-12)
+                else:
+                    assert (cost, nodes) == merged[node]
 
     def test_distances_to(self):
         g = self.diamond()
@@ -466,6 +513,21 @@ class TestSolveCapacitated:
         assert check_capacities(t1_instance.graph, sol.flow_assignment).ok
 
 
+def corpus_and_scaled(scales, costs=None):
+    """The acceptance corpus and ``big_problem`` seeds 1-5 at ``scales``,
+    built, with channel costs as drawn or, given ``costs``, redrawn from
+    them."""
+    problems = [(random.Random(seed), random_problem(random.Random(seed)))
+                for seed in range(9000, 9100)]
+    problems += [(random.Random(seed), scaled_big_problem(seed, scale))
+                 for seed in range(1, 6) for scale in scales]
+    for rng, problem in problems:
+        if costs is not None:
+            problem.channels = [dataclasses.replace(ch, cost=rng.choice(costs))
+                                for ch in problem.channels]
+        yield build_redundant_mlg(problem)
+
+
 class TestPricedLinkPath:
     COSTS = (0.1, 0.2, 0.3, 0.5, 1.0, 2.5)
 
@@ -473,15 +535,7 @@ class TestPricedLinkPath:
     def instances(cls, redraw):
         """The acceptance corpus and ``big_problem`` seeds 1-5 at 0.5x and
         1x, with channel costs as drawn or redrawn from ``COSTS``."""
-        problems = [(random.Random(seed), random_problem(random.Random(seed)))
-                    for seed in range(9000, 9100)]
-        problems += [(random.Random(seed), scaled_big_problem(seed, scale))
-                     for seed in range(1, 6) for scale in (0.5, 1)]
-        for rng, problem in problems:
-            if redraw:
-                problem.channels = [dataclasses.replace(ch, cost=rng.choice(cls.COSTS))
-                                    for ch in problem.channels]
-            yield build_redundant_mlg(problem)
+        return corpus_and_scaled((0.5, 1), cls.COSTS if redraw else None)
 
     @pytest.mark.parametrize("redraw", [False, True])
     @pytest.mark.parametrize("k", [1, 2, 4, 8])
@@ -520,6 +574,125 @@ class TestPricedLinkPath:
         assert sizes and max(sizes) <= 600
 
 
+class TestStartBasis:
+    COSTS = (0.0, 0.5, 1.0, 2.5)
+
+    @classmethod
+    def instances(cls, redraw):
+        """The acceptance corpus and ``big_problem`` seeds 1-5 at 0.5x, 1x
+        and 2x, with channel costs as drawn or redrawn from ``COSTS``."""
+        return corpus_and_scaled((0.5, 1, 2), cls.COSTS if redraw else None)
+
+    @pytest.mark.parametrize("redraw", [False, True])
+    def test_forest_start_is_exact_and_dual_feasible(self, redraw):
+        """The node-link start gives each server's row its injection and
+        each node the forest reaches the arc from its parent.  Its pivots
+        are +-1, so the inverse is exact, and no column prices below 0."""
+        for instance in self.instances(redraw):
+            if not instance.commodities:
+                continue
+            form = formulate_node_link(instance)
+            basis = Basis.of(form.lp, form.start)
+            names = basis.form.var_names
+            given = {names[j] for j in form.start.values()}
+            assert {f"inj[{s}]" for s in instance.server_ids()} <= given
+            std = basis.form
+            assert np.array_equal(basis.inverse @ std.A[:, basis.columns], np.eye(std.m))
+            duals = std.cost[basis.columns] @ basis.inverse
+            assert (std.cost - duals @ std.A)[:std.n].min() >= -1e-9
+
+    @staticmethod
+    def started_solves(monkeypatch):
+        """Solve cold, too, every program ``design`` solves from a
+        ``Basis.of`` start, and stop each search at its root: returns
+        (names a certificate may use, started, cold) per such solve."""
+        made, pairs = [], []
+        of = Basis.of
+
+        def recorded(lp, columns):
+            made.append(of(lp, columns))
+            return made[-1]
+
+        def both(lp, *args, start=None, **kwargs):
+            sol = lp_module.simplex_solve(lp, *args, start=start, **kwargs)
+            if any(start is basis for basis in made):
+                names = ({con.name for con in lp.constraints}
+                         | {f"bound[{v.name}]" for v in lp.variables})
+                pairs.append((names, sol, lp_module.simplex_solve(lp, *args, **kwargs)))
+            return sol
+
+        def root_only(lp, root):
+            raise LimitsExceeded("root only")
+
+        monkeypatch.setattr(Basis, "of", recorded)
+        monkeypatch.setattr(design, "simplex_solve", both)
+        monkeypatch.setattr(design, "branch_and_bound", root_only)
+        return pairs
+
+    @pytest.mark.parametrize("redraw", [False, True])
+    def test_started_solves_match_cold(self, redraw, monkeypatch):
+        """Capacitated node-link, the fixed-charge node-link root (unit
+        fixed costs) and the first priced link-path LP, started from their
+        named bases, reach the status of the cold solve, its objective
+        within 1e-9 relative, and certificates that name rows and bounds
+        of the program."""
+        pairs = self.started_solves(monkeypatch)
+        solved = 0
+        for instance in self.instances(redraw):
+            if not instance.commodities:
+                continue
+            solved += 1
+            fixed = dict.fromkeys(instance.channel_edges, 1.0)
+            for solve in (lambda: solve_capacitated(instance),
+                          lambda: solve_uncapacitated(instance, fixed),
+                          lambda: solve_capacitated(instance, formulation="link-path")):
+                try:
+                    solve()
+                except (InfeasibleError, LimitsExceeded):
+                    pass
+        assert len(pairs) == 3 * solved
+        for names, started, cold in pairs:
+            assert started.status == cold.status
+            if cold.status == "Optimal":
+                assert started.objective == pytest.approx(cold.objective, rel=1e-9)
+            else:
+                assert started.certificate and set(started.certificate) <= names
+
+    @pytest.mark.parametrize("formulation, most", [("node-link", 60), ("link-path", 45)])
+    def test_pivots_at_2x(self, formulation, most, monkeypatch):
+        """At ``big_problem(seed=1)`` 2x capacitated node-link takes 26
+        pivots from the forest (156 from the logical basis) and priced
+        link-path 27 over its solves (69)."""
+        pivots = []
+        solve = design.simplex_solve
+
+        def counted(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            pivots.append(sol.iterations)
+            return sol
+
+        monkeypatch.setattr(design, "simplex_solve", counted)
+        instance = build_redundant_mlg(scaled_big_problem(1, 2))
+        sol = solve_capacitated(instance, formulation=formulation)
+        assert sol.objective == pytest.approx(249.0, abs=1e-6)
+        assert sum(pivots) <= most
+
+    def test_no_lapack(self, t1_instance, monkeypatch):
+        """No solve inverts or factors a matrix by LAPACK."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("LAPACK called")
+
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        instance = build_redundant_mlg(scaled_big_problem(1, 2))
+        for formulation in ("node-link", "link-path"):
+            sol = solve_capacitated(instance, formulation=formulation)
+            assert sol.objective == pytest.approx(249.0, abs=1e-6)
+            fixed = dict.fromkeys(t1_instance.channel_edges, 1.0)
+            sol = solve_uncapacitated(t1_instance, fixed, formulation=formulation)
+            assert sol.objective == pytest.approx(18.0, abs=1e-6)
+
+
 class TestSolveUncapacitated:
     def test_t1_with_unit_fixed_costs(self, t1_instance):
         fixed = {ch: 1.0 for ch in t1_instance.channel_edges}
@@ -548,8 +721,10 @@ class TestSolveUncapacitated:
     @pytest.mark.parametrize("formulation", ["node-link", "link-path"])
     def test_branch_and_bound_size(self, formulation, monkeypatch):
         """Branching up first finds the fixed-charge optimum of this
-        12-subscriber, 26-channel instance in 213 (node-link) and 197
-        (link-path) LP solves; down first took 3849 and 3693.  Pruning
+        12-subscriber, 26-channel instance in 197 LP solves in both
+        formulations (node-link took 213 when its root started from the
+        logical basis, not the servers' forest); down first took 3849
+        and 3693.  Pruning
         nodes that only tie the incumbent proves the single-homing
         optimum in 43 and 21 solves, where exploring them took 51 and 29."""
         calls = []

@@ -402,6 +402,75 @@ class TestAppendedRestart:
             simplex_solve(small, start=big.basis)
 
 
+class TestStartBasis:
+    @staticmethod
+    def program():
+        """x and y share one column, z has no entry in row ``two``."""
+        lp = LinearProgram()
+        x, y, z = (lp.add_var(name) for name in "xyz")
+        lp.add_constraint({x: 1.0, y: 1.0, z: 2.0}, "=", 4.0, name="one")
+        lp.add_constraint({x: 1.0, y: 1.0}, ">=", 1.0, name="two")
+        lp.set_objective({x: 1.0, y: 2.0, z: 1.0})
+        return lp
+
+    @pytest.mark.parametrize("columns, reason", [
+        ({0: 0, 1: 0}, "given twice"),
+        ({0: 3}, "logical"),
+        ({1: 4}, "logical"),
+        ({2: 0}, "out of range"),
+        ({0: 5}, "out of range"),
+        ({0: 0, 1: 1}, "zero pivot"),  # x and y are the same column
+        ({1: 2}, "zero pivot"),  # z has no entry in row two
+    ])
+    def test_rejects(self, columns, reason):
+        with pytest.raises(ValueError, match=reason):
+            lp_module.Basis.of(self.program(), columns)
+
+    def test_given_columns_are_basic(self):
+        """Each given column is basic in its row, every other row keeps
+        its logical, and the inverse is exact for +-1 pivots."""
+        lp = self.program()
+        basis = lp_module.Basis.of(lp, {1: 0, 0: 2})
+        assert basis.columns.tolist() == [2, 0]
+        assert not basis.at_upper.any()
+        form = basis.form
+        assert np.array_equal(basis.inverse @ form.A[:, basis.columns], np.eye(2))
+        assert lp_module.Basis.of(lp, {}).columns.tolist() == [3, 4]
+        sol = simplex_solve(lp, start=basis)
+        assert sol.status == "Optimal" and sol.objective == pytest.approx(2.5)
+
+    @staticmethod
+    def start_of(lp, sol):
+        """The structural columns of ``sol``'s basis, each given the first
+        row still on its logical, and whose logical is not basic in that
+        basis, where the column's direction is nonzero."""
+        form = sol.basis.form
+        free = sorted(set(range(form.m)) - {int(c) - form.n for c in sol.basis.columns
+                                            if c >= form.n})
+        start = {}
+        for col in (int(c) for c in sol.basis.columns if c < form.n):
+            direction = lp_module.Basis.of(lp, start).inverse @ form.A[:, col]
+            row = next(i for i in free if abs(direction[i]) > 1e-9)
+            free.remove(row)
+            start[row] = col
+        return start
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_optimal_basis_resolves_in_zero_pivots(self, seed):
+        """The columns of an optimal solve's own basis, given to
+        ``Basis.of``, re-solve in 0 pivots to the same objective."""
+        rng = random.Random(seed)
+        lp = random_program(rng)[0] if seed % 2 else covering_program(rng)
+        if seed % 2 == 0:  # no column at its upper bound
+            lp.variables = [lp_module.Variable(v.name) for v in lp.variables]
+        sol = simplex_solve(lp)
+        if sol.status != "Optimal":
+            return
+        again = simplex_solve(lp, start=lp_module.Basis.of(lp, self.start_of(lp, sol)))
+        assert again.status == "Optimal" and again.iterations == 0
+        assert again.objective == pytest.approx(sol.objective, rel=1e-12, abs=1e-12)
+
+
 class TestBranchAndBound:
     def test_rounding_forced(self):
         lp = LinearProgram()
