@@ -117,12 +117,11 @@ def derive_commodities(problem: DesignProblem) -> list[Commodity]:
     sessions = [s for sub in problem.subscribers for s in sub.sessions]
     demands = aggregate_service_flows(sessions)
     out = []
+    source = NodeRef(3, problem.service_id)
     for sub in sorted(problem.subscribers, key=lambda s: s.id):
         demand = demands.get(sub.id, 0.0)
         if demand > 0:
-            out.append(Commodity(id=sub.id,
-                                 source=NodeRef(3, problem.service_id),
-                                 sink=NodeRef(3, sub.id),
+            out.append(Commodity(id=sub.id, source=source, sink=NodeRef(3, sub.id),
                                  demand=demand))
     return out
 
@@ -177,12 +176,14 @@ def build_redundant_mlg(problem: DesignProblem,
         graph.add_intra_edge(3, problem.service_id, sub)
 
     for sub in subs:
-        graph.add_inter_edge(NodeRef(3, sub), NodeRef(2, sub))
-        graph.add_inter_edge(NodeRef(2, sub), NodeRef(1, sub))
+        middle = NodeRef(2, sub)
+        graph.add_inter_edge(NodeRef(3, sub), middle)
+        graph.add_inter_edge(middle, NodeRef(1, sub))
+    service = NodeRef(3, problem.service_id)
     for srv in servers:
-        graph.add_inter_edge(NodeRef(3, problem.service_id), NodeRef(2, srv),
-                             capacity=productivity[srv])
-        graph.add_inter_edge(NodeRef(2, srv), NodeRef(1, srv))
+        middle = NodeRef(2, srv)
+        graph.add_inter_edge(service, middle, capacity=productivity[srv])
+        graph.add_inter_edge(middle, NodeRef(1, srv))
 
     return BuiltInstance(problem=problem, graph=graph,
                          commodities=commodities, channel_edges=channel_edges)

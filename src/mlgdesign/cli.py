@@ -15,6 +15,8 @@ import functools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Optional
 
 from . import builder, design, mlg, report
@@ -32,14 +34,30 @@ EXIT_LIMITS = 4
 # problem files
 # ---------------------------------------------------------------------------
 
-def _require_keys(obj: dict, where: str, required: set[str], optional: set[str] = frozenset()):
+def _keys(required: set[str], optional: set[str] = frozenset()) -> tuple[frozenset, frozenset]:
+    """(required keys, allowed keys) of one kind of object in a problem file."""
+    return frozenset(required), frozenset(required) | frozenset(optional)
+
+
+_TOP_KEYS = _keys({"subscribers", "servers", "service", "channels"}, {"intermediate"})
+_SUBSCRIBER_KEYS = _keys({"id", "sessions"})
+_SERVER_KEYS = _keys({"id", "productivity"})
+_INTERMEDIATE_KEYS = _keys({"id"})
+_CHANNEL_KEYS = _keys({"id", "ends", "capacity"}, {"cost"})
+
+
+def _require_keys(obj: dict, where: str, keys: tuple[frozenset, frozenset]):
     if not isinstance(obj, dict):
         raise ProblemFormatError(f"{where}: expected an object")
-    unknown = set(obj) - required - optional
+    required, allowed = keys
+    present = obj.keys()
+    if present == required or present == allowed:
+        return
+    unknown = present - allowed
     if unknown:
         raise ProblemFormatError(
             f"{where}: unknown key(s) {', '.join(sorted(unknown))}")
-    missing = required - set(obj)
+    missing = required - present
     if missing:
         raise ProblemFormatError(
             f"{where}: missing key(s) {', '.join(sorted(missing))}")
@@ -69,10 +87,12 @@ def parse_problem(path: str) -> builder.DesignProblem:
     """Load and validate a problem file; raises ProblemFormatError with a
     field-precise message on any schema violation."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise ProblemFormatError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ProblemFormatError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(f"{path}: invalid JSON at line {exc.lineno}, "
                                  f"column {exc.colno}: {exc.msg}") from exc
@@ -80,14 +100,12 @@ def parse_problem(path: str) -> builder.DesignProblem:
 
 
 def problem_from_dict(doc: dict) -> builder.DesignProblem:
-    _require_keys(doc, "top level",
-                  {"subscribers", "servers", "service", "channels"},
-                  {"intermediate"})
+    _require_keys(doc, "top level", _TOP_KEYS)
 
     subscribers = []
     for i, entry in enumerate(_as_list(doc["subscribers"], "subscribers")):
         where = f"subscribers[{i}]"
-        _require_keys(entry, where, {"id", "sessions"})
+        _require_keys(entry, where, _SUBSCRIBER_KEYS)
         sid = _as_id(entry["id"], where)
         sessions = []
         for j, vol in enumerate(_as_list(entry["sessions"], f"{where}.sessions")):
@@ -101,30 +119,30 @@ def problem_from_dict(doc: dict) -> builder.DesignProblem:
     servers = []
     for i, entry in enumerate(_as_list(doc["servers"], "servers")):
         where = f"servers[{i}]"
-        _require_keys(entry, where, {"id", "productivity"})
+        _require_keys(entry, where, _SERVER_KEYS)
         p = _as_number(entry["productivity"], f"{where}.productivity")
         if p < 0:
             raise ProblemFormatError(f"{where}.productivity: must be >= 0")
         servers.append(builder.Server(id=_as_id(entry["id"], where), productivity=p))
 
-    _require_keys(doc["service"], "service", {"id", "productivity"})
+    _require_keys(doc["service"], "service", _SERVER_KEYS)
     service_id = _as_id(doc["service"]["id"], "service")
     service_p = _as_number(doc["service"]["productivity"], "service.productivity")
 
     intermediates = []
     for i, entry in enumerate(_as_list(doc.get("intermediate", []), "intermediate")):
         where = f"intermediate[{i}]"
-        _require_keys(entry, where, {"id"})
+        _require_keys(entry, where, _INTERMEDIATE_KEYS)
         intermediates.append(_as_id(entry["id"], where))
 
     channels = []
     for i, entry in enumerate(_as_list(doc["channels"], "channels")):
         where = f"channels[{i}]"
-        _require_keys(entry, where, {"id", "ends", "capacity"}, {"cost"})
+        _require_keys(entry, where, _CHANNEL_KEYS)
         cid = _as_id(entry["id"], where)
         ends = entry["ends"]
         if (not isinstance(ends, list) or len(ends) != 2
-                or not all(isinstance(e, str) for e in ends)):
+                or not isinstance(ends[0], str) or not isinstance(ends[1], str)):
             raise ProblemFormatError(f"channel {cid}: ends must be a pair of ids")
         capacity = entry["capacity"]
         if capacity != math.inf:  # Infinity: an unbounded channel
@@ -199,15 +217,73 @@ def solution_to_dict(rep: report.ProjectReport, per_edge_flow: dict) -> dict:
                    for cid, lst in sorted(rep.routes.items())},
         "validation": dict(sorted(rep.validation.items())),
         "per_edge_flow": {
-            _edge_key_str(k): v for k, v in sorted(
-                per_edge_flow.items(), key=lambda kv: _edge_key_str(kv[0]))
+            name: v for name, v in sorted(
+                ((_edge_key_str(k), v) for k, v in per_edge_flow.items()),
+                key=itemgetter(0))
             if v > design.FLOW_EPS},
     }
 
 
+def _json_text(value, indent: str) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` byte for byte, for a
+    value that starts on a line indented by ``indent``: dicts with string
+    keys (another key raises ``TypeError``), lists, tuples, strings,
+    numbers, bools and None.  Strings and finite floats, the bulk of a
+    solution document, are spelled inside the container loops, with no
+    call of their own."""
+    cls = type(value)
+    if cls is str:
+        return encode_basestring_ascii(value)
+    if cls is float and value - value == 0.0:  # finite
+        return float.__repr__(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        parts = []
+        for key, item in sorted(value.items()):
+            cls = type(item)
+            if cls is str:
+                text = encode_basestring_ascii(item)
+            elif cls is float and item - item == 0.0:
+                text = float.__repr__(item)
+            else:
+                text = _json_text(item, inner)
+            parts.append(encode_basestring_ascii(key) + ": " + text)
+        return "{\n" + inner + (",\n" + inner).join(parts) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        parts = []
+        for item in value:
+            cls = type(item)
+            if cls is str:
+                parts.append(encode_basestring_ascii(item))
+            elif cls is float and item - item == 0.0:
+                parts.append(float.__repr__(item))
+            else:
+                parts.append(_json_text(item, inner))
+        return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + indent + "]"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def write_solution(doc: dict, path: Optional[str]) -> None:
-    """Deterministic serialization: sorted keys, stable list order."""
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """Deterministic serialization: sorted keys, stable list order.  The
+    text is ``json.dumps(doc, sort_keys=True, indent=2)`` byte for byte,
+    plus a newline, written in one pass by :func:`_json_text` (``json``
+    takes its pure-Python encoder whenever it indents)."""
+    text = _json_text(doc, "") + "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
@@ -223,25 +299,35 @@ def _fmt_cap(value: float) -> str:
     return "inf" if not math.isfinite(value) else f"{value:g}"
 
 
+def _dot_node(layer: int, node: str) -> str:
+    """The quoted DOT id ``"<layer>:<node>"``, each ``"`` escaped as ``\\"``."""
+    return '"' + f"{layer}:{node}".replace('"', '\\"') + '"'
+
+
 def export_dot(graph: mlg.MultiLayerGraph, path: Optional[str] = None) -> str:
     """Graphviz document: one cluster per layer, intra edges solid,
-    inter edges dashed, labels capacity (``inf`` when unbounded)."""
+    inter edges dashed, labels capacity (``inf`` when unbounded).
+
+    Each node is the quoted id ``"<layer>:<node id>"``.  A ``"`` in a node
+    id is written ``\\"``, DOT's one escape inside quoted ids; every other
+    character is written as it is.  So an id that ends in a backslash
+    cannot be written: that backslash would escape the closing quote."""
     lines = ["graph mlg {"]
     for layer in range(1, graph.layer_count + 1):
         lines.append(f'  subgraph cluster_layer_{layer} {{')
         lines.append(f'    label="layer_{layer}";')
         for node in graph.nodes(layer):
-            lines.append(f'    "{layer}:{node}";')
+            lines.append(f'    {_dot_node(layer, node)};')
         for edge in graph.intra_edges(layer):
             a, b = edge.ends
             lines.append(
-                f'    "{layer}:{a}" -- "{layer}:{b}" '
+                f'    {_dot_node(layer, a)} -- {_dot_node(layer, b)} '
                 f'[label="{_fmt_cap(edge.capacity)}"];')
         lines.append("  }")
     for edge in graph.inter_edges():
         u, l = edge.upper, edge.lower
         lines.append(
-            f'  "{u.layer}:{u.id}" -- "{l.layer}:{l.id}" '
+            f'  {_dot_node(u.layer, u.id)} -- {_dot_node(l.layer, l.id)} '
             f'[style=dashed, label="{_fmt_cap(edge.capacity)}"];')
     lines.append("}")
     text = "\n".join(lines) + "\n"
@@ -307,9 +393,9 @@ def _load_fixed_costs(path: Optional[str], instance) -> dict[str, float]:
     if path is None:
         return {ch: 1.0 for ch in instance.channel_edges}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProblemFormatError(f"cannot read fixed costs {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ProblemFormatError("fixed costs file must be a JSON object")

@@ -42,7 +42,7 @@ from .errors import DecompositionError, InfeasibleError, LimitsExceeded
 from .flows import CONSERVATION_TOL, Commodity, FlowAssignment
 from .lp import Basis, LinearProgram, branch_and_bound, simplex_solve
 from .mlg import (IntraEdge, MultiLayerGraph, NodeRef, cheapest_path, cheapest_paths_from,
-                  distances_to)
+                  distances_to, intra_key)
 
 FLOW_EPS = 1e-9
 
@@ -387,6 +387,7 @@ def formulate_node_link(instance: BuiltInstance,
     channels = sorted(instance.channel_edges)
     form = _Formulation(lp=LinearProgram(), read_routes=_decompose_node_link,
                         channel_rows_vars={c: [] for c in channels})
+    add_var, cost, meta = form.lp.add_var, form.lp.objective, form.meta
     balance_rows: list[tuple[dict[int, float], str, float, str]] = []
     from_server: list[dict[str, list[int]]] = []
     y_rows: dict[tuple[str, str], dict[int, float]] = {}
@@ -398,18 +399,19 @@ def formulate_node_link(instance: BuiltInstance,
         for ch_id in channels:
             edge = instance.channel_edges[ch_id]
             a, b = edge.ends
+            uses = form.channel_rows_vars[ch_id]
             for frm, to in ((a, b), (b, a)):
-                j = form.lp.add_var(f"f[{tag}{ch_id},{frm}->{to}]")
-                form.meta[j] = ("arc", group, ch_id, frm, to)
-                form.lp.objective[j] = edge.cost
-                form.channel_rows_vars[ch_id].append(j)
+                j = add_var(f"f[{tag}{ch_id},{frm}->{to}]")
+                meta[j] = ("arc", group, ch_id, frm, to)
+                cost[j] = edge.cost
+                uses.append(j)
                 balance[to][j] = 1.0
                 balance[frm][j] = -1.0
                 arcs[frm, to] = j
         out: dict[str, list[int]] = {}
         for server in [group] if single_homing else instance.server_ids():
-            j = form.lp.add_var(f"inj[{server}]")
-            form.meta[j] = ("inject", group, server)
+            j = add_var(f"inj[{server}]")
+            meta[j] = ("inject", group, server)
             out[server] = [j]
             balance[server][j] = 1.0
         from_server.append(out)
@@ -504,10 +506,9 @@ def _assemble_solution(instance: BuiltInstance,
             if flow <= FLOW_EPS:
                 continue
             server, subscriber = nodes[0], nodes[-1]
-            full = [service, NodeRef(2, server)]
-            full.extend(NodeRef(1, n) for n in nodes)
-            full.extend([NodeRef(2, subscriber), NodeRef(3, subscriber)])
-            flow_assignment.add_path(commodity.id, full, flow)
+            flow_assignment.add_path(
+                commodity.id, [service, NodeRef(2, server), *[NodeRef(1, n) for n in nodes],
+                               NodeRef(2, subscriber), NodeRef(3, subscriber)], flow)
             per_server_sub[(server, subscriber)] = (
                 per_server_sub.get((server, subscriber), 0.0) + flow)
             objective += flow * _add_hops(0.0, nodes, adj)
@@ -515,10 +516,9 @@ def _assemble_solution(instance: BuiltInstance,
     edge_flows = flow_assignment.edge_totals()
     # derived layer-2 / layer-3 annotations (not independently optimized)
     for (server, subscriber), vol in per_server_sub.items():
-        edge = instance.graph.find_intra(2, server, subscriber)
-        edge_flows[edge.key] = edge_flows.get(edge.key, 0.0) + vol
-        star = instance.graph.find_intra(3, instance.problem.service_id, subscriber)
-        edge_flows[star.key] = edge_flows.get(star.key, 0.0) + vol
+        for key in (intra_key(2, server, subscriber),
+                    intra_key(3, service.id, subscriber)):
+            edge_flows[key] = edge_flows.get(key, 0.0) + vol
 
     for (server, subscriber), vol in sorted(per_server_sub.items()):
         assignment[server].append((subscriber, vol))
@@ -558,16 +558,18 @@ def _decompose_node_link(instance: BuiltInstance, form: _Formulation,
     owner = {c.sink.id: c.id for c in instance.commodities}
     flows: dict[Optional[str], tuple[dict, dict]] = {}
     homed: dict[str, dict[str, float]] = {}  # server -> sink -> d_c * y[c,s]
+    values = values.tolist()
     for j, meta in form.meta.items():
-        if meta[0] in ("arc", "inject") and values[j] > FLOW_EPS:
-            arcs, inject = flows.setdefault(meta[1], ({}, {}))
-            if meta[0] == "arc":
-                arcs[meta[3:]] = arcs.get(meta[3:], 0.0) + float(values[j])
-            else:
-                inject[meta[2]] = float(values[j])
-        elif meta[0] == "assign" and values[j] > FLOW_EPS:
+        if values[j] <= FLOW_EPS:
+            continue
+        if meta[0] == "arc":
+            arcs = flows.setdefault(meta[1], ({}, {}))[0]
+            arcs[meta[3:]] = arcs.get(meta[3:], 0.0) + values[j]
+        elif meta[0] == "inject":
+            flows.setdefault(meta[1], ({}, {}))[1][meta[2]] = values[j]
+        elif meta[0] == "assign":
             c = commodities[meta[1]]
-            homed.setdefault(meta[2], {})[c.sink.id] = c.demand * float(values[j])
+            homed.setdefault(meta[2], {})[c.sink.id] = c.demand * values[j]
 
     for group, (arcs, inject) in flows.items():
         for frm, to in list(arcs):
@@ -580,8 +582,9 @@ def _decompose_node_link(instance: BuiltInstance, form: _Formulation,
             heads.setdefault(frm, []).append(to)
         need = ({c.sink.id: c.demand for c in instance.commodities} if group is None
                 else homed.get(group, {}))
+        sources = sorted(inject)
         for _ in range(len(arcs) + len(inject) + len(need) + 1):
-            start = next((s for s in sorted(inject) if inject[s] > FLOW_EPS), None)
+            start = next((s for s in sources if inject[s] > FLOW_EPS), None)
             if start is None:
                 break
             path = [start]

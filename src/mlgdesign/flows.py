@@ -7,8 +7,10 @@ each arc it crosses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Iterable, Optional, Sequence
 
 from .errors import MlgError
 from .mlg import MultiLayerGraph, NodeRef, inter_key, intra_key
@@ -59,8 +61,7 @@ class CheckReport:
 def _arc_edge_key(a: NodeRef, b: NodeRef) -> tuple:
     if a.layer == b.layer:
         return intra_key(a.layer, a.id, b.id)
-    upper, lower = (a, b) if a.layer > b.layer else (b, a)
-    return inter_key(upper, lower)
+    return inter_key(a, b) if a.layer > b.layer else inter_key(b, a)
 
 
 class FlowAssignment:
@@ -68,17 +69,23 @@ class FlowAssignment:
 
     def __init__(self):
         self._arcs: dict[str, dict[tuple[NodeRef, NodeRef], float]] = {}
+        self._totals: Optional[dict[tuple, float]] = None  # edge_totals, kept until a change
 
     def add_arc(self, commodity_id: str, a: NodeRef, b: NodeRef, flow: float) -> None:
-        if flow < 0:
-            raise MlgError("arc flow must be >= 0")
-        arcs = self._arcs.setdefault(commodity_id, {})
-        arcs[(a, b)] = arcs.get((a, b), 0.0) + flow
+        """Add ``flow`` to arc a -> b; an end that is not yet a
+        :class:`NodeRef` is made one."""
+        self.add_path(commodity_id, (a, b), flow)
 
     def add_path(self, commodity_id: str, nodes: Sequence[NodeRef], flow: float) -> None:
-        nodes = tuple(NodeRef(*n) for n in nodes)
-        for a, b in zip(nodes, nodes[1:]):
-            self.add_arc(commodity_id, a, b, flow)
+        """Add ``flow`` to each arc of the path; a node that is not yet a
+        :class:`NodeRef` is made one."""
+        if flow < 0:
+            raise MlgError("arc flow must be >= 0")
+        refs = [n if isinstance(n, NodeRef) else NodeRef(*n) for n in nodes]
+        self._totals = None
+        arcs = self._arcs.setdefault(commodity_id, {})
+        for arc in zip(refs, refs[1:]):
+            arcs[arc] = arcs.get(arc, 0.0) + flow
 
     def commodity_ids(self) -> list[str]:
         return sorted(self._arcs)
@@ -87,13 +94,21 @@ class FlowAssignment:
         return dict(self._arcs.get(commodity_id, {}))
 
     def edge_totals(self) -> dict[tuple, float]:
-        """Total flow per edge key, both directions and all commodities summed."""
-        totals: dict[tuple, float] = {}
-        for arcs in self._arcs.values():
-            for (a, b), flow in arcs.items():
-                key = _arc_edge_key(a, b)
-                totals[key] = totals.get(key, 0.0) + flow
-        return totals
+        """Total flow per edge key, both directions and all commodities
+        summed: a new dict each call."""
+        return dict(self._edge_totals())
+
+    def _edge_totals(self) -> dict[tuple, float]:
+        """:meth:`edge_totals`, summed once until the next change; not to be
+        mutated."""
+        if self._totals is None:
+            totals: dict[tuple, float] = {}
+            for arcs in self._arcs.values():
+                for (a, b), flow in arcs.items():
+                    key = _arc_edge_key(a, b)
+                    totals[key] = totals.get(key, 0.0) + flow
+            self._totals = totals
+        return self._totals
 
 
 def aggregate_service_flows(sessions: Iterable[Session]) -> dict[str, float]:
@@ -120,46 +135,58 @@ def check_productivity_projection(server_productivities: Sequence[float],
 def check_conservation(graph: MultiLayerGraph, flows: FlowAssignment,
                        commodities: Sequence[Commodity]) -> CheckReport:
     """Per commodity, net flow must be +demand at the source, -demand at
-    the sink and zero at every transit node."""
+    the sink and zero at every transit node.  Each edge that carries
+    flow is looked up once, by its key (:meth:`MultiLayerGraph.edge`); a
+    commodity's violations are (node, commodity id, net - expected), in
+    node order."""
     report = CheckReport()
     by_id = {c.id: c for c in commodities}
     for cid in flows.commodity_ids():
         if cid not in by_id:
             raise MlgError(f"flows reference unknown commodity {cid!r}")
+    edge = graph.edge
+    if any(edge(key) is None for key in flows._edge_totals()):
+        # name the first arc on a missing edge, in commodity and arc order
+        for commodity in commodities:
+            for a, b in flows._arcs.get(commodity.id, {}):
+                if edge(_arc_edge_key(a, b)) is None:
+                    raise MlgError(f"flow on nonexistent edge {a}-{b}")
     for commodity in commodities:
-        arcs = flows.arcs(commodity.id)
         net: dict[NodeRef, float] = {}
-        for (a, b), flow in arcs.items():
-            if graph.find_edge(a, b) is None:
-                raise MlgError(f"flow on nonexistent edge {a}-{b}")
+        for (a, b), flow in flows._arcs.get(commodity.id, {}).items():
             net[a] = net.get(a, 0.0) + flow
             net[b] = net.get(b, 0.0) - flow
-        for node in sorted(set(net) | {commodity.source, commodity.sink}):
+        for end in (commodity.source, commodity.sink):
+            net.setdefault(end, 0.0)
+        violations = []
+        for node, value in net.items():
             expected = 0.0
             if node == commodity.source:
                 expected = commodity.demand
             elif node == commodity.sink:
                 expected = -commodity.demand
-            residual = net.get(node, 0.0) - expected
+            residual = value - expected
             if abs(residual) > CONSERVATION_TOL:
-                report.violations.append((node, commodity.id, residual))
+                violations.append((node, commodity.id, residual))
+        violations.sort(key=itemgetter(0))
+        report.violations += violations
     return report
 
 
 def check_capacities(graph: MultiLayerGraph, flows: FlowAssignment) -> CheckReport:
     """Every finite-capacity edge must carry total flow <= capacity +
-    ``CONSERVATION_TOL``."""
+    ``CONSERVATION_TOL``.  Only the edges that carry flow are read, each
+    by its key (:meth:`MultiLayerGraph.edge`); violations are (key,
+    excess), in key order."""
     report = CheckReport()
-    totals = flows.edge_totals()
-    capacities: dict[tuple, float] = {}
-    for edge in graph.all_intra_edges():
-        capacities[edge.key] = edge.capacity
-    for edge in graph.inter_edges():
-        capacities[edge.key] = edge.capacity
-    for key in sorted(totals):
-        if key not in capacities:
-            raise MlgError(f"flow on nonexistent edge {key}")
-        cap = capacities[key]
-        if cap != float("inf") and totals[key] > cap + CONSERVATION_TOL:
-            report.violations.append((key, totals[key] - cap))
+    missing = []
+    for key, total in flows._edge_totals().items():
+        edge = graph.edge(key)
+        if edge is None:
+            missing.append(key)
+        elif edge.capacity != math.inf and total > edge.capacity + CONSERVATION_TOL:
+            report.violations.append((key, total - edge.capacity))
+    if missing:
+        raise MlgError(f"flow on nonexistent edge {min(missing)}")
+    report.violations.sort(key=itemgetter(0))
     return report

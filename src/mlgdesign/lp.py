@@ -72,15 +72,16 @@ class LinearProgram:
         bound.  A NaN or -inf bound raises ``ValueError``."""
         if upper is not None and (math.isnan(upper) or upper == -math.inf):
             raise ValueError(f"upper bound of {name!r} must be a number or +inf, not {upper}")
-        self.variables.append(Variable(name=name, upper=upper, integer=integer))
+        self.variables.append(Variable(name, upper, integer))
         return len(self.variables) - 1
 
     def add_constraint(self, coeffs: dict[int, float], relation: str, rhs: float,
                        name: str = "") -> None:
         if relation not in ("<=", "=", ">="):
             raise ValueError(f"bad relation {relation!r}")
+        n = len(self.variables)
         for j in coeffs:
-            if not 0 <= j < len(self.variables):
+            if not 0 <= j < n:
                 raise ValueError(f"constraint references undeclared variable {j}")
         self.constraints.append(Constraint(dict(coeffs), relation, rhs, name))
 
@@ -170,15 +171,25 @@ class Basis:
         lower bound: a crash basis a formulation reads off its own
         structure (Bixby, *ORSA J. Computing* 4, 1992).
 
-        The inverse is reached from B = I by one pivot per given column,
-        in the map's order, and a pivot updates only the rows where the
-        entering column's direction is nonzero.  When the columns form a
-        forest over node rows (a source column at each root, an arc into
-        each other node) and each comes after its parent's, every pivot
-        is +-1 and the inverse is exact.  Raises
-        ``ValueError`` for a row or column out of range, a column given
-        twice, a logical column, or a zero pivot (the columns are
-        dependent in that order)."""
+        The columns are taken in the map's order.  A start is triangular
+        in that order when no column has an entry in a row given after
+        its own; the node-link forest is, since it lists each parent
+        before its child, and so is each link-path column, which touches
+        no given row but its own ``demand`` row.  Then column r_q of the
+        inverse, for the q-th pair (r_q, c_q), is (e_{r_q} - sum over
+        logical rows l of A[l, c_q] e_l - sum over p < q of A[r_p, c_q]
+        x_p) / A[r_q, c_q], where x_p is column r_p: one column update
+        per entry in an earlier given row, a scalar write per entry in a
+        logical row, and no pivot.  For a forest basis, column v of the
+        inverse is the indicator of v's path up to its root, less the
+        logical rows that path's columns enter, so row v is the indicator
+        of v's subtree (Ahuja, Magnanti & Orlin, *Network Flows*, 1993,
+        ch. 11); with +-1 entries the inverse is exact.  A row
+        that an earlier column has an entry in is reached by a pivot
+        instead, which updates the rows where the entering column's
+        direction is nonzero.  Raises ``ValueError`` for a row or column
+        out of range, a column given twice, a logical column, or a zero
+        pivot (the columns are dependent in that order)."""
         form = _StandardForm(lp)
         cols = np.fromiter(columns.values(), dtype=int, count=len(columns))
         for row, col in columns.items():
@@ -192,19 +203,43 @@ class Basis:
         owner, entries = np.nonzero(form.A[:, cols].T)
         values = form.A[entries, cols[owner]]
         ends = np.searchsorted(owner, np.arange(cols.size + 1)).tolist()
+        entries, values = entries.tolist(), values.tolist()
         basis = np.arange(form.n, form.total)
         inverse = np.eye(form.m)
+        given: set[int] = set()  # rows whose column is already basic
+        hit: set[int] = set()  # rows that a given column has an entry in
         for k, (row, col) in enumerate(columns.items()):
-            part = slice(ends[k], ends[k + 1])
-            direction = inverse[:, entries[part]] @ values[part]
-            piv = direction[row]
-            if abs(piv) <= PIVOT_TOL:
-                raise ValueError(f"column {col} has a zero pivot in row {row}")
-            if piv != 1.0:
-                inverse[row] /= piv
-            direction[row] = 0.0
-            hit = direction.nonzero()[0]
-            inverse[hit] -= np.multiply.outer(direction[hit], inverse[row])
+            mine, coeffs = entries[ends[k]:ends[k + 1]], values[ends[k]:ends[k + 1]]
+            if row in hit:  # row ``row`` of the inverse is no longer e_row: pivot
+                hit.update(mine)
+                direction = inverse[:, mine] @ coeffs
+                piv = direction[row]
+                if abs(piv) <= PIVOT_TOL:
+                    raise ValueError(f"column {col} has a zero pivot in row {row}")
+                if piv != 1.0:
+                    inverse[row] /= piv
+                direction[row] = 0.0
+                nonzero = direction.nonzero()[0]
+                inverse[nonzero] -= np.multiply.outer(direction[nonzero], inverse[row])
+            else:
+                x = inverse[:, row]  # e_row so far
+                piv = 0.0
+                for entry, value in zip(mine, coeffs):
+                    if entry == row:
+                        piv = value
+                    elif entry in given:
+                        if value == -1.0:  # a forest arc's entry in its parent's row
+                            x += inverse[:, entry]
+                        else:
+                            x -= value * inverse[:, entry]
+                    else:
+                        x[entry] -= value
+                        hit.add(entry)
+                if abs(piv) <= PIVOT_TOL:
+                    raise ValueError(f"column {col} has a zero pivot in row {row}")
+                if piv != 1.0:
+                    x /= piv
+            given.add(row)
             basis[row] = col
         return cls(basis, np.zeros(form.total, dtype=bool), form, inverse)
 

@@ -34,8 +34,7 @@ class NodeRef(NamedTuple):
 
 
 def intra_key(layer: int, u: str, v: str) -> tuple:
-    a, b = sorted((u, v))
-    return ("intra", layer, a, b)
+    return ("intra", layer, u, v) if u <= v else ("intra", layer, v, u)
 
 
 def inter_key(upper: NodeRef, lower: NodeRef) -> tuple:
@@ -44,17 +43,19 @@ def inter_key(upper: NodeRef, lower: NodeRef) -> tuple:
 
 @dataclass
 class IntraEdge:
-    """Undirected edge within one layer."""
+    """Undirected edge within one layer.  Its ``key`` (see
+    :func:`intra_key`) is computed once, at construction, so ``layer``
+    and ``ends`` are not to be changed afterwards."""
 
     layer: int
     ends: tuple[str, str]
     capacity: float = UNBOUNDED
     cost: float = 0.0
     name: Optional[str] = None
+    key: tuple = field(init=False, repr=False, compare=False)
 
-    @property
-    def key(self) -> tuple:
-        return intra_key(self.layer, *self.ends)
+    def __post_init__(self):
+        self.key = intra_key(self.layer, *self.ends)
 
     def __repr__(self):
         label = self.name or f"{self.ends[0]}-{self.ends[1]}"
@@ -149,19 +150,20 @@ class MultiLayerGraph:
         lay = self._layer(layer)
         if u == v:
             raise GraphError(f"self-loop ({u},{v}) forbidden")
-        for nid in (u, v):
-            if nid not in lay["nodes"]:
-                raise GraphError(f"node {nid!r} missing from layer {layer}")
+        nodes = lay["nodes"]
+        if u not in nodes or v not in nodes:
+            missing = u if u not in nodes else v
+            raise GraphError(f"node {missing!r} missing from layer {layer}")
         if capacity < 0:
             raise GraphError("capacity must be >= 0")
         if cost < 0:
             raise GraphError("cost must be >= 0")
-        edge = IntraEdge(layer=layer, ends=tuple(sorted((u, v))), capacity=capacity,
-                         cost=cost, name=name)
-        if edge.key in lay["edges"]:
+        edge = IntraEdge(layer, (u, v) if u <= v else (v, u), capacity, cost, name)
+        edges, adj = lay["edges"], lay["adj"]
+        if edge.key in edges:
             raise GraphError(f"parallel edge ({u},{v}) at layer {layer} forbidden")
-        lay["edges"][edge.key] = edge
-        lay["adj"][u][v] = lay["adj"][v][u] = edge
+        edges[edge.key] = edge
+        adj[u][v] = adj[v][u] = edge
         return edge
 
     def remove_intra_edge(self, layer: int, u: str, v: str) -> None:
@@ -171,15 +173,18 @@ class MultiLayerGraph:
 
     def add_inter_edge(self, upper: NodeRef, lower: NodeRef,
                        capacity: float = UNBOUNDED) -> InterEdge:
-        upper, lower = NodeRef(*upper), NodeRef(*lower)
+        if not isinstance(upper, NodeRef):
+            upper = NodeRef(*upper)
+        if not isinstance(lower, NodeRef):
+            lower = NodeRef(*lower)
         if upper.layer <= lower.layer:
             raise GraphError(
                 f"upper layer {upper.layer} must exceed lower layer {lower.layer}")
         for ref in (upper, lower):
             if not self.has_node(ref):
                 raise GraphError(f"node {ref} does not exist")
-        edge = InterEdge(upper=upper, lower=lower, capacity=capacity)
-        self._inter[edge.key] = edge
+        edge = InterEdge(upper, lower, capacity)
+        self._inter[inter_key(upper, lower)] = edge
         self._down.setdefault(upper, set()).add(lower)
         return edge
 
@@ -211,6 +216,15 @@ class MultiLayerGraph:
     def find_inter(self, a: NodeRef, b: NodeRef) -> Optional[InterEdge]:
         upper, lower = (a, b) if a.layer > b.layer else (b, a)
         return self._inter.get(inter_key(NodeRef(*upper), NodeRef(*lower)))
+
+    def edge(self, key: tuple):
+        """The intra or inter edge whose ``key`` this is, or None: one
+        read of the layer's edge index or of the inter-edge index."""
+        if key[0] == "intra":
+            layer = key[1]
+            return (self._layers[layer - 1]["edges"].get(key)
+                    if 1 <= layer <= len(self._layers) else None)
+        return self._inter.get(key)
 
     def find_edge(self, a: NodeRef, b: NodeRef):
         """Resolve an arbitrary node pair to the intra or inter edge joining it."""

@@ -2,14 +2,16 @@ import json
 import math
 import pathlib
 import random
+import re
 
 import pytest
 
 from helpers import big_problem, random_problem
-from mlgdesign import (DecompositionError, NoRealization, ProblemFormatError,
-                       build_redundant_mlg, design, realization_path)
+from mlgdesign import (DecompositionError, InfeasibleError, NoRealization,
+                       ProblemFormatError, build_redundant_mlg, design, realization_path,
+                       render_report)
 from mlgdesign.cli import (export_dot, main, parse_problem, problem_from_dict,
-                           write_problem)
+                           solution_to_dict, write_problem, write_solution)
 
 
 def load_t1_doc(t1_path):
@@ -98,6 +100,26 @@ class TestParseProblem:
         with pytest.raises(ProblemFormatError):
             parse_problem(str(tmp_path / "nope.json"))
 
+    @pytest.mark.parametrize("command", ["validate", "solve", "export-dot"])
+    def test_not_utf8_exit(self, t1_path, tmp_path, capsys, command):
+        """A problem file that is not UTF-8 is invalid input (exit 2), and
+        the message names the file."""
+        path = tmp_path / "latin1.json"
+        path.write_bytes(pathlib.Path(t1_path).read_bytes().replace(b'"u1"', b'"u\xff1"'))
+        out = [] if command == "validate" else ["-o", str(tmp_path / "out")]
+        assert main([command, str(path), *out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: ") and str(path) in err and "UTF-8" in err
+
+    def test_utf8_ids_read_in_any_locale(self, t1_path, tmp_path):
+        doc = load_t1_doc(t1_path)
+        doc["intermediate"][0]["id"] = "z\u00e9"
+        for channel in doc["channels"]:
+            channel["ends"] = ["z\u00e9" if end == "z1" else end for end in channel["ends"]]
+        path = tmp_path / "utf8.json"
+        path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+        assert "z\u00e9" in parse_problem(str(path)).intermediates
+
     def test_round_trip_bytes(self, t1_path, tmp_path):
         problem = parse_problem(t1_path)
         first = tmp_path / "a.json"
@@ -149,6 +171,17 @@ class TestSolveCommand:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["objective"] == pytest.approx(18.0, abs=1e-6)
+
+    def test_fixed_costs_not_utf8_exit(self, t1_path, tmp_path, capsys):
+        costs = tmp_path / "costs.json"
+        costs.write_bytes(b'{"b1": 1.0, "\xff": 2.0}')
+        out = tmp_path / "sol.json"
+        argv = ["solve", t1_path, "--mode", "uncapacitated", "--fixed-costs", str(costs),
+                "-o", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: cannot read fixed costs ") and str(costs) in err
+        assert not out.exists()
 
     def test_infeasible_exit(self, t1_path, tmp_path, capsys):
         doc = load_t1_doc(t1_path)
@@ -319,6 +352,31 @@ class TestExportDot:
         assert '"2:s1" -- "2:s2" [label="inf"];' in text
         assert '"3:v0" -- "2:s1" [style=dashed, label="5"];' in text
 
+    def test_t1_golden_bytes(self, t1_path, tmp_path):
+        """``export-dot`` on t1 writes ``tests/data/golden/t1.dot`` byte for
+        byte."""
+        out = tmp_path / "t1.dot"
+        assert main(["export-dot", t1_path, "-o", str(out)]) == 0
+        golden = pathlib.Path(t1_path).parent / "golden" / "t1.dot"
+        assert out.read_bytes() == golden.read_bytes()
+
+    def test_quotes_escaped(self, t1_path):
+        """Ids with quotes and inner backslashes are written as quoted
+        tokens that DOT reads back: every ``"`` in a statement opens or
+        closes one, and inside one a ``"`` comes only after a backslash."""
+        doc = load_t1_doc(t1_path)
+        rename = {"u1": 'u"1', "z1": "z\\1", "s1": 'a"b\\c"'}
+        for entry in doc["subscribers"] + doc["servers"] + doc["intermediate"]:
+            entry["id"] = rename.get(entry["id"], entry["id"])
+        for channel in doc["channels"]:
+            channel["ends"] = [rename.get(end, end) for end in channel["ends"]]
+        text = export_dot(build_redundant_mlg(problem_from_dict(doc)).graph)
+        token = re.compile(r'"(?:[^"\\]|\\.)*"')
+        for line in text.splitlines():
+            assert '"' not in token.sub("", line), line
+        assert '"1:u\\"1";' in text and '"2:a\\"b\\c\\"";' in text
+        assert '"1:z\\1" -- ' in text or ' -- "1:z\\1"' in text
+
     def test_command_deterministic(self, t1_path, tmp_path):
         a = tmp_path / "a.dot"
         b = tmp_path / "b.dot"
@@ -370,6 +428,84 @@ class TestSolutionSerialization:
         assert main([argv[0], t1_path, *argv[1:], "-o", str(out)]) == 0
         golden = pathlib.Path(t1_path).parent / "golden" / f"t1.{name}.json"
         assert out.read_bytes() == golden.read_bytes()
+
+    @staticmethod
+    def written(doc, tmp_path):
+        path = tmp_path / "doc.json"
+        write_solution(doc, str(path))
+        return path.read_text()
+
+    @pytest.mark.parametrize("name", [g[0] for g in GOLDEN])
+    def test_writer_matches_json_on_golden(self, t1_path, tmp_path, name):
+        golden = pathlib.Path(t1_path).parent / "golden" / f"t1.{name}.json"
+        doc = json.loads(golden.read_text())
+        assert self.written(doc, tmp_path) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    def test_writer_matches_json_on_corpus(self, tmp_path):
+        """Every solution document of the acceptance corpus, in both
+        formulations, is written as ``json.dumps`` spells it."""
+        written = 0
+        for seed in range(9000, 9100):
+            instance = build_redundant_mlg(random_problem(random.Random(seed)))
+            for formulation in ("node-link", "link-path"):
+                try:
+                    solution = design.solve_capacitated(instance, formulation=formulation)
+                except InfeasibleError:
+                    continue
+                doc = solution_to_dict(render_report(solution, instance), solution.edge_flows)
+                assert (self.written(doc, tmp_path)
+                        == json.dumps(doc, sort_keys=True, indent=2) + "\n")
+                written += 1
+        assert written >= 150
+
+    MADE_UP = [
+        {},
+        [],
+        {"a": {}, "b": [], "c": [[]], "d": [{}], "e": [[1, [2.5, []]], {"x": None}]},
+        {"text": "caf\u00e9 \u2013 \U0001f600 \"quoted\" back\\slash \x00\x1f\x7f\n\t\r"},
+        {"caf\u00e9": 1, "\"": 2, "\\": 3, "": 4, "a\nb": 5, "Z": 6, "a": 7},
+        {"numbers": [0, -0.0, 1, -17, 10 ** 30, 0.1, 1e-300, 1.5e300, -2.25, 1e16, 123456789.123]},
+        {"special": [math.inf, -math.inf, math.nan], "flags": [True, False, None]},
+        {"tuple": (1, "two", (3.0,)), "nested": {"deeper": {"deepest": [True]}}},
+        "just a string",
+        3.5,
+        None,
+    ]
+
+    @pytest.mark.parametrize("doc", MADE_UP)
+    def test_writer_matches_json_on_made_up(self, tmp_path, doc):
+        assert self.written(doc, tmp_path) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    def test_writer_matches_json_on_random(self, tmp_path):
+        rng = random.Random(5)
+        alphabet = ["a", "Z", "\u00e9", "\"", "\\", "\n", "\x01", "\u2028", "\U0001d11e", " "]
+
+        def value(depth):
+            kind = rng.randrange(9 if depth < 4 else 6)
+            if kind == 0:
+                return "".join(rng.choice(alphabet) for _ in range(rng.randrange(4)))
+            if kind == 1:
+                return rng.choice([rng.uniform(-1e6, 1e6), rng.random() * 1e-12,
+                                   math.inf, -math.inf, math.nan, 0.0, -0.0])
+            if kind == 2:
+                return rng.randrange(-10 ** 6, 10 ** 6)
+            if kind in (3, 4, 5):
+                return rng.choice([True, False, None, 1.0])
+            if kind in (6, 7):
+                return [value(depth + 1) for _ in range(rng.randrange(4))]
+            return {"".join(rng.choice(alphabet) for _ in range(rng.randrange(3))): value(depth + 1)
+                    for _ in range(rng.randrange(4))}
+
+        for _ in range(300):
+            doc = {"root": value(0), "more": [value(1) for _ in range(3)]}
+            assert (self.written(doc, tmp_path)
+                    == json.dumps(doc, sort_keys=True, indent=2) + "\n")
+
+    def test_writer_rejects_what_json_cannot_write(self, tmp_path):
+        with pytest.raises(TypeError):
+            write_solution({"x": {1, 2}}, str(tmp_path / "x.json"))
+        with pytest.raises(TypeError):
+            write_solution({"x": {("a",): 1}}, str(tmp_path / "x.json"))
 
     def test_repeat_runs_identical(self, t1_path, tmp_path):
         a = tmp_path / "a.json"

@@ -677,6 +677,52 @@ class TestStartBasis:
         assert sol.objective == pytest.approx(249.0, abs=1e-6)
         assert sum(pivots) <= most
 
+    @staticmethod
+    def forced_pivot_inverse(form, columns):
+        """The inverse reached from B = I by one dense pivot per given
+        column, in the map's order."""
+        inverse = np.eye(form.m)
+        for row, col in columns.items():
+            direction = inverse @ form.A[:, col]
+            inverse[row] /= direction[row]
+            direction[row] = 0.0
+            inverse -= np.outer(direction, inverse[row])
+        return inverse
+
+    def test_named_starts_are_exact(self, monkeypatch):
+        """Every start the formulations name (the node-link forest, the
+        fixed-charge node-link root's forest and each commodity's
+        cheapest path under pricing) on the corpus and ``big_problem``
+        seeds 1-5 at 0.5x and 2x: the inverse times the basis is I
+        exactly, and the inverse equals that of one forced pivot per
+        column exactly."""
+        made = []
+        of = Basis.of
+
+        def recorded(lp, columns):
+            made.append((dict(columns), of(lp, columns)))
+            return made[-1][1]
+
+        def root_only(lp, root):
+            raise LimitsExceeded("root only")
+
+        monkeypatch.setattr(Basis, "of", recorded)
+        monkeypatch.setattr(design, "branch_and_bound", root_only)
+        for instance in corpus_and_scaled((0.5, 2)):
+            fixed = dict.fromkeys(instance.channel_edges, 1.0)
+            for solve in (lambda: solve_capacitated(instance),
+                          lambda: solve_uncapacitated(instance, fixed),
+                          lambda: solve_capacitated(instance, formulation="link-path")):
+                try:
+                    solve()
+                except (InfeasibleError, LimitsExceeded):
+                    pass
+        assert len(made) > 300
+        for columns, basis in made:
+            std = basis.form
+            assert np.array_equal(basis.inverse @ std.A[:, basis.columns], np.eye(std.m))
+            assert np.array_equal(basis.inverse, self.forced_pivot_inverse(std, columns))
+
     def test_no_lapack(self, t1_instance, monkeypatch):
         """No solve inverts or factors a matrix by LAPACK."""
         def refuse(*args, **kwargs):

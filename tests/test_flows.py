@@ -95,3 +95,85 @@ class TestCapacities:
         flows.add_arc("u1", NodeRef(3, "u1"), NodeRef(2, "u1"), 1e9)
         assert check_capacities(t1_instance.graph, flows).ok
 
+
+
+def violating_assignment(instance):
+    """t1 flows that break conservation at six nodes and three capacities:
+    an extra layer-1 arc and an extra service injection for u1, a
+    12-unit u2 route over 10-capacity channels and a backward arc."""
+    service = instance.service_node
+    flows = FlowAssignment()
+    flows.add_path("u1", [service, (2, "s1"), (1, "s1"), (1, "z1"), (1, "u1"),
+                          (2, "u1"), (3, "u1")], 3.0)
+    flows.add_arc("u1", NodeRef(1, "z1"), NodeRef(1, "u2"), 2.0)
+    flows.add_arc("u1", service, NodeRef(2, "s2"), 7.0)
+    flows.add_path("u2", [service, (2, "s2"), (1, "s2"), (1, "z1"), (1, "u2"),
+                          (2, "u2"), (3, "u2")], 12.0)
+    flows.add_arc("u2", NodeRef(1, "u2"), NodeRef(1, "z1"), 1.5)
+    return flows
+
+
+class TestChecksByKey:
+    def test_add_path_wraps_plain_tuples(self, t1_instance):
+        flows = violating_assignment(t1_instance)
+        assert all(isinstance(node, NodeRef)
+                   for arc in flows.arcs("u1") for node in arc)
+
+    def test_add_arc_wraps_plain_tuples(self, t1_instance):
+        flows = FlowAssignment()
+        flows.add_arc("u1", (1, "s1"), (1, "z1"), 2.0)
+        flows.add_arc("u1", NodeRef(1, "s1"), NodeRef(1, "z1"), 1.0)
+        assert flows.arcs("u1") == {(NodeRef(1, "s1"), NodeRef(1, "z1")): 3.0}
+        assert check_capacities(t1_instance.graph, flows).ok
+
+    def test_add_path_rejects_negative_flow_before_any_arc(self):
+        flows = FlowAssignment()
+        with pytest.raises(MlgError, match="arc flow must be >= 0"):
+            flows.add_path("u1", [NodeRef(1, "a"), NodeRef(1, "b"), NodeRef(1, "c")], -1.0)
+        assert flows.commodity_ids() == []
+
+    def test_violation_lists(self, t1_instance):
+        """The violations, in node order per commodity and in key order."""
+        flows = violating_assignment(t1_instance)
+        conservation = check_conservation(t1_instance.graph, flows,
+                                          t1_instance.commodities)
+        assert conservation.violations == [
+            (NodeRef(1, "u2"), "u1", -2.0), (NodeRef(1, "z1"), "u1", 2.0),
+            (NodeRef(2, "s2"), "u1", -7.0), (NodeRef(3, "v0"), "u1", 7.0),
+            (NodeRef(1, "u2"), "u2", 1.5), (NodeRef(1, "z1"), "u2", -1.5),
+            (NodeRef(3, "u2"), "u2", -8.0), (NodeRef(3, "v0"), "u2", 8.0)]
+        capacities = check_capacities(t1_instance.graph, flows)
+        assert capacities.violations == [
+            (("inter", NodeRef(3, "v0"), NodeRef(2, "s2")), 14.0),
+            (("intra", 1, "s2", "z1"), 2.0),
+            (("intra", 1, "u2", "z1"), 5.5)]
+
+    def test_edge_totals_follow_changes(self, t1_instance):
+        flows = violating_assignment(t1_instance)
+        before = flows.edge_totals()
+        before[("intra", 1, "u2", "z1")] = 0.0  # a copy: the flows keep theirs
+        assert flows.edge_totals()[("intra", 1, "u2", "z1")] == 15.5
+        flows.add_arc("u2", NodeRef(1, "z1"), NodeRef(1, "u2"), 1.0)
+        assert flows.edge_totals()[("intra", 1, "u2", "z1")] == 16.5
+
+    def test_made_up_arcs_rejected_by_name(self, t1_instance):
+        """Both checks name the first edge that does not exist: the
+        conservation check the first such arc in commodity and arc order,
+        the capacity check the least such key."""
+        flows = violating_assignment(t1_instance)
+        flows.add_arc("u1", NodeRef(1, "u1"), NodeRef(1, "u2"), 1.0)
+        flows.add_arc("u2", NodeRef(1, "s1"), NodeRef(1, "u2"), 1.0)
+        with pytest.raises(MlgError, match=r"^flow on nonexistent edge "
+                           r"NodeRef\(layer=1, id='u1'\)-NodeRef\(layer=1, id='u2'\)$"):
+            check_conservation(t1_instance.graph, flows, t1_instance.commodities)
+        with pytest.raises(MlgError, match=r"^flow on nonexistent edge "
+                           r"\('intra', 1, 's1', 'u2'\)$"):
+            check_capacities(t1_instance.graph, flows)
+
+    def test_made_up_inter_arc_rejected(self, t1_instance):
+        flows = FlowAssignment()
+        flows.add_arc("u1", NodeRef(3, "u1"), NodeRef(1, "u1"), 1.0)
+        with pytest.raises(MlgError, match="nonexistent"):
+            check_capacities(t1_instance.graph, flows)
+        with pytest.raises(MlgError, match="nonexistent"):
+            check_conservation(t1_instance.graph, flows, t1_instance.commodities)

@@ -456,6 +456,27 @@ class TestStartBasis:
         return start
 
     @pytest.mark.parametrize("seed", range(40))
+    def test_inverse_in_any_order(self, seed):
+        """The columns of an optimal basis, given in a shuffled order so
+        that some column has an entry in a row given after its own (a
+        pivot), still give the inverse of the basis."""
+        rng = random.Random(seed)
+        lp = random_program(rng)[0] if seed % 2 else covering_program(rng)
+        sol = simplex_solve(lp)
+        if sol.status != "Optimal":
+            return
+        items = list(self.start_of(lp, sol).items())
+        rng.shuffle(items)
+        try:
+            basis = lp_module.Basis.of(lp, dict(items))
+        except ValueError as exc:  # that order can meet a zero pivot
+            assert "zero pivot" in str(exc)
+            return
+        form = basis.form
+        assert np.allclose(basis.inverse @ form.A[:, basis.columns], np.eye(form.m),
+                           rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("seed", range(40))
     def test_optimal_basis_resolves_in_zero_pivots(self, seed):
         """The columns of an optimal solve's own basis, given to
         ``Basis.of``, re-solve in 0 pivots to the same objective."""

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from helpers import random_problem
+from helpers import random_problem, t1_problem
 from mlgdesign import (MultiLayerGraph, NodeRef, NoRealization, build_redundant_mlg,
                        realization_path, validate_overlay)
 from mlgdesign.errors import GraphError
+from mlgdesign.mlg import IntraEdge, inter_key, intra_key
 
 
 def small_graph():
@@ -83,6 +84,40 @@ class TestAddInterEdge:
     def test_missing_endpoint_rejected(self):
         with pytest.raises(GraphError, match="does not exist"):
             self.g.add_inter_edge(NodeRef(3, "ghost"), NodeRef(2, "s1"))
+
+
+class TestEdgeKeys:
+    @pytest.mark.parametrize("u, v", [("a", "b"), ("b", "a"), ("z1", "s10"), ("s10", "z1")])
+    def test_intra_key_orders_the_ends(self, u, v):
+        assert intra_key(2, u, v) == ("intra", 2, *sorted((u, v)))
+
+    def test_key_stored_at_construction(self):
+        edge = IntraEdge(layer=1, ends=("z1", "u1"), capacity=3.0)
+        assert edge.key == ("intra", 1, "u1", "z1")
+        assert edge == IntraEdge(layer=1, ends=("z1", "u1"), capacity=3.0)
+
+    @pytest.mark.parametrize("problem", [t1_problem(), random_problem(random.Random(9004))],
+                             ids=["t1", "corpus-9004"])
+    def test_edge_by_key(self, problem):
+        """Every intra and inter edge is found by its own key, and a key
+        no edge has finds None."""
+        graph = build_redundant_mlg(problem).graph
+        edges = graph.all_intra_edges() + graph.inter_edges()
+        assert len(edges) > 10
+        for edge in edges:
+            assert graph.edge(edge.key) is edge
+        sub, srv = graph.nodes(2)[-1], graph.nodes(2)[0]
+        for key in (intra_key(1, "ghost", sub), intra_key(4, srv, sub), intra_key(0, srv, sub),
+                    inter_key(NodeRef(3, sub), NodeRef(1, sub)),
+                    inter_key(NodeRef(2, "ghost"), NodeRef(1, sub))):
+            assert graph.edge(key) is None
+
+    def test_removed_edge_is_gone(self):
+        g = small_graph()
+        edge = g.add_intra_edge(1, "z1", "u1")
+        assert g.edge(intra_key(1, "u1", "z1")) is edge
+        g.remove_intra_edge(1, "u1", "z1")
+        assert g.edge(edge.key) is None
 
 
 class TestNeighbors:
