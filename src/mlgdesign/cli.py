@@ -301,6 +301,9 @@ def _fmt_cap(value: float) -> str:
 
 def _dot_node(layer: int, node: str) -> str:
     """The quoted DOT id ``"<layer>:<node>"``, each ``"`` escaped as ``\\"``."""
+    if node.endswith("\\"):
+        raise ProblemFormatError(f"node id {node!r} ends in a backslash, which would "
+                                 "escape the closing quote of its DOT id")
     return '"' + f"{layer}:{node}".replace('"', '\\"') + '"'
 
 
@@ -310,8 +313,9 @@ def export_dot(graph: mlg.MultiLayerGraph, path: Optional[str] = None) -> str:
 
     Each node is the quoted id ``"<layer>:<node id>"``.  A ``"`` in a node
     id is written ``\\"``, DOT's one escape inside quoted ids; every other
-    character is written as it is.  So an id that ends in a backslash
-    cannot be written: that backslash would escape the closing quote."""
+    character is written as it is.  An id that ends in a backslash cannot
+    be written, since that backslash would escape the closing quote: it
+    raises ``ProblemFormatError``, and no file is written."""
     lines = ["graph mlg {"]
     for layer in range(1, graph.layer_count + 1):
         lines.append(f'  subgraph cluster_layer_{layer} {{')

@@ -79,19 +79,20 @@ _Adjacency = Mapping[str, Mapping[str, IntraEdge]]  # node -> neighbour -> chann
 
 
 def _k_shortest_paths(graph: MultiLayerGraph, first: tuple[float, tuple[str, ...]],
-                      ranked: _Ranking):
+                      to_dst: dict[str, float]):
     """Yen's cheapest simple paths (Yen, 1971) from ``first[1][0]`` to
-    ``ranked.dst``, yielded as (cost, nodes) in (cost, nodes) order,
-    with Lawler's rule, lazy spurs and spurs read off the exact distance
-    map ``ranked.to_dst``.  ``first`` is the cheapest such path as
-    :func:`mlgdesign.mlg.cheapest_path` returns it.  A caller takes the
-    first k; nothing past the last path taken is searched, and nothing
-    of ``ranked`` is read before the first spur.
+    ``dst = first[1][-1]``, yielded as (cost, nodes) in (cost, nodes)
+    order, with Lawler's rule and lazy spurs.  ``first`` is the cheapest
+    such path as :func:`mlgdesign.mlg.cheapest_path` returns it.  A
+    caller takes the first k; nothing past the last path taken is
+    searched.
 
-    ``ranked[x]`` lists x's neighbours v by (hop cost + ``to_dst[v]``,
-    v).  A path costs the left-to-right sum of its hops, as
-    :func:`_add_hops` adds them: the root's sum, then each spur hop in
-    turn.
+    ``to_dst`` is the exact distance map to ``dst``
+    (:func:`mlgdesign.mlg.distances_to`), shared by every server's paths
+    to one subscriber.  Left empty, it is filled when the first path's
+    spur roots are bounded, so a caller that takes one path builds none.
+    A path costs the left-to-right sum of its hops, as :func:`_add_hops`
+    adds them: the root's sum, then each spur hop in turn.
 
     The list is exactly Yen's:
 
@@ -109,89 +110,39 @@ def _k_shortest_paths(graph: MultiLayerGraph, first: tuple[float, tuple[str, ...
       hops.  Its spur is searched only when that bound reaches the top
       of the queue.  A bound sorts before a path of equal cost, so every
       path that precedes another in (cost, nodes) order is queued before
-      that one is popped.
-    - **Read-off.**  The head of ``ranked[x]`` is x's smallest-id tight
-      successor y, tight meaning hop cost + ``to_dst[y] == to_dst[x]``.
-      A spur takes its root's best allowed first hop, then the heads
-      down to ``dst``.  Every hop of that chain is tight and the
-      smallest-id such hop, so when the chain meets neither the root nor
-      itself it is the cheapest spur with the smallest node sequence:
-      the path :func:`mlgdesign.mlg.cheapest_path` returns.  When it
-      does meet one (a banned node, or a loop of zero-cost channels),
-      ``cheapest_path`` searches the spur, guided by ``to_dst``; bans
-      only lengthen paths, so the map stays a consistent potential.
+      that one is popped.  The spur is one
+      :func:`mlgdesign.mlg.cheapest_path` search guided by ``to_dst``;
+      bans only lengthen paths, so the map stays a consistent potential.
     """
-    adj, dst = graph.adjacency(1), ranked.dst
-    # (bound, 0, root, root cost, bans, first hop) stands for an unsearched
+    adj, dst = graph.adjacency(1), first[1][-1]
+    # (bound, 0, root, root cost, bans, None) stands for an unsearched
     # spur; (cost, 1, path, root cost, bans, root index) for a found one
     queue = [(first[0], 1, first[1], 0.0, frozenset(), 0)]
     while queue:
-        cost, is_path, nodes, root_cost, bans, extra = heapq.heappop(queue)
+        cost, is_path, nodes, root_cost, bans, d = heapq.heappop(queue)
         if not is_path:
-            spur = _read_spur(nodes, extra, dst, ranked)
-            if spur is None:
-                x = nodes[-1]
-                searched = cheapest_path(graph, 1, [x], {dst}, _channel_cost,
-                                         frozenset(nodes[:-1]), {(x, b) for b in bans},
-                                         ranked.to_dst)
-                if searched is None:
-                    continue
-                spur = searched[1]
-            heapq.heappush(queue, (_add_hops(root_cost, spur, adj), 1,
-                                   nodes[:-1] + spur, root_cost, bans, len(nodes) - 1))
+            x = nodes[-1]
+            spur = cheapest_path(graph, 1, [x], {dst}, _channel_cost, frozenset(nodes[:-1]),
+                                 {(x, b) for b in bans}, to_dst)
+            if spur is not None:
+                heapq.heappush(queue, (_add_hops(root_cost, spur[1], adj), 1,
+                                       nodes[:-1] + spur[1], root_cost, bans, len(nodes) - 1))
             continue
         yield cost, nodes
-        d = extra
+        if not to_dst:
+            to_dst.update(distances_to(graph, 1, dst, _channel_cost))
         on_root = set(nodes[:d])
         for i in range(d, len(nodes) - 1):
             x, nxt = nodes[i], nodes[i + 1]
             banned = bans | {nxt} if i == d else frozenset((nxt,))
-            for bound, v in ranked[x]:
-                if v not in banned and v not in on_root:
-                    heapq.heappush(queue, (root_cost + bound, 0, nodes[:i + 1],
-                                           root_cost, banned, v))
-                    break
+            # layer 1 is undirected: every neighbour of x reaches dst
+            hops = [edge.cost + to_dst[v] for v, edge in adj[x].items()
+                    if v not in banned and v not in on_root]
+            if hops:
+                heapq.heappush(queue, (root_cost + min(hops), 0, nodes[:i + 1],
+                                       root_cost, banned, None))
             on_root.add(x)
             root_cost += adj[x][nxt].cost
-
-
-class _Ranking(dict):
-    """Layer-1 node x -> x's neighbours v ranked by (hop cost +
-    ``to_dst[v]``, v), where ``to_dst`` is the exact distance map to
-    ``dst`` (one reverse Dijkstra, :func:`mlgdesign.mlg.distances_to`).
-    The map is built on the first read, and each node's list on its own
-    first read, so a subscriber none of whose pools grows costs neither.
-    """
-
-    def __init__(self, graph: MultiLayerGraph, dst: str):
-        super().__init__()
-        self.graph, self.dst = graph, dst
-        self.to_dst: Optional[dict[str, float]] = None
-
-    def __missing__(self, x: str) -> list[tuple[float, str]]:
-        if self.to_dst is None:
-            self.to_dst = distances_to(self.graph, 1, self.dst, _channel_cost)
-        to_dst = self.to_dst
-        ranked = self[x] = sorted((edge.cost + to_dst[v], v)
-                                  for v, edge in self.graph.adjacency(1)[x].items())
-        return ranked
-
-
-def _read_spur(root: tuple[str, ...], first_hop: str, dst: str,
-               ranked: _Ranking) -> Optional[tuple[str, ...]]:
-    """The root's last node, ``first_hop``, then each node's smallest-id
-    tight successor down to ``dst``; None if that meets the root or
-    itself."""
-    spur = [root[-1], first_hop]
-    on_path = set(root)
-    node = first_hop
-    while node != dst:
-        on_path.add(node)
-        node = ranked[node][0][1]
-        if node in on_path:
-            return None
-        spur.append(node)
-    return tuple(spur)
 
 
 def _add_hops(cost: float, nodes, adj: _Adjacency) -> float:
@@ -249,18 +200,18 @@ def _paths_by_server(instance: BuiltInstance, commodity: Commodity,
     order.
 
     The first path comes from the server's tree in ``trees`` (see
-    :func:`_server_trees`).  The servers share one :class:`_Ranking` of
-    the subscriber, which is built only when some server's iterator is
-    asked for a second path.  Layer 1's adjacency index gives each
-    path's cost and channel names.
+    :func:`_server_trees`).  The servers share one distance map to the
+    subscriber, which is built only when some server's iterator is
+    asked for a second path (see :func:`_k_shortest_paths`).  Layer 1's
+    adjacency index gives each path's cost and channel names.
     """
     subscriber = commodity.sink.id
     adj = instance.graph.adjacency(1)
-    ranked = _Ranking(instance.graph, subscriber)
+    to_dst: dict[str, float] = {}
 
     def paths(server):
         for cost, nodes in _k_shortest_paths(instance.graph, trees[server][subscriber],
-                                             ranked):
+                                             to_dst):
             yield _candidate(server, nodes, cost, adj)
 
     return {server: paths(server) for server in instance.server_ids()
@@ -660,9 +611,10 @@ def _price_link_path(instance: BuiltInstance, k: int):
     optimal solution).  Raises ``InfeasibleError`` when the full LP is
     infeasible.
 
-    Each pool starts with its first path, read off its server's
-    cheapest-path tree; one tree per server serves every commodity, and
-    a subscriber's distance map is built only when one of its pools
+    Each pool starts with its first path, taken from its server's
+    cheapest-path tree; one tree per server serves every commodity.
+    Each later path is a Yen spur, one search guided by the subscriber's
+    distance map, and that map is built only when one of its pools
     takes a second path (see :func:`_paths_by_server`).  A path outside
     the pool of (c, s) enters ``demand[c]``, ``productivity[s]`` and
     ``capacity`` rows.  A ``capacity`` row's dual is <= 0, so the path's

@@ -8,8 +8,9 @@ layer; :func:`validate_overlay` checks this from each lower layer's
 connected components, :func:`realization_path` computes the witnessing
 path.  :func:`cheapest_path` is the one simple-path search over a
 layer's adjacency index, optionally guided by a potential such as the
-exact distance map of :func:`distances_to`; realization and the design
-solver's candidate paths both use it.  :func:`cheapest_paths_from` is
+exact distance map of :func:`distances_to`; realization uses it, and so
+does every spur of the design solver's Yen paths, guided by the
+subscriber's distance map.  :func:`cheapest_paths_from` is
 the same search from one start or several, settling every node it
 reaches: a cheapest-path tree, or a forest rooted at the starts.
 """
@@ -226,12 +227,6 @@ class MultiLayerGraph:
                     if 1 <= layer <= len(self._layers) else None)
         return self._inter.get(key)
 
-    def find_edge(self, a: NodeRef, b: NodeRef):
-        """Resolve an arbitrary node pair to the intra or inter edge joining it."""
-        if a.layer == b.layer:
-            return self.find_intra(a.layer, a.id, b.id)
-        return self.find_inter(a, b)
-
     def adjacency(self, layer: int) -> Mapping[str, Mapping[str, IntraEdge]]:
         """The layer's adjacency index, node -> neighbour -> edge; read only."""
         return self._layer(layer)["adj"]
@@ -287,9 +282,11 @@ def cheapest_path(graph: MultiLayerGraph, layer: int, starts: Iterable[str],
     from it to a goal and must be consistent: ``potential[a] <=
     weight(edge) + potential[b]`` for every edge a-b, with 0 at the
     goals.  The exact distances of :func:`distances_to` are; bans only
-    remove edges, so they stay so.  A node with an infinite potential,
-    or none in the map, cannot reach a goal and is never entered.
-    Without a potential every node counts 0.
+    remove edges, so they stay so: a Yen spur bans its root's nodes and
+    next hops and still searches with the subscriber's exact distance
+    map.  A node with an infinite potential, or none in the map, cannot
+    reach a goal and is never entered.  Without a potential every node
+    counts 0.
 
     **Order contract.**  The path returned is the one plain Dijkstra
     keyed by (cost, node-id sequence) pops first at a goal: the

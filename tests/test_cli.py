@@ -377,6 +377,19 @@ class TestExportDot:
         assert '"1:u\\"1";' in text and '"2:a\\"b\\c\\"";' in text
         assert '"1:z\\1" -- ' in text or ' -- "1:z\\1"' in text
 
+    def test_trailing_backslash_rejected(self, t1_path, tmp_path, capsys):
+        """An id that ends in a backslash would escape its closing quote:
+        ``export-dot`` exits 2, names the id and writes no file."""
+        doc = load_t1_doc(t1_path)
+        doc["intermediate"][0]["id"] = "z1\\"
+        for channel in doc["channels"]:
+            channel["ends"] = ["z1\\" if end == "z1" else end for end in channel["ends"]]
+        out = tmp_path / "out.dot"
+        assert main(["export-dot", write_json(tmp_path, doc), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: ") and repr("z1\\") in err
+        assert not out.exists()
+
     def test_command_deterministic(self, t1_path, tmp_path):
         a = tmp_path / "a.dot"
         b = tmp_path / "b.dot"
@@ -410,6 +423,8 @@ GOLDEN = [
     ("solve.node-link", ["solve"]),
     ("solve.link-path", ["solve", "--formulation", "link-path"]),
     ("solve.single-homing", ["solve", "--single-homing"]),
+    ("solve.single-homing.link-path",
+     ["solve", "--single-homing", "--formulation", "link-path"]),
     ("solve.uncapacitated.node-link", ["solve", "--mode", "uncapacitated"]),
     ("solve.uncapacitated.link-path",
      ["solve", "--mode", "uncapacitated", "--formulation", "link-path"]),

@@ -172,17 +172,18 @@ class TestCandidatePaths:
 
     @pytest.mark.parametrize("channels", [
         # a-b costs 0: with a-u banned, the spur from root s-a enters b,
-        # whose smallest-id tight successor is a, a node of the root
+        # whose one cheapest way on to u runs back through a, on the root
         [("c1", "s", "a", 1.0), ("c2", "a", "b", 0.0), ("c3", "a", "u", 1.0)],
         # with x-u banned, the spur from root s-r-x leaves by w, whose
-        # tight successor is x itself, a node of the root
+        # cheapest way on to u runs back through x, on the root
         [("c1", "s", "r", 1.0), ("c2", "r", "x", 1.0), ("c3", "x", "u", 1.0),
          ("c4", "x", "w", 1.0), ("c5", "w", "r", 1.0), ("c6", "w", "q", 1.0),
          ("c7", "q", "u", 2.0)],
     ])
     def test_blocked_chains_are_searched(self, channels, monkeypatch):
-        """A successor chain that meets the root or itself falls back to
-        the search, and the list is still the exhaustive one's first k."""
+        """Where a spur's cheapest way on to the subscriber runs through
+        the root, the guided spur search goes round it, and the list is
+        still the exhaustive one's first k."""
         ids = sorted({end for _, a, b, _ in channels for end in (a, b)} - {"s", "u"})
         instance, c = self.one_subscriber(ids, channels)
         every = all_candidate_paths(instance, c)
