@@ -46,9 +46,12 @@ _INTERMEDIATE_KEYS = _keys({"id"})
 _CHANNEL_KEYS = _keys({"id", "ends", "capacity"}, {"cost"})
 
 
-def _require_keys(obj: dict, where: str, keys: tuple[frozenset, frozenset]):
+# Each check names the field it reads as ``where.format(*args)``, built only
+# when it raises: a valid file formats no location string.
+
+def _require_keys(obj: dict, keys: tuple[frozenset, frozenset], where: str, *args):
     if not isinstance(obj, dict):
-        raise ProblemFormatError(f"{where}: expected an object")
+        raise ProblemFormatError(f"{where.format(*args)}: expected an object")
     required, allowed = keys
     present = obj.keys()
     if present == required or present == allowed:
@@ -56,30 +59,30 @@ def _require_keys(obj: dict, where: str, keys: tuple[frozenset, frozenset]):
     unknown = present - allowed
     if unknown:
         raise ProblemFormatError(
-            f"{where}: unknown key(s) {', '.join(sorted(unknown))}")
+            f"{where.format(*args)}: unknown key(s) {', '.join(sorted(unknown))}")
     missing = required - present
     if missing:
         raise ProblemFormatError(
-            f"{where}: missing key(s) {', '.join(sorted(missing))}")
+            f"{where.format(*args)}: missing key(s) {', '.join(sorted(missing))}")
 
 
-def _as_number(value, where: str) -> float:
+def _as_number(value, where: str, *args) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ProblemFormatError(f"{where}: expected a number")
+        raise ProblemFormatError(f"{where.format(*args)}: expected a number")
     if not abs(value) <= sys.float_info.max:  # NaN, infinities, huge integers
-        raise ProblemFormatError(f"{where}: expected a finite number")
+        raise ProblemFormatError(f"{where.format(*args)}: expected a finite number")
     return float(value)
 
 
-def _as_list(value, where: str) -> list:
+def _as_list(value, where: str, *args) -> list:
     if not isinstance(value, list):
-        raise ProblemFormatError(f"{where}: expected a list")
+        raise ProblemFormatError(f"{where.format(*args)}: expected a list")
     return value
 
 
-def _as_id(value, where: str) -> str:
+def _as_id(value, where: str, *args) -> str:
     if not isinstance(value, str) or not value:
-        raise ProblemFormatError(f"{where}: expected a nonempty string id")
+        raise ProblemFormatError(f"{where.format(*args)}: expected a nonempty string id")
     return value
 
 
@@ -100,56 +103,53 @@ def parse_problem(path: str) -> builder.DesignProblem:
 
 
 def problem_from_dict(doc: dict) -> builder.DesignProblem:
-    _require_keys(doc, "top level", _TOP_KEYS)
+    _require_keys(doc, _TOP_KEYS, "top level")
 
     subscribers = []
     for i, entry in enumerate(_as_list(doc["subscribers"], "subscribers")):
-        where = f"subscribers[{i}]"
-        _require_keys(entry, where, _SUBSCRIBER_KEYS)
-        sid = _as_id(entry["id"], where)
+        _require_keys(entry, _SUBSCRIBER_KEYS, "subscribers[{}]", i)
+        sid = _as_id(entry["id"], "subscribers[{}]", i)
         sessions = []
-        for j, vol in enumerate(_as_list(entry["sessions"], f"{where}.sessions")):
-            v = _as_number(vol, f"{where}.sessions[{j}]")
+        for j, vol in enumerate(_as_list(entry["sessions"], "subscribers[{}].sessions", i)):
+            v = _as_number(vol, "subscribers[{}].sessions[{}]", i, j)
             if v < 0:
                 raise ProblemFormatError(
-                    f"{where}.sessions[{j}]: volume must be >= 0")
+                    f"subscribers[{i}].sessions[{j}]: volume must be >= 0")
             sessions.append(builder.Session(subscriber=sid, volume=v))
         subscribers.append(builder.Subscriber(id=sid, sessions=sessions))
 
     servers = []
     for i, entry in enumerate(_as_list(doc["servers"], "servers")):
-        where = f"servers[{i}]"
-        _require_keys(entry, where, _SERVER_KEYS)
-        p = _as_number(entry["productivity"], f"{where}.productivity")
+        _require_keys(entry, _SERVER_KEYS, "servers[{}]", i)
+        p = _as_number(entry["productivity"], "servers[{}].productivity", i)
         if p < 0:
-            raise ProblemFormatError(f"{where}.productivity: must be >= 0")
-        servers.append(builder.Server(id=_as_id(entry["id"], where), productivity=p))
+            raise ProblemFormatError(f"servers[{i}].productivity: must be >= 0")
+        servers.append(builder.Server(id=_as_id(entry["id"], "servers[{}]", i),
+                                      productivity=p))
 
-    _require_keys(doc["service"], "service", _SERVER_KEYS)
+    _require_keys(doc["service"], _SERVER_KEYS, "service")
     service_id = _as_id(doc["service"]["id"], "service")
     service_p = _as_number(doc["service"]["productivity"], "service.productivity")
 
     intermediates = []
     for i, entry in enumerate(_as_list(doc.get("intermediate", []), "intermediate")):
-        where = f"intermediate[{i}]"
-        _require_keys(entry, where, _INTERMEDIATE_KEYS)
-        intermediates.append(_as_id(entry["id"], where))
+        _require_keys(entry, _INTERMEDIATE_KEYS, "intermediate[{}]", i)
+        intermediates.append(_as_id(entry["id"], "intermediate[{}]", i))
 
     channels = []
     for i, entry in enumerate(_as_list(doc["channels"], "channels")):
-        where = f"channels[{i}]"
-        _require_keys(entry, where, _CHANNEL_KEYS)
-        cid = _as_id(entry["id"], where)
+        _require_keys(entry, _CHANNEL_KEYS, "channels[{}]", i)
+        cid = _as_id(entry["id"], "channels[{}]", i)
         ends = entry["ends"]
         if (not isinstance(ends, list) or len(ends) != 2
                 or not isinstance(ends[0], str) or not isinstance(ends[1], str)):
             raise ProblemFormatError(f"channel {cid}: ends must be a pair of ids")
         capacity = entry["capacity"]
         if capacity != math.inf:  # Infinity: an unbounded channel
-            capacity = _as_number(capacity, f"channel {cid}: capacity")
+            capacity = _as_number(capacity, "channel {}: capacity", cid)
         if capacity <= 0:
             raise ProblemFormatError(f"channel {cid}: capacity must be positive")
-        cost = _as_number(entry.get("cost", 1.0), f"channel {cid}: cost")
+        cost = _as_number(entry.get("cost", 1.0), "channel {}: cost", cid)
         if cost < 0:
             raise ProblemFormatError(f"channel {cid}: cost must be >= 0")
         channels.append(builder.Channel(id=cid, ends=(ends[0], ends[1]),
@@ -407,7 +407,7 @@ def _load_fixed_costs(path: Optional[str], instance) -> dict[str, float]:
     for ch, value in doc.items():
         if ch not in instance.channel_edges:
             raise ProblemFormatError(f"fixed costs: unknown channel {ch!r}")
-        out[ch] = _as_number(value, f"fixed cost for {ch}")
+        out[ch] = _as_number(value, "fixed cost for {}", ch)
         if out[ch] < 0:
             raise ProblemFormatError(f"fixed cost for {ch}: must be >= 0")
     return out

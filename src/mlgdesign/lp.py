@@ -18,6 +18,17 @@ a basis found before columns and rows were appended, as column
 generation does; an optimal solve returns the row duals that price
 such columns.  A cold solve may start from a crash basis the caller
 names by its columns (:meth:`Basis.of`) in place of the logical one.
+
+At desk scale a NumPy call costs more than its arithmetic, so the
+tableau keeps what each iteration reads of the basis: the bounds of
+each row's basic column, the side (+1 or -1) each column sits on, and
+the mask of columns free to enter (neither fixed nor basic).  Each
+pivot and bound flip updates them in O(1), rather than every iteration
+re-deriving them (Maros, *Computational Techniques of the Simplex
+Method*, 2003).  Bounds are checked once per solve: a NaN bound,
+a lower bound that is not finite or an upper bound of -inf raises
+``ValueError``.
+
 The search
 takes the up branch first: in the design models a binary's up branch
 opens a channel or homes a subscriber, which tends to reach feasible
@@ -130,14 +141,16 @@ class _StandardForm:
             self.b[:m0], self.sign[:m0] = base.b, base.sign
             self.logical_upper[:m0] = base.logical_upper
             self.cost[:n0] = base.cost[:n0]
-        for i, (con, sign) in enumerate(zip(lp.constraints, self.sign[:m0].tolist())):
-            for j, c in con.coeffs.items():
-                if j >= n0:
-                    self.A[i, j] = sign * c
+        A = self.A
+        if n0 < n:  # the old rows' coefficients in new columns
+            for i, (con, sign) in enumerate(zip(lp.constraints, self.sign[:m0].tolist())):
+                for j, c in con.coeffs.items():
+                    if j >= n0:
+                        A[i, j] = sign * c
         for i, con in enumerate(lp.constraints[m0:], m0):
             sign = self.sign[i] = -1.0 if con.relation == ">=" else 1.0
             for j, c in con.coeffs.items():
-                self.A[i, j] = sign * c
+                A[i, j] = sign * c
             self.b[i] = sign * con.rhs
             if con.relation == "=":
                 self.logical_upper[i] = 0.0
@@ -147,7 +160,7 @@ class _StandardForm:
         new = (self.A[:m0, n0:n], self.A[m0:, :n], self.b[m0:], self.cost[n0:n])
         if not all(np.isfinite(block).all() for block in new):
             raise MalformedProgram("NaN or infinite coefficient in program")
-        self.A[range(m), range(n, n + m)] = 1.0
+        A.reshape(-1)[n::n + m + 1] = 1.0  # the logical columns, B = I
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,7 +293,15 @@ class LpSolution:
 class _Tableau:
     """Revised simplex state over a standard form: the basis, its
     explicit inverse and the basic values, each nonbasic column at its
-    lower or upper bound."""
+    lower or upper bound.
+
+    It also keeps what every iteration reads of the basis, and each
+    pivot and bound flip updates it in O(1) instead of re-deriving it
+    (Maros, *Computational Techniques of the Simplex Method*, 2003):
+    ``lower_b`` and ``upper_b``, the bounds of each row's basic
+    column; ``side``, -1 for a column at its upper bound and +1 for any
+    other; and ``movable``, the columns that are neither fixed
+    (``blocked``, computed once per solve) nor basic."""
 
     def __init__(self, form: _StandardForm, lower: np.ndarray, upper: np.ndarray,
                  start: Optional[Basis]):
@@ -289,72 +310,93 @@ class _Tableau:
         self.m, self.total = form.m, form.total
         self.lower = np.concatenate([lower, np.zeros(form.m)])
         self.upper = np.concatenate([upper, form.logical_upper])
+        self.blocked = self.upper <= self.lower  # fixed columns never move
         if start is None:
             self.basis = np.arange(form.n, form.total)  # the logical columns
             self.binv = np.eye(form.m)
-            self.at_upper = np.zeros(form.total, dtype=bool)
         else:
             self.basis = start.columns.copy()
             self.binv = start.inverse.copy()
-            # a column whose bounds now meet sits at its lower bound
-            self.at_upper = start.at_upper & (self.upper > self.lower)
-        self.xb = self.basic_values()
+        if start is None or not np.count_nonzero(start.at_upper):
+            self.at_upper = np.zeros(form.total, dtype=bool)
+            self.side = np.ones(form.total)
+        else:
+            # a column whose bounds now meet, or whose upper bound is now
+            # infinite, sits at its lower bound
+            self.at_upper = start.at_upper & ~self.blocked & (self.upper < np.inf)
+            self.side = np.where(self.at_upper, -1.0, 1.0)
+        self.movable = ~self.blocked
+        self.movable[self.basis] = False
+        self.lower_b = self.lower[self.basis]
+        self.upper_b = self.upper[self.basis]
+        self.xb = self.basic_values(self.nonbasic_values())
         self.iterations = 0
 
-    def values(self, basic: Optional[np.ndarray]) -> np.ndarray:
-        """Every column's value: nonbasic ones at their bound, basic ones
-        at ``basic`` (0 when None)."""
+    def nonbasic_values(self) -> np.ndarray:
+        """Every column's value with the basic ones at 0: each nonbasic
+        one at its bound."""
         x = np.where(self.at_upper, self.upper, self.lower)
-        x[self.basis] = 0.0 if basic is None else basic
+        x[self.basis] = 0.0
         return x
 
-    def basic_values(self) -> np.ndarray:
-        """The basic values read off the basis inverse and the nonbasic
-        bounds, ``binv @ (b - A x_N)``, free of the rounding that pivots
-        accumulate in ``xb``."""
-        return self.binv @ (self.form.b - self.A @ self.values(basic=None))
+    def basic_values(self, nonbasic: np.ndarray) -> np.ndarray:
+        """The basic values read off the basis inverse and the
+        ``nonbasic`` values, ``binv @ (b - A x_N)``, free of the rounding
+        that pivots accumulate in ``xb``."""
+        return self.binv.dot(self.form.b - self.A.dot(nonbasic))
 
     def _pivot(self, row: int, col: int, direction: np.ndarray,
                to_upper: bool = False) -> None:
         """Replace the basic variable of ``row`` by ``col``; the leaving
         one goes to its upper bound if ``to_upper``, else its lower.
-        ``direction`` is binv @ A[:, col]."""
+        ``direction`` is binv @ A[:, col]; the pivot zeroes its ``row``
+        entry and eliminates with it in place."""
+        xb, binv = self.xb, self.binv
         leaving = self.basis[row]
-        target = self.upper[leaving] if to_upper else self.lower[leaving]
+        target = self.upper_b[row] if to_upper else self.lower_b[row]
         origin = self.upper[col] if self.at_upper[col] else self.lower[col]
         if target:
-            self.xb[row] -= target
+            xb[row] -= target
         piv = direction[row]
-        self.binv[row] /= piv
-        self.xb[row] /= piv  # the entering column's step
-        factor = direction.copy()
-        factor[row] = 0.0
-        self.binv -= np.outer(factor, self.binv[row])
-        self.xb -= factor * self.xb[row]
+        binv[row] /= piv
+        xb[row] /= piv  # the entering column's step
+        direction[row] = 0.0
+        binv -= direction[:, None] * binv[row]
+        xb -= direction * xb[row]
         if origin:
-            self.xb[row] += origin
-        self.at_upper[leaving] = to_upper and self.upper[leaving] > self.lower[leaving]
+            xb[row] += origin
+        fixed = self.blocked[leaving]
+        up = to_upper and not fixed
+        self.at_upper[leaving] = up
+        self.side[leaving] = -1.0 if up else 1.0
+        self.movable[leaving] = not fixed
         self.at_upper[col] = False
+        self.side[col] = 1.0
+        self.movable[col] = False
+        self.lower_b[row] = self.lower[col]
+        self.upper_b[row] = self.upper[col]
         self.basis[row] = col
         self.iterations += 1
 
     def _flip(self, col: int, direction: np.ndarray) -> None:
         """Move nonbasic ``col`` to its other bound."""
         span = self.upper[col] - self.lower[col]
-        self.xb -= direction * (-span if self.at_upper[col] else span)
-        self.at_upper[col] = not self.at_upper[col]
+        up = self.at_upper[col]
+        self.xb -= direction * (-span if up else span)
+        self.at_upper[col] = not up
+        self.side[col] = 1.0 if up else -1.0
         self.iterations += 1
 
     def duals(self, cost: np.ndarray) -> np.ndarray:
-        return cost[self.basis] @ self.binv
+        return cost[self.basis].dot(self.binv)
 
     def final_basis(self) -> Basis:
         return Basis(self.basis, self.at_upper, self.form, self.binv)
 
-    def run(self, cost: np.ndarray, max_iter: int) -> tuple[str, np.ndarray]:
+    def run(self, cost: np.ndarray, max_iter: int) -> tuple[str, np.ndarray, np.ndarray]:
         """Bounded revised primal simplex from a primal-feasible basis.
 
-        Returns (status, reduced_costs).  A column at its lower bound
+        Returns (status, reduced costs, duals).  A column at its lower bound
         enters on a negative reduced cost, one at its upper bound on a
         positive one.  Dantzig entering rule with a switch to Bland's
         rule after a long run of degenerate pivots.  When the entering
@@ -363,50 +405,49 @@ class _Tableau:
         costs are recomputed from the basis inverse every iteration, so
         the optimality certificate is exact.
         """
-        blocked = self.upper <= self.lower  # fixed columns never move
+        xb, lower_b, upper_b = self.xb, self.lower_b, self.upper_b
         bland = False
         degenerate_run = 0
         for _ in range(max_iter):
-            red = cost - self.duals(cost) @ self.A
-            gain = np.where(self.at_upper, -red, red)
-            gain[blocked] = np.inf
+            y = self.duals(cost)
+            red = cost - y.dot(self.A)
+            gain = red * self.side
+            gain[self.blocked] = np.inf
             if bland:
-                candidates = np.nonzero(gain < -PIVOT_TOL)[0]
+                candidates = (gain < -PIVOT_TOL).nonzero()[0]
                 if candidates.size == 0:
-                    return "Optimal", red
+                    return "Optimal", red, y
                 col = int(candidates[0])
             else:
-                col = int(np.argmin(gain))
+                col = int(gain.argmin())
                 if gain[col] >= -PIVOT_TOL:
-                    return "Optimal", red
-            direction = self.binv @ self.A[:, col]
-            # basic values fall by ``move`` per unit the entering column moves
-            move = -direction if self.at_upper[col] else direction
-            ratios = np.full(self.m, np.inf)
-            falling = move > PIVOT_TOL
-            ratios[falling] = ((self.xb[falling] - self.lower[self.basis][falling])
-                               / move[falling])
-            rising = move < -PIVOT_TOL
-            ratios[rising] = ((self.upper[self.basis][rising] - self.xb[rising])
-                              / -move[rising])
+                    return "Optimal", red, y
+            direction = self.binv.dot(self.A[:, col])
+            # per unit the entering column moves off its bound, each basic
+            # value moves by |direction| toward its lower bound (falling)
+            # or its upper one
+            falling = direction < 0.0 if self.at_upper[col] else direction > 0.0
+            size = np.abs(direction)
+            ratios = np.divide(np.where(falling, xb - lower_b, upper_b - xb), size,
+                               out=np.full(self.m, np.inf), where=size > PIVOT_TOL)
             best = ratios.min(initial=np.inf)
             span = self.upper[col] - self.lower[col]
             if span == np.inf and best == np.inf:
-                return "Unbounded", red
+                return "Unbounded", red, y
             if span <= best:
                 self._flip(col, direction)
                 degenerate_run = 0
                 continue
-            tied = np.nonzero(ratios <= best + PIVOT_TOL)[0]
+            tied = (ratios <= best + PIVOT_TOL).nonzero()[0]
             # leaving tie-break: smallest basis variable index (Bland-safe)
-            row = int(min(tied, key=lambda i: self.basis[i]))
+            row = int(tied[0] if tied.size == 1 else tied[self.basis[tied].argmin()])
             if best <= PIVOT_TOL:
                 degenerate_run += 1
                 if degenerate_run > 2 * self.m + 10:
                     bland = True
             else:
                 degenerate_run = 0
-            self._pivot(row, col, direction, to_upper=bool(move[row] < 0))
+            self._pivot(row, col, direction, to_upper=not falling[row])
         raise MalformedProgram("simplex iteration limit exceeded")
 
     def dual_run(self, cost: np.ndarray, max_iter: int) -> Optional[list[str]]:
@@ -430,48 +471,54 @@ class _Tableau:
         The reduced costs are updated by the pivot row, not recomputed:
         they only steer the ratio test, and ``run`` recomputes its own.
         """
-        blocked = self.upper <= self.lower
-        red = cost - self.duals(cost) @ self.A
-        red[np.where(self.at_upper, red, -red) > PIVOT_TOL] = 0.0  # the shift
+        if not self.m:
+            return None
+        xb, lower_b, upper_b = self.xb, self.lower_b, self.upper_b
+        side, movable = self.side, self.movable
+        red = None  # priced at the first ratio test, which no pivot precedes
         bland = False
         degenerate_run = 0
         for _ in range(max_iter):
-            below = self.lower[self.basis] - self.xb
-            above = self.xb - self.upper[self.basis]
+            below = lower_b - xb
+            above = xb - upper_b
             excess = np.maximum(below, above)
-            out = np.nonzero(excess > FEAS_TOL)[0]
-            if out.size == 0:
-                return None
             if bland:
-                row = int(min(out, key=lambda i: self.basis[i]))
+                out = (excess > FEAS_TOL).nonzero()[0]
+                if out.size == 0:
+                    return None
+                row = int(out[self.basis[out].argmin()])
             else:
-                row = int(out[np.argmax(excess[out])])
+                row = int(excess.argmax())
+                if not excess[row] > FEAS_TOL:
+                    return None
             to_upper = bool(above[row] > below[row])
-            alpha = self.binv[row] @ self.A
+            alpha = self.binv[row].dot(self.A)
             # per unit a column moves off its bound, the leaving value
             # moves toward its violated bound by ``toward``
-            toward = alpha if to_upper else -alpha
-            toward = np.where(self.at_upper, -toward, toward)
-            eligible = toward > PIVOT_TOL
-            eligible[blocked] = False
-            eligible[self.basis] = False
-            if not eligible.any():
+            toward = alpha * side
+            if not to_upper:
+                toward *= -1.0
+            cols = ((toward > PIVOT_TOL) & movable).nonzero()[0]
+            if cols.size == 0:
                 return self._certificate(
                     self.binv[row], -alpha if to_upper else alpha,
                     self.basis[row] if to_upper else None)
-            slack = np.maximum(np.where(self.at_upper, -red, red), 0.0)
-            cols = np.nonzero(eligible)[0]
-            ratios = slack[cols] / toward[cols]
-            best = ratios.min()
-            tied = cols[ratios <= best + PIVOT_TOL]
-            col = int(tied[0] if bland else tied[np.argmax(toward[tied])])
+            if red is None:
+                red = cost - self.duals(cost).dot(self.A)
+                red[red * side < -PIVOT_TOL] = 0.0  # the shift
+            step = toward[cols]
+            ratios = np.maximum((red * side)[cols], 0.0) / step
+            best = ratios[ratios.argmin()]
+            tied = ratios <= best + PIVOT_TOL
+            # the first tied column, or the one with the largest pivot
+            col = int(cols[tied.argmax() if bland else (step * tied).argmax()])
             if best <= PIVOT_TOL:
                 degenerate_run += 1
                 if degenerate_run > 2 * self.m + 10:
                     bland = True
             else:
                 degenerate_run = 0
-            self._pivot(row, col, self.binv @ self.A[:, col], to_upper)
+            self._pivot(row, col, self.binv.dot(self.A[:, col]), to_upper)
             red -= red[col] / alpha[col] * alpha
         raise MalformedProgram("simplex iteration limit exceeded")
 
@@ -491,6 +538,21 @@ class _Tableau:
         names += [form.row_names[i] for i in np.nonzero(np.abs(multipliers) > FEAS_TOL)[0]
                   if form.row_names[i]]
         return names
+
+
+def _crossed_bounds(lp: LinearProgram, lower: np.ndarray, upper: np.ndarray) -> list[str]:
+    """``bound[<name>]`` for each variable whose lower bound lies above
+    its upper one.  A NaN bound, a lower bound that is not finite or an
+    upper bound of -inf raises ``ValueError`` naming the first variable
+    that has one."""
+    bad = ~np.isfinite(lower) | np.isnan(upper) | (upper == -np.inf)
+    if bad.any():
+        j = int(bad.argmax())
+        name = lp.variables[j].name
+        if not np.isfinite(lower[j]):
+            raise ValueError(f"lower bound of {name!r} must be a finite number, not {lower[j]}")
+        raise ValueError(f"upper bound of {name!r} must be a number or +inf, not {upper[j]}")
+    return [f"bound[{lp.variables[j].name}]" for j in np.nonzero(lower > upper)[0]]
 
 
 def simplex_solve(lp: LinearProgram, lower: Optional[np.ndarray] = None,
@@ -517,17 +579,20 @@ def simplex_solve(lp: LinearProgram, lower: Optional[np.ndarray] = None,
     bound check, the final basis; or Unbounded.  A certificate names
     the constraint rows of the proof, and as ``bound[<variable name>]``
     each variable whose upper bound the proof rests on; lower bounds
-    are never named.  Crossed bounds name the variable the same way.
+    are never named.  Crossed bounds name the variable the same way.  A
+    NaN bound, a lower bound that is not finite or an upper bound of
+    -inf raises ``ValueError`` naming the variable.  A column of
+    ``start`` at an upper bound that is now infinite starts at its lower
+    bound.
     Each of the two runs is limited to 50 * (rows + columns) + 1000
     pivots and bound flips of the standard form; past that it raises
     MalformedProgram.
     """
     lower = np.zeros(len(lp.variables)) if lower is None else np.asarray(lower, dtype=float)
     upper = lp.bounds()[1] if upper is None else np.asarray(upper, dtype=float)
-    crossed = np.nonzero(lower > upper)[0]
-    if crossed.size:
-        return LpSolution(status="Infeasible", certificate=[
-            f"bound[{lp.variables[j].name}]" for j in crossed])
+    # one pass over the bounds; the reasons are sorted out only when it fails
+    if np.count_nonzero(np.isfinite(lower) & (lower <= upper)) < lower.size:
+        return LpSolution(status="Infeasible", certificate=_crossed_bounds(lp, lower, upper))
     if start is None:
         form = _StandardForm(lp)
     elif (start.form.n, start.form.m) != (len(lp.variables), len(lp.constraints)):
@@ -542,16 +607,18 @@ def simplex_solve(lp: LinearProgram, lower: Optional[np.ndarray] = None,
     if certificate is not None:
         return LpSolution(status="Infeasible", certificate=certificate,
                           iterations=tab.iterations, basis=tab.final_basis())
-    status, red = tab.run(form.cost, max_iter)
+    status, red, y = tab.run(form.cost, max_iter)
     if status == "Unbounded":
         return LpSolution(status="Unbounded", iterations=tab.iterations)
-    x = tab.values(tab.basic_values())[:form.n].copy()
+    x = tab.nonbasic_values()
+    x[tab.basis] = tab.basic_values(x)
+    x = x[:form.n].copy()
     x[np.abs(x) < 1e-12] = 0.0
-    objective = float(form.cost[:form.n] @ x)
+    objective = float(form.cost[:form.n].dot(x))
     return LpSolution(status="Optimal", values=x, objective=objective,
                       iterations=tab.iterations,
                       reduced_costs=red[:form.n].copy(),
-                      duals=tab.duals(form.cost) * form.sign,
+                      duals=y * form.sign,
                       basis=tab.final_basis())
 
 

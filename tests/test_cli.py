@@ -96,6 +96,65 @@ class TestParseProblem:
         assert f"{field}: expected a list" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("path, value, message", [
+        (("subscribers", 1), 5, "subscribers[1]: expected an object"),
+        (("subscribers", 1, "id"), "", "subscribers[1]: expected a nonempty string id"),
+        (("subscribers", 1, "id"), 3, "subscribers[1]: expected a nonempty string id"),
+        (("subscribers", 1, "sessions"), 4.0, "subscribers[1].sessions: expected a list"),
+        (("subscribers", 1, "sessions", 0), "4", "subscribers[1].sessions[0]: expected a number"),
+        (("subscribers", 1, "sessions", 0), True, "subscribers[1].sessions[0]: expected a number"),
+        (("subscribers", 1, "sessions", 0), math.inf,
+         "subscribers[1].sessions[0]: expected a finite number"),
+        (("subscribers", 1, "sessions", 0), -1.0,
+         "subscribers[1].sessions[0]: volume must be >= 0"),
+        (("servers", 1), [], "servers[1]: expected an object"),
+        (("servers", 1, "id"), "", "servers[1]: expected a nonempty string id"),
+        (("servers", 1, "productivity"), None, "servers[1].productivity: expected a number"),
+        (("servers", 1, "productivity"), math.nan,
+         "servers[1].productivity: expected a finite number"),
+        (("servers", 1, "productivity"), -2.0, "servers[1].productivity: must be >= 0"),
+        (("service",), 1, "service: expected an object"),
+        (("service", "id"), None, "service: expected a nonempty string id"),
+        (("service", "productivity"), "10", "service.productivity: expected a number"),
+        (("service", "productivity"), -math.inf,
+         "service.productivity: expected a finite number"),
+        (("intermediate", 0), "z1", "intermediate[0]: expected an object"),
+        (("intermediate", 0, "id"), [], "intermediate[0]: expected a nonempty string id"),
+        (("channels", 3), None, "channels[3]: expected an object"),
+        (("channels", 3, "id"), "", "channels[3]: expected a nonempty string id"),
+        (("channels", 3, "ends"), ["z1"], "channel b4: ends must be a pair of ids"),
+        (("channels", 3, "capacity"), "10", "channel b4: capacity: expected a number"),
+        (("channels", 3, "capacity"), math.nan, "channel b4: capacity: expected a finite number"),
+        (("channels", 3, "capacity"), 0.0, "channel b4: capacity must be positive"),
+        (("channels", 3, "cost"), False, "channel b4: cost: expected a number"),
+        (("channels", 3, "cost"), 10 ** 400, "channel b4: cost: expected a finite number"),
+        (("channels", 3, "cost"), -1.0, "channel b4: cost must be >= 0"),
+    ])
+    def test_invalid_field_message(self, t1_path, tmp_path, capsys, path, value, message):
+        """Each numeric and id field made invalid in turn: exit 2 and one
+        stderr line that names the field."""
+        doc = load_t1_doc(t1_path)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        assert main(["validate", write_json(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err == f"invalid input: {message}\n"
+
+    @pytest.mark.parametrize("value, message", [
+        ("1", "fixed cost for b{1}: expected a number"),
+        (math.nan, "fixed cost for b{1}: expected a finite number"),
+        (-1.0, "fixed cost for b{1}: must be >= 0"),
+    ])
+    def test_invalid_fixed_cost_message(self, t1_path, tmp_path, capsys, value, message):
+        """A channel id with braces in it is named as it is spelled."""
+        doc = load_t1_doc(t1_path)
+        doc["channels"][0]["id"] = "b{1}"
+        costs = write_json(tmp_path, {"b{1}": value}, name="fixed.json")
+        assert main(["solve", write_json(tmp_path, doc), "--mode", "uncapacitated",
+                     "--fixed-costs", costs]) == 2
+        assert capsys.readouterr().err == f"invalid input: {message}\n"
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ProblemFormatError):
             parse_problem(str(tmp_path / "nope.json"))
@@ -433,6 +492,12 @@ GOLDEN = [
     ("oracle.uncapacitated", ["oracle", "--mode", "uncapacitated"]),
 ]
 
+# ``tests/data/bnb04.json`` is ``gen.big_problem(4, n_sub=3, n_srv=2, n_int=2,
+# n_ch=8, slack=1)`` and ``bnb04.fixed.json`` its fixed costs as
+# ``perfbench/workloads.py`` draws them.
+BNB04_MODES = ("uncapacitated", "single-homing")
+FORMULATIONS = ("node-link", "link-path")
+
 
 class TestSolutionSerialization:
     @pytest.mark.parametrize("name,argv", GOLDEN, ids=[g[0] for g in GOLDEN])
@@ -442,6 +507,22 @@ class TestSolutionSerialization:
         out = tmp_path / "out.json"
         assert main([argv[0], t1_path, *argv[1:], "-o", str(out)]) == 0
         golden = pathlib.Path(t1_path).parent / "golden" / f"t1.{name}.json"
+        assert out.read_bytes() == golden.read_bytes()
+
+    @pytest.mark.parametrize("formulation", FORMULATIONS)
+    @pytest.mark.parametrize("mode", BNB04_MODES)
+    def test_bnb04_golden_bytes(self, t1_path, tmp_path, mode, formulation):
+        """The integer modes on one ``fixed-charge-bnb`` instance (fixed
+        charge takes 39 LP solves per formulation) write the committed
+        ``tests/data/golden/bnb04.solve.<mode>.<formulation>.json`` byte
+        for byte."""
+        data = pathlib.Path(t1_path).parent
+        flags = (["--mode", "uncapacitated", "--fixed-costs", str(data / "bnb04.fixed.json")]
+                 if mode == "uncapacitated" else ["--single-homing"])
+        out = tmp_path / "out.json"
+        assert main(["solve", str(data / "bnb04.json"), *flags, "--formulation", formulation,
+                     "-o", str(out)]) == 0
+        golden = data / "golden" / f"bnb04.solve.{mode}.{formulation}.json"
         assert out.read_bytes() == golden.read_bytes()
 
     @staticmethod

@@ -188,6 +188,53 @@ class TestSimplex:
         sol = simplex_solve(lp, np.array([2.0]), np.array([1.0]))
         assert sol.status == "Infeasible" and sol.certificate == ["bound[x]"]
 
+    def test_program_without_rows(self):
+        """No rows, so no basic values: columns flip to a bound or leave
+        the program unbounded."""
+        lp = LinearProgram()
+        x, y = lp.add_var("x", upper=2.0), lp.add_var("y")
+        lp.set_objective({x: -1.0, y: 1.0})
+        sol = simplex_solve(lp)
+        assert sol.status == "Optimal" and sol.values.tolist() == [2.0, 0.0]
+        assert sol.iterations == 1 and sol.duals.size == 0
+        lp.set_objective({y: -1.0})
+        assert simplex_solve(lp).status == "Unbounded"
+
+    def test_restart_at_lifted_upper_bound(self):
+        """A column nonbasic at its upper bound 1, restarted with that
+        bound lifted to +inf, starts at its lower bound: the restart
+        finds the program unbounded, as the cold solve does."""
+        lp = LinearProgram()
+        x, y = lp.add_var("x", upper=1.0), lp.add_var("y")
+        lp.add_constraint({x: 1.0, y: 1.0}, ">=", 0.5, name="floor")
+        lp.set_objective({x: -1.0, y: 1.0})
+        sol = simplex_solve(lp)
+        assert sol.status == "Optimal" and sol.basis.at_upper[x]
+        lower, upper = lp.bounds()
+        upper[x] = math.inf
+        assert simplex_solve(lp, lower, upper).status == "Unbounded"
+        assert simplex_solve(lp, lower, upper, sol.basis).status == "Unbounded"
+
+    @pytest.mark.parametrize("lower, upper, message", [
+        ([math.nan, 0.0], [1.0, 1.0], "lower bound of 'x' must be a finite number, not nan"),
+        ([-math.inf, 0.0], [1.0, 1.0], "lower bound of 'x' must be a finite number, not -inf"),
+        ([0.0, math.inf], [1.0, math.inf], "lower bound of 'y' must be a finite number, not inf"),
+        ([0.0, 0.0], [1.0, math.nan], r"upper bound of 'y' must be a number or \+inf, not nan"),
+        ([0.0, 0.0], [-math.inf, 1.0], r"upper bound of 'x' must be a number or \+inf, not -inf"),
+    ])
+    def test_bad_bounds_rejected(self, lower, upper, message):
+        """A NaN bound, a lower bound that is not finite or an upper bound
+        of -inf raises, cold or restarted, where it used to solve to
+        NaN or infinite values."""
+        lp = LinearProgram()
+        x, y = lp.add_var("x", upper=1.0), lp.add_var("y", upper=1.0)
+        lp.add_constraint({x: 1.0, y: 1.0}, "<=", 3.0, name="cap")
+        lp.set_objective({x: 1.0, y: 1.0})
+        start = simplex_solve(lp).basis
+        for basis in (None, start):
+            with pytest.raises(ValueError, match=message):
+                simplex_solve(lp, np.array(lower), np.array(upper), basis)
+
     def test_dependent_equality_rows_consistent(self):
         """A row twice another: one of their logicals stays basic at 0."""
         lp = LinearProgram()
@@ -490,6 +537,66 @@ class TestStartBasis:
         again = simplex_solve(lp, start=lp_module.Basis.of(lp, self.start_of(lp, sol)))
         assert again.status == "Optimal" and again.iterations == 0
         assert again.objective == pytest.approx(sol.objective, rel=1e-12, abs=1e-12)
+
+
+def assert_tableau_kept(tab):
+    """The bookkeeping a tableau keeps across pivots equals what it
+    stands for."""
+    assert np.array_equal(tab.lower_b, tab.lower[tab.basis])
+    assert np.array_equal(tab.upper_b, tab.upper[tab.basis])
+    assert np.array_equal(tab.side, np.where(tab.at_upper, -1.0, 1.0))
+    assert np.array_equal(tab.blocked, tab.upper <= tab.lower)
+    movable = ~tab.blocked
+    movable[tab.basis] = False
+    assert np.array_equal(tab.movable, movable)
+
+
+class TestTableauInvariants:
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        """Checks the tableau when a run starts and after each pivot and
+        bound flip, and counts the pivots and flips."""
+        counts = {"_pivot": 0, "_flip": 0}
+
+        def checked(name):
+            original = getattr(lp_module._Tableau, name)
+
+            def step(tab, *args, **kwargs):
+                if name in counts:
+                    counts[name] += 1
+                else:
+                    assert_tableau_kept(tab)
+                result = original(tab, *args, **kwargs)
+                assert_tableau_kept(tab)
+                return result
+            return step
+
+        for name in ("_pivot", "_flip", "dual_run", "run"):
+            monkeypatch.setattr(lp_module._Tableau, name, checked(name))
+        return counts
+
+    def test_kept_arrays_follow_every_step(self, steps):
+        """Seeded random bounded programs solved cold, from
+        ``Basis.of``, restarted with a narrowed bound as branch and bound
+        does, and restarted after columns and rows were appended."""
+        for seed in range(80):
+            rng = random.Random(2100 + seed)
+            lp, _ = random_program(rng, bounded=True)
+            sol = simplex_solve(lp)
+            if sol.status == "Optimal":
+                simplex_solve(lp, start=lp_module.Basis.of(lp, TestStartBasis.start_of(lp, sol)))
+                for j in np.nonzero(sol.values > 1e-6)[0]:
+                    for side in (0, 1):
+                        lower, upper = lp.bounds()
+                        if side:
+                            lower[j] = min(upper[j], math.floor(sol.values[j]) + 1.0)
+                        else:
+                            upper[j] = math.floor(sol.values[j] / 2)
+                        simplex_solve(lp, lower, upper, sol.basis)
+            if sol.basis is not None:
+                TestAppendedRestart.append_columns_and_rows(lp, rng)
+                simplex_solve(lp, start=sol.basis)
+        assert steps["_pivot"] > 200 and steps["_flip"] > 10
 
 
 class TestBranchAndBound:
