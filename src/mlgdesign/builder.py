@@ -7,6 +7,7 @@ interaction mesh.  Layer 3 is the service star.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import EmptyServerSet, MlgError, ProductivityMismatch
@@ -69,20 +70,26 @@ class DesignProblem:
             if ch.id in channel_ids:
                 raise MlgError(f"duplicate channel id {ch.id!r}")
             channel_ids.add(ch.id)
-            if ch.capacity <= 0:
-                raise MlgError(f"channel {ch.id}: capacity must be positive")
-            if ch.cost < 0:
-                raise MlgError(f"channel {ch.id}: cost must be >= 0")
+            if not ch.capacity > 0:  # NaN too; +inf is an unbounded channel
+                raise MlgError(f"channel {ch.id}: capacity must be positive, not {ch.capacity}")
+            if not 0 <= ch.cost < math.inf:
+                raise MlgError(f"channel {ch.id}: cost must be finite and >= 0, not {ch.cost}")
             for end in ch.ends:
                 if end not in node_ids:
                     raise MlgError(f"channel {ch.id}: endpoint {end!r} does not exist")
             if ch.ends[0] == ch.ends[1]:
                 raise MlgError(f"channel {ch.id}: self-loop forbidden")
         for srv in self.servers:
-            if srv.productivity < 0:
-                raise MlgError(f"server {srv.id}: productivity must be >= 0")
+            if not 0 <= srv.productivity < math.inf:
+                raise MlgError(f"server {srv.id}: productivity must be finite and >= 0, "
+                               f"not {srv.productivity}")
+        if not math.isfinite(self.service_productivity):
+            raise MlgError(f"service productivity must be finite, not {self.service_productivity}")
         for sub in self.subscribers:
             for session in sub.sessions:
+                if not 0 <= session.volume < math.inf:
+                    raise MlgError(f"subscriber {sub.id}: session volume must be finite "
+                                   f"and >= 0, not {session.volume}")
                 if session.subscriber != sub.id:
                     raise MlgError(f"subscriber {sub.id}: session names "
                                    f"subscriber {session.subscriber!r}")

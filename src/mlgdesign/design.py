@@ -6,6 +6,13 @@ and uncapacitated drivers on top of the in-package simplex / branch and
 bound, and an independent brute-force oracle backed by exhaustive path
 enumeration plus scipy's LP solver.
 
+Capacitated link-path is exact over every layer-1 path: column
+generation prices the paths with one reduced-cost search per server
+(see :func:`_price_link_path`).  The integer link-path modes (fixed
+charge, single homing) still optimize over each server's first k Yen
+paths (:func:`enumerate_candidate_paths`), as their branch and bound
+cannot price columns at its nodes.
+
 Without single homing the node-link model aggregates every commodity
 into one min-cost flow.  That is exact: all commodities leave from the
 same servers and differ only in the sink that absorbs their demand, so
@@ -33,7 +40,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Iterator, Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -172,50 +179,34 @@ def enumerate_candidate_paths(instance: BuiltInstance, commodity: Commodity,
     tied paths make the first k can fall either way (see
     :func:`mlgdesign.mlg.cheapest_path`).
 
-    ``trees`` is :func:`_server_trees` of the instance, built here when
-    not given; a caller enumerating every commodity builds it once.
+    Each server's first path comes from its tree in ``trees``
+    (:func:`_server_trees` of the instance, built here when not given; a
+    caller enumerating every commodity builds it once), and the rest are
+    :func:`_k_shortest_paths`.  The servers share one distance map to
+    the subscriber, which is built only when some server takes a second
+    path.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if trees is None:
         trees = _server_trees(instance)
-    out = [p for paths in _paths_by_server(instance, commodity, trees).values()
-           for p in itertools.islice(paths, k)]
+    subscriber = commodity.sink.id
+    adj = instance.graph.adjacency(1)
+    to_dst: dict[str, float] = {}
+    out = [_candidate(server, nodes, cost, adj)
+           for server in instance.server_ids() if subscriber in trees[server]
+           for cost, nodes in itertools.islice(
+               _k_shortest_paths(instance.graph, trees[server][subscriber], to_dst), k)]
     out.sort(key=lambda p: (p.cost, p.nodes))
     return out
 
 
 def _server_trees(instance: BuiltInstance) -> dict[str, dict[str, tuple]]:
     """Per server, its cheapest layer-1 path to every node it reaches
-    (:func:`mlgdesign.mlg.cheapest_paths_from`): the first path of each
-    of its pools, for every commodity at once."""
+    (:func:`mlgdesign.mlg.cheapest_paths_from`): its first path to every
+    subscriber at once."""
     return {server: cheapest_paths_from(instance.graph, 1, [server], _channel_cost)
             for server in instance.server_ids()}
-
-
-def _paths_by_server(instance: BuiltInstance, commodity: Commodity,
-                     trees: dict[str, dict[str, tuple]]):
-    """Per server that reaches the commodity's subscriber, an iterator
-    over its Yen paths there as :class:`CandidatePath`, in (cost, nodes)
-    order.
-
-    The first path comes from the server's tree in ``trees`` (see
-    :func:`_server_trees`).  The servers share one distance map to the
-    subscriber, which is built only when some server's iterator is
-    asked for a second path (see :func:`_k_shortest_paths`).  Layer 1's
-    adjacency index gives each path's cost and channel names.
-    """
-    subscriber = commodity.sink.id
-    adj = instance.graph.adjacency(1)
-    to_dst: dict[str, float] = {}
-
-    def paths(server):
-        for cost, nodes in _k_shortest_paths(instance.graph, trees[server][subscriber],
-                                             to_dst):
-            yield _candidate(server, nodes, cost, adj)
-
-    return {server: paths(server) for server in instance.server_ids()
-            if subscriber in trees[server]}
 
 
 def all_candidate_paths(instance: BuiltInstance,
@@ -590,13 +581,14 @@ def solve_capacitated(instance: BuiltInstance, formulation: str = "node-link",
                       k: int = 4, single_homing: bool = False) -> DesignSolution:
     """Minimize total carried flow cost under channel and server capacities.
 
-    Link-path without single homing prices its candidates (see
-    :func:`_price_link_path`): the same optimum as over the first k
-    paths per server, which it enumerates only as far as needed."""
+    Link-path without single homing prices its columns over every
+    layer-1 path (see :func:`_price_link_path`), so ``k`` bounds only
+    single homing's first k paths per server."""
+    _check_args(formulation, k)
     if not instance.commodities:
         return _assemble_solution(instance, {})
     if formulation == "link-path" and not single_homing:
-        form, sol = _price_link_path(instance, k)
+        form, sol = _price_link_path(instance)
         routes, relaxed = form.read_routes(instance, form, sol.values), sol.objective
     else:
         form = _build_formulation(instance, formulation, k, single_homing)
@@ -604,102 +596,102 @@ def solve_capacitated(instance: BuiltInstance, formulation: str = "node-link",
     return _assemble_solution(instance, routes, relaxation_objective=relaxed)
 
 
-def _price_link_path(instance: BuiltInstance, k: int):
-    """The capacitated link-path LP over at most k Yen paths per
-    (commodity, server) pool, each pool grown only while its next path
-    could enter (Ford & Fulkerson, 1958, on path generation): (form,
-    optimal solution).  Raises ``InfeasibleError`` when the full LP is
-    infeasible.
+def _check_args(formulation: str, k: int) -> None:
+    if formulation not in ("node-link", "link-path"):
+        raise ValueError(f"unknown formulation {formulation!r}")
+    if k < 1:
+        raise ValueError("k must be >= 1")
 
-    Each pool starts with its first path, taken from its server's
-    cheapest-path tree; one tree per server serves every commodity.
-    Each later path is a Yen spur, one search guided by the subscriber's
-    distance map, and that map is built only when one of its pools
-    takes a second path (see :func:`_paths_by_server`).  A path outside
-    the pool of (c, s) enters ``demand[c]``, ``productivity[s]`` and
-    ``capacity`` rows.  A ``capacity`` row's dual is <= 0, so the path's
-    reduced cost is at least its cost less ``sigma_c + rho_s``, the
-    duals of the first two.  Yen yields paths by nondecreasing cost, so after each
-    optimal solve a pool with fewer than k paths takes next paths while
-    its last costs less than ``sigma_c + rho_s - 1e-9``.  The new paths
-    are appended as columns, with a ``capacity`` row for each channel
-    new to the LP, and the LP is re-solved from its last basis.  When no
-    pool grows, no path of the full LP has a negative reduced cost.
 
-    The first solve starts with each commodity's cheapest path basic in
-    its ``demand`` row, every other row on its logical.  Then sigma_c is
+def _price_link_path(instance: BuiltInstance):
+    """The capacitated link-path LP over every layer-1 path, solved by
+    column generation (Ford & Fulkerson, 1958): (form, optimal
+    solution).  Raises ``InfeasibleError`` when the LP is infeasible.
+
+    The first columns are each server's cheapest path to each
+    subscriber, read off one cheapest-path tree per server.  The first
+    solve starts with each commodity's cheapest path basic in its
+    ``demand`` row, every other row on its logical.  Then sigma_c is
     that path's cost and every other path of c prices at its cost less
     sigma_c >= 0, so the start is dual feasible.
 
-    A commodity whose first paths cannot carry its demand on their own
-    (each carries at most its server's productivity and its least
-    channel capacity) starts with complete pools.  If a solve is still
-    infeasible, every pool is completed and the solve continues from
-    the infeasible basis; a verdict then is the full LP's.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    productivity = {s: instance.graph.find_inter(instance.service_node, NodeRef(2, s)).capacity
-                    for s in instance.server_ids()}
-    trees = _server_trees(instance)
-    pools: dict[tuple[str, str], tuple[list[CandidatePath], Iterator[CandidatePath]]] = {}
-    initial: dict[str, list[CandidatePath]] = {}
-    for c in instance.commodities:
-        mine = []
-        for server, paths in _paths_by_server(instance, c, trees).items():
-            pools[c.id, server] = ([next(paths)], paths)
-            mine.append(pools[c.id, server])
-        carry = sum(min(productivity[pool[0].server],
-                        *(instance.channel_edges[ch].capacity for ch in pool[0].channels))
-                    for pool, _ in mine)
-        if carry < c.demand:
-            for pool, paths in mine:
-                _grow(pool, paths, k, math.inf)
-        initial[c.id] = sorted((p for pool, _ in mine for p in pool),
-                               key=lambda p: (p.cost, p.nodes))
+    A path of commodity c from server s has coefficient 1 in
+    ``demand[c]``, ``productivity[s]`` and each ``capacity`` row of its
+    channels.  After an optimal solve its reduced cost is its length
+    under w(e) = cost_e - pi_e, less ``sigma_c + rho_s``, the duals of
+    the first two rows; pi_e <= 0 is the dual of ``capacity[e]``, 0 for
+    a channel without one.  So one search per server with these
+    nonnegative lengths finds its cheapest path to every subscriber,
+    and that path enters when ``sigma_c + rho_s - length > 1e-9``.
+    After an infeasible solve, the same search prices the multipliers u
+    of the infeasible row (``LpSolution.farkas``): w(e) = -u_e >= 0, and
+    a path enters when ``u_demand + u_prod - length > 1e-9``, as only
+    such a column can mend the proof (Farkas pricing; Desaulniers,
+    Desrosiers & Solomon (eds.), *Column Generation*, 2005).
 
+    Entering paths are appended as columns, with a ``capacity`` row for
+    each channel new to the LP, and the LP is re-solved from its last
+    basis.  No path enters twice.  When none enters, no path prices in,
+    so the optimum, or the infeasibility verdict and its certificate,
+    are the full LP's.
+    """
+    graph, servers = instance.graph, instance.server_ids()
+    adj = graph.adjacency(1)
+    trees = _server_trees(instance)
+    initial = {c.id: sorted((_candidate(s, trees[s][c.sink.id][1], trees[s][c.sink.id][0], adj)
+                             for s in servers if c.sink.id in trees[s]),
+                            key=lambda p: (p.cost, p.nodes))
+               for c in instance.commodities}
     form = formulate_link_path(instance, initial)
     lp = form.lp
     rows = {con.name: i for i, con in enumerate(lp.constraints)}
-    demand_rows = {cid: rows[f"demand[{cid}]"] for cid in initial}
-    productivity_rows = {s: rows[f"productivity[{s}]"] for s in productivity
-                         if f"productivity[{s}]" in rows}
-    count = {cid: len(paths) for cid, paths in initial.items()}
+    seen = {(cid, p.nodes) for cid, paths in initial.items() for p in paths}
     # a demand row's lowest column is its commodity's cheapest path, the
     # first of ``initial[c]``, which is sorted by (cost, nodes)
-    sol = simplex_solve(lp, start=Basis.of(lp, {i: min(lp.constraints[i].coeffs)
-                                                 for i in demand_rows.values()
-                                                 if lp.constraints[i].coeffs}))
-    completed = False
-    while sol.status == "Optimal" or not completed:
-        completed = completed or sol.status != "Optimal"
-        sigma, rho = dict.fromkeys(demand_rows, math.inf), {}
-        if sol.status == "Optimal":
-            duals = sol.duals.tolist()
-            sigma = {cid: duals[i] for cid, i in demand_rows.items()}
-            rho = {s: duals[i] for s, i in productivity_rows.items()}
+    demand_rows = [lp.constraints[rows[f"demand[{cid}]"]] for cid in initial]
+    sol = simplex_solve(lp, start=Basis.of(lp, {rows[row.name]: min(row.coeffs)
+                                                 for row in demand_rows if row.coeffs}))
+    while True:
+        optimal = sol.status == "Optimal"
+        y = (sol.duals if optimal else sol.farkas).tolist()
+        price = {name: y[i] for name, i in rows.items()}
+        scale = 1.0 if optimal else 0.0
+        length = {edge.key: scale * edge.cost - price.get(f"capacity[{ch}]", 0.0)
+                  for ch, edge in instance.channel_edges.items()}
+        priced: dict[str, dict[str, tuple]] = {}  # server -> its tree, searched when needed
         new = []
-        for (cid, server), (pool, paths) in pools.items():
-            limit = sigma[cid] + rho.get(server, 0.0) - 1e-9
-            new += [(cid, p) for p in _grow(pool, paths, k, limit)]
+        for c in instance.commodities:
+            for s in servers:
+                if c.sink.id not in trees[s]:
+                    continue
+                gain = price[f"demand[{c.id}]"] + price.get(f"productivity[{s}]", 0.0)
+                # w(e) >= scale * cost_e, so no path is shorter than this bound
+                if gain - scale * trees[s][c.sink.id][0] <= 1e-9:
+                    continue
+                if s not in priced:
+                    priced[s] = cheapest_paths_from(graph, 1, [s], lambda e: length[e.key])
+                reduced, nodes = priced[s][c.sink.id]
+                if gain - reduced > 1e-9 and (c.id, nodes) not in seen:
+                    seen.add((c.id, nodes))
+                    new.append((c.id, _candidate(s, nodes, _add_hops(0.0, nodes, adj), adj)))
         if not new:
             break
         for cid, path in new:
-            _append_path(instance, form, rows, f"x[{cid},{count[cid]}]", cid, path)
-            count[cid] += 1
+            _append_path(instance, form, rows, cid, path)
         sol = simplex_solve(lp, start=sol.basis)
-    if sol.status != "Optimal":
+    if not optimal:
         raise InfeasibleError(certificate=sol.certificate)
     return form, sol
 
 
 def _append_path(instance: BuiltInstance, form: _Formulation, rows: dict[str, int],
-                 name: str, cid: str, path: CandidatePath) -> None:
-    """Append ``path`` as a column of the link-path LP, with a
-    ``capacity`` row for each finite channel new to it; ``rows`` maps
-    row names to indices and gains the new rows."""
+                 cid: str, path: CandidatePath) -> None:
+    """Append ``path`` as commodity ``cid``'s next column ``x[cid,i]`` of
+    the link-path LP, with a ``capacity`` row for each finite channel
+    new to it; ``rows`` maps row names to indices and gains the new
+    rows."""
     lp = form.lp
-    j = lp.add_var(name)
+    j = lp.add_var(f"x[{cid},{len(lp.constraints[rows[f'demand[{cid}]']].coeffs)}]")
     form.meta[j] = ("path", cid, path)
     lp.objective[j] = path.cost
     for ch in path.channels:
@@ -714,31 +706,18 @@ def _append_path(instance: BuiltInstance, form: _Formulation, rows: dict[str, in
             lp.constraints[rows[row]].coeffs[j] = 1.0
 
 
-def _grow(pool: list[CandidatePath], paths: Iterator[CandidatePath], k: int,
-          limit: float) -> list[CandidatePath]:
-    """Take next paths into ``pool`` while it holds fewer than k and its
-    last costs less than ``limit``; returns those taken."""
-    taken = []
-    while len(pool) < k and pool[-1].cost < limit:
-        path = next(paths, None)
-        if path is None:
-            break
-        pool.append(path)
-        taken.append(path)
-    return taken
-
-
 def solve_uncapacitated(instance: BuiltInstance,
                         channel_fixed_costs: dict[str, float],
                         formulation: str = "node-link", k: int = 4,
                         single_homing: bool = False) -> DesignSolution:
     """Select channels (binary per-channel decision with fixed cost) and
     route flows over the selected subset."""
+    _check_args(formulation, k)
     for ch_id, fc in channel_fixed_costs.items():
         if ch_id not in instance.channel_edges:
             raise KeyError(f"unknown channel {ch_id!r} in fixed costs")
-        if fc < 0:
-            raise ValueError("fixed costs must be >= 0")
+        if not 0 <= fc < math.inf:
+            raise ValueError("fixed costs must be finite and >= 0")
     if not instance.commodities:
         return _assemble_solution(instance, {})
     form = _build_formulation(instance, formulation, k, single_homing)
@@ -763,12 +742,10 @@ def solve_uncapacitated(instance: BuiltInstance,
 def _build_formulation(instance, formulation, k, single_homing) -> _Formulation:
     if formulation == "node-link":
         return formulate_node_link(instance, single_homing=single_homing)
-    if formulation == "link-path":
-        trees = _server_trees(instance)
-        paths = {c.id: enumerate_candidate_paths(instance, c, k, trees=trees)
-                 for c in instance.commodities}
-        return formulate_link_path(instance, paths, single_homing=single_homing)
-    raise ValueError(f"unknown formulation {formulation!r}")
+    trees = _server_trees(instance)
+    paths = {c.id: enumerate_candidate_paths(instance, c, k, trees=trees)
+             for c in instance.commodities}
+    return formulate_link_path(instance, paths, single_homing=single_homing)
 
 
 def _solve(instance: BuiltInstance, form: _Formulation):

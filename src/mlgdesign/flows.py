@@ -27,8 +27,8 @@ class Session:
     volume: float
 
     def __post_init__(self):
-        if self.volume < 0:
-            raise MlgError(f"session volume must be >= 0, got {self.volume}")
+        if not 0 <= self.volume < math.inf:
+            raise MlgError(f"session volume must be finite and >= 0, got {self.volume}")
 
 
 @dataclass(frozen=True)
@@ -43,8 +43,8 @@ class Commodity:
     def __post_init__(self):
         if self.source == self.sink:
             raise MlgError("commodity source and sink must differ")
-        if self.demand <= 0:
-            raise MlgError("commodity demand must be > 0")
+        if not 0 < self.demand < math.inf:
+            raise MlgError(f"commodity demand must be finite and > 0, got {self.demand}")
 
 
 @dataclass
@@ -115,8 +115,8 @@ def aggregate_service_flows(sessions: Iterable[Session]) -> dict[str, float]:
     """Per-subscriber demand: sum of that subscriber's session volumes."""
     totals: dict[str, float] = {}
     for s in sessions:
-        if s.volume < 0:
-            raise MlgError("session volume must be >= 0")
+        if not 0 <= s.volume < math.inf:
+            raise MlgError("session volume must be finite and >= 0")
         totals[s.subscriber] = totals.get(s.subscriber, 0.0) + s.volume
     return totals
 

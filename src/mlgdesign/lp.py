@@ -287,6 +287,11 @@ class LpSolution:
     reduced_costs: np.ndarray = field(default_factory=lambda: np.zeros(0))
     # one per row as posed, of an optimal solve: <= 0 on a <= row, >= 0 on a >= row
     duals: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    # one per row as posed, of an infeasible solve the dual simplex proved: the
+    # multipliers u of its infeasible row, signed as the duals.  u @ b exceeds
+    # the most u @ A x reaches within the bounds, and a new column at its lower
+    # bound can mend that only if u @ A_j > 0 (Farkas pricing)
+    farkas: np.ndarray = field(default_factory=lambda: np.zeros(0))
     basis: Optional[Basis] = None  # the final basis of an optimal or infeasible solve
 
 
@@ -450,11 +455,13 @@ class _Tableau:
             self._pivot(row, col, direction, to_upper=not falling[row])
         raise MalformedProgram("simplex iteration limit exceeded")
 
-    def dual_run(self, cost: np.ndarray, max_iter: int) -> Optional[list[str]]:
+    def dual_run(self, cost: np.ndarray,
+                 max_iter: int) -> Optional[tuple[list[str], np.ndarray]]:
         """Bounded dual simplex, until every basic value is within its
         bounds (then None).  If a basic value out of its bounds cannot be
         moved toward them by any column, the program is infeasible:
-        returns that row's certificate.
+        returns that row's certificate and its multipliers (``farkas``
+        of :class:`LpSolution`).
 
         It runs on ``cost`` shifted so that the start is dual feasible:
         each nonbasic column whose reduced cost has the wrong sign by
@@ -500,9 +507,10 @@ class _Tableau:
                 toward *= -1.0
             cols = ((toward > PIVOT_TOL) & movable).nonzero()[0]
             if cols.size == 0:
-                return self._certificate(
-                    self.binv[row], -alpha if to_upper else alpha,
-                    self.basis[row] if to_upper else None)
+                farkas = self.binv[row] if to_upper else -self.binv[row]
+                return (self._certificate(farkas, -alpha if to_upper else alpha,
+                                          self.basis[row] if to_upper else None),
+                        farkas * self.form.sign)
             if red is None:
                 red = cost - self.duals(cost).dot(self.A)
                 red[red * side < -PIVOT_TOL] = 0.0  # the shift
@@ -576,10 +584,10 @@ def simplex_solve(lp: LinearProgram, lower: Optional[np.ndarray] = None,
 
     Returns Optimal with reduced costs, the duals of the rows as posed
     and the final basis; Infeasible with a certificate and, past the
-    bound check, the final basis; or Unbounded.  A certificate names
-    the constraint rows of the proof, and as ``bound[<variable name>]``
-    each variable whose upper bound the proof rests on; lower bounds
-    are never named.  Crossed bounds name the variable the same way.  A
+    bound check, the Farkas multipliers of the rows as posed and the
+    final basis; or Unbounded.  A certificate names the constraint rows
+    of the proof, and as ``bound[<variable name>]`` each variable whose
+    upper bound the proof rests on; lower bounds are never named.  Crossed bounds name the variable the same way.  A
     NaN bound, a lower bound that is not finite or an upper bound of
     -inf raises ``ValueError`` naming the variable.  A column of
     ``start`` at an upper bound that is now infinite starts at its lower
@@ -603,9 +611,9 @@ def simplex_solve(lp: LinearProgram, lower: Optional[np.ndarray] = None,
     tab = _Tableau(form, lower, upper, start)
     max_iter = 50 * (tab.m + tab.total) + 1000
 
-    certificate = tab.dual_run(form.cost, max_iter)
-    if certificate is not None:
-        return LpSolution(status="Infeasible", certificate=certificate,
+    proof = tab.dual_run(form.cost, max_iter)
+    if proof is not None:
+        return LpSolution(status="Infeasible", certificate=proof[0], farkas=proof[1],
                           iterations=tab.iterations, basis=tab.final_basis())
     status, red, y = tab.run(form.cost, max_iter)
     if status == "Unbounded":

@@ -1,11 +1,15 @@
 import dataclasses
+import math
 import random
 
 import pytest
 
 from mlgdesign import (Channel, DesignProblem, EmptyServerSet, MlgError,
                        ProductivityMismatch, Server, Session, Subscriber,
-                       build_redundant_mlg, derive_commodities, validate_overlay)
+                       build_redundant_mlg, derive_commodities, solve_capacitated,
+                       validate_overlay)
+from mlgdesign.flows import Commodity
+from mlgdesign.mlg import NodeRef
 from helpers import random_problem
 
 
@@ -132,4 +136,56 @@ class TestSessionOwner:
         for check in (t1.validate, lambda: dataclasses.replace(t1),
                       lambda: build_redundant_mlg(t1)):
             with pytest.raises(MlgError, match="u1: session names subscriber"):
+                check()
+
+
+class TestNonFiniteNumbers:
+    """The library refuses a NaN or infinite number, as the problem file
+    parser does, where it was solved as unbounded, dropped a demand or
+    failed in the LP; a channel capacity of +inf stays an unbounded
+    channel."""
+
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    def test_channel_capacity(self, t1, value):
+        t1.channels[0].capacity = value
+        self.assert_rejected(t1, "channel b1: capacity")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_channel_cost(self, t1, value):
+        t1.channels[0].cost = value
+        self.assert_rejected(t1, "channel b1: cost")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_server_productivity(self, t1, value):
+        t1.servers[0].productivity = value
+        self.assert_rejected(t1, "server s1: productivity")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_service_productivity(self, t1, value):
+        t1.service_productivity = value
+        self.assert_rejected(t1, "service productivity")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_session_volume(self, t1, value):
+        t1.subscribers[0].sessions[0].volume = value
+        self.assert_rejected(t1, "subscriber u1: session volume")
+        with pytest.raises(MlgError, match="session volume"):
+            Session("u1", value)
+        with pytest.raises(MlgError, match="session volume"):
+            derive_commodities(t1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_commodity_demand(self, value):
+        with pytest.raises(MlgError, match="commodity demand"):
+            Commodity("u1", NodeRef(3, "v0"), NodeRef(3, "u1"), value)
+
+    def test_unbounded_channel_allowed(self, t1):
+        for ch in t1.channels:
+            ch.capacity = math.inf
+        assert solve_capacitated(build_redundant_mlg(t1)).objective == 14.0
+
+    @staticmethod
+    def assert_rejected(problem, what):
+        for check in (problem.validate, lambda: build_redundant_mlg(problem)):
+            with pytest.raises(MlgError, match=what):
                 check()

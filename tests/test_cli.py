@@ -253,27 +253,19 @@ class TestSolveCommand:
         assert "infeasible" in err
         assert "productivity[" in err
 
-    def test_five_routes_need_k_five(self, tmp_path, capsys):
-        """One server and subscriber joined by five disjoint two-hop
-        routes of capacity 1, demand 5: four paths per server cannot
-        carry it, and the certificate is the full four-path LP's."""
-        doc = {"subscribers": [{"id": "u1", "sessions": [5.0]}],
-               "servers": [{"id": "s1", "productivity": 5.0}],
-               "service": {"id": "v0", "productivity": 5.0},
-               "intermediate": [{"id": f"z{i}"} for i in range(1, 6)],
-               "channels": [{"id": f"{side}{i}", "ends": [end, f"z{i}"], "capacity": 1.0}
-                            for side, end in (("a", "s1"), ("b", "u1"))
-                            for i in range(1, 6)]}
-        path, out = write_json(tmp_path, doc), tmp_path / "sol.json"
-        assert main(["solve", path, "--formulation", "link-path", "--k", "4",
-                     "-o", str(out)]) == 1
-        assert capsys.readouterr().err == (
-            "infeasible: problem is infeasible (certificate rows: demand[u1], "
-            "capacity[a1], capacity[a2], capacity[a3], capacity[a4])\n")
-        assert not out.exists()
-        assert main(["solve", path, "--formulation", "link-path", "--k", "5",
-                     "-o", str(out)]) == 0
-        assert json.loads(out.read_text())["objective"] == 10.0
+    def test_five_routes_at_every_k(self, t1_path, tmp_path):
+        """``tests/data/five_routes.json``: one server and subscriber joined
+        by five disjoint two-hop routes of capacity 1, demand 5.  Priced
+        link-path reaches all five at ``--k`` 1, 4 and 5 and writes the
+        committed golden, objective 10."""
+        data = pathlib.Path(t1_path).parent
+        golden = data / "golden" / "five_routes.solve.link-path.json"
+        assert json.loads(golden.read_text())["objective"] == 10.0
+        for k in ("1", "4", "5"):
+            out = tmp_path / f"sol{k}.json"
+            assert main(["solve", str(data / "five_routes.json"), "--formulation",
+                         "link-path", "--k", k, "-o", str(out)]) == 0
+            assert out.read_bytes() == golden.read_bytes()
 
     @pytest.mark.parametrize("formulation, flags, balance_row", [
         ("node-link", (), "conservation[u1]"),

@@ -15,7 +15,7 @@ from mlgdesign import (Channel, DecompositionError, DesignProblem, InfeasibleErr
                        formulate_node_link, solve_capacitated, solve_uncapacitated)
 from mlgdesign.design import (CandidatePath, _add_hops, _channel_cost,
                               _decompose_node_link, all_candidate_paths)
-from mlgdesign.lp import Basis, simplex_solve
+from mlgdesign.lp import Basis
 from mlgdesign.mlg import cheapest_path, cheapest_paths_from, distances_to
 from helpers import big_problem, random_problem, scaled_big_problem, t1_problem
 
@@ -205,21 +205,6 @@ class TestCandidatePaths:
         assert calls == maps == []
         enumerate_candidate_paths(instance, instance.commodities[0], 4)
         assert calls and len(maps) == 1
-
-    def test_priced_link_path_builds_maps_only_for_growing_pools(self, monkeypatch):
-        """Capacitated link-path builds a subscriber's distance map only when
-        one of its pools takes a second path: none at k = 1, and at most
-        10 for the 40 commodities of ``big_problem(seed=1)`` at 2x with
-        k = 4."""
-        maps = self.count_calls(monkeypatch, "distances_to")
-        instance = build_redundant_mlg(big_problem(seed=1))
-        solve_capacitated(instance, formulation="link-path", k=1)
-        assert maps == []
-        instance = build_redundant_mlg(scaled_big_problem(1, 2))
-        assert len(instance.commodities) == 40
-        sol = solve_capacitated(instance, formulation="link-path", k=4)
-        assert sol.objective == pytest.approx(249.0, abs=1e-6)
-        assert 0 < len(maps) <= 10
 
     def test_integer_link_path_builds_one_tree_per_server(self, monkeypatch):
         """The link-path formulation of the integer modes builds one
@@ -507,6 +492,23 @@ class TestSolveCapacitated:
         with pytest.raises(ValueError):
             solve_capacitated(t1_instance, formulation="arc-path")
 
+    @pytest.mark.parametrize("uncapacitated", [False, True])
+    @pytest.mark.parametrize("formulation, k", [("bogus", 4), ("node-link", 0),
+                                                ("link-path", 0), ("link-path", -3)])
+    def test_drivers_check_arguments_first(self, uncapacitated, formulation, k):
+        """Both drivers refuse an unknown formulation or k < 1 before
+        anything else, on an instance with no demand to route too."""
+        problem = t1_problem()
+        for sub in problem.subscribers:
+            sub.sessions = []
+        instance = build_redundant_mlg(problem)
+        assert not instance.commodities
+        with pytest.raises(ValueError):
+            if uncapacitated:
+                solve_uncapacitated(instance, {}, formulation=formulation, k=k)
+            else:
+                solve_capacitated(instance, formulation=formulation, k=k)
+
     def test_feasibility_closure(self, t1_instance):
         sol = solve_capacitated(t1_instance)
         assert check_conservation(t1_instance.graph, sol.flow_assignment,
@@ -538,25 +540,83 @@ class TestPricedLinkPath:
         1x, with channel costs as drawn or redrawn from ``COSTS``."""
         return corpus_and_scaled((0.5, 1), cls.COSTS if redraw else None)
 
+    @staticmethod
+    def objective(solve):
+        try:
+            return solve().objective
+        except InfeasibleError:
+            return None
+
     @pytest.mark.parametrize("redraw", [False, True])
     @pytest.mark.parametrize("k", [1, 2, 4, 8])
     def test_same_optimum_as_full_pools(self, k, redraw):
-        """Pools grown by the duals reach the optimum of the LP over every
-        server's first k paths, within 1e-9 relative, or both are
-        infeasible.  Every column priced in is one of those paths."""
+        """Priced link-path reaches the optimum over every path (the full
+        pools), which node-link computes, within 1e-9 relative, or both
+        are infeasible, whatever the ``k`` passed: it bounds only the
+        integer modes."""
         for instance in self.instances(redraw):
-            paths = {c.id: enumerate_candidate_paths(instance, c, k)
-                     for c in instance.commodities}
-            full = simplex_solve(formulate_link_path(instance, paths).lp)
+            priced = self.objective(
+                lambda: solve_capacitated(instance, formulation="link-path", k=k))
+            full = self.objective(lambda: solve_capacitated(instance))
+            if full is None:
+                assert priced is None
+            else:
+                assert priced == pytest.approx(full, rel=1e-9)
+
+    def test_redrawn_seed5_at_1x(self):
+        """The last redrawn instance, ``big_problem(5)`` at 1x, costs 57.7
+        in both formulations, though the LP over only each server's first
+        4 or 8 paths is infeasible."""
+        instance = list(self.instances(redraw=True))[-1]
+        assert len(instance.commodities) == 20
+        for k in (1, 4, 8):
+            sol = solve_capacitated(instance, formulation="link-path", k=k)
+            assert sol.objective == pytest.approx(57.7, rel=1e-9)
+        assert solve_capacitated(instance).objective == pytest.approx(57.7, rel=1e-9)
+
+    def test_farkas_proof_holds_for_every_path(self, monkeypatch):
+        """On every corpus instance within the oracle's limits that priced
+        link-path finds infeasible, the brute-force oracle agrees, and
+        the multipliers u of the last LP solved prove it for the LP over
+        every path: u @ b > 0, u <= 0 on each ``<=`` row, and u @ A_p <=
+        1e-9 for every path p of :func:`all_candidate_paths`, a row the
+        LP lacks counting 0."""
+        solved = []
+        solve = design.simplex_solve
+
+        def recorded(lp, *args, **kwargs):
+            solved.append((lp, solve(lp, *args, **kwargs)))
+            return solved[-1][1]
+
+        monkeypatch.setattr(design, "simplex_solve", recorded)
+        proofs = 0
+        for seed in range(9000, 9100):
+            instance = build_redundant_mlg(random_problem(random.Random(seed)))
+            solved.clear()
             try:
-                form, priced = design._price_link_path(instance, k)
-            except InfeasibleError:
-                assert full.status == "Infeasible"
+                solve_capacitated(instance, formulation="link-path")
                 continue
-            assert full.status == "Optimal"
-            assert priced.objective == pytest.approx(full.objective, rel=1e-9)
-            for j, meta in form.meta.items():
-                assert meta[2] in paths[meta[1]]
+            except InfeasibleError:
+                pass
+            try:
+                brute_force_oracle(instance)
+            except LimitsExceeded:
+                continue
+            except InfeasibleError:
+                pass
+            else:
+                pytest.fail(f"seed {seed}: the oracle found a design")
+            lp, sol = solved[-1]
+            u = dict(zip((con.name for con in lp.constraints), sol.farkas.tolist()))
+            assert sum(u[con.name] * con.rhs for con in lp.constraints) > 1e-9
+            assert all(u[con.name] <= 1e-9 for con in lp.constraints if con.relation == "<=")
+            for c in instance.commodities:
+                for p in all_candidate_paths(instance, c):
+                    priced = (u[f"demand[{c.id}]"] + u.get(f"productivity[{p.server}]", 0.0)
+                              + sum(u.get(f"capacity[{ch}]", 0.0) for ch in p.channels))
+                    assert priced <= 1e-9
+            proofs += 1
+        assert proofs == 11  # every infeasible corpus instance
 
     def test_final_lp_small_at_2x(self, monkeypatch):
         """At ``big_problem(seed=1)`` 2x the last LP solved has at most 600
@@ -764,6 +824,11 @@ class TestSolveUncapacitated:
     def test_negative_fixed_cost_rejected(self, t1_instance):
         with pytest.raises(ValueError):
             solve_uncapacitated(t1_instance, {"b1": -1.0})
+
+    @pytest.mark.parametrize("cost", [math.nan, math.inf])
+    def test_non_finite_fixed_cost_rejected(self, t1_instance, cost):
+        with pytest.raises(ValueError):
+            solve_uncapacitated(t1_instance, {"b1": cost})
 
     @pytest.mark.parametrize("formulation", ["node-link", "link-path"])
     def test_branch_and_bound_size(self, formulation, monkeypatch):
