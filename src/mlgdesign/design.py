@@ -22,6 +22,12 @@ flow per server: the commodities homed on a server share it as their
 one source, and each subscriber's ``y`` binaries say how much of its
 demand each server's flow delivers.
 
+Fixed charge adds one ``use`` binary per channel to either
+formulation.  A channel that every layer-1 route of some subscriber
+crosses is posed open (``use`` in [1, 1]), and node-link without single
+homing tells branch and bound when its objective is integral on every
+integer point (see :func:`solve_uncapacitated`).
+
 Where a formulation knows a dual-feasible basis, its root LP starts
 there rather than at the logical basis: the dual simplex then only
 repairs the rows that basis leaves out of bounds.  Node-link without
@@ -711,7 +717,19 @@ def solve_uncapacitated(instance: BuiltInstance,
                         formulation: str = "node-link", k: int = 4,
                         single_homing: bool = False) -> DesignSolution:
     """Select channels (binary per-channel decision with fixed cost) and
-    route flows over the selected subset."""
+    route flows over the selected subset.
+
+    Two exact reductions shrink the search.  A channel every design
+    needs (:func:`_required_channels`) carries flow in every feasible
+    design, so its coupling row forces ``use`` to 1 there: ``use`` is
+    posed in [1, 1], which removes no feasible point.  Node-link without
+    single homing is, once every ``use`` is fixed, a min-cost flow, so
+    with integer data (:func:`_integral_data`) every integer point's
+    best routing costs an integer (Ahuja, Magnanti & Orlin, *Network
+    Flows*, 1993, the integrality property) and the program says so
+    (``LinearProgram.integral_objective``).  Under single homing the
+    servers' flows share channels, and link-path optimizes over a
+    restricted path set, so neither holds there."""
     _check_args(formulation, k)
     for ch_id, fc in channel_fixed_costs.items():
         if ch_id not in instance.channel_edges:
@@ -721,10 +739,14 @@ def solve_uncapacitated(instance: BuiltInstance,
     if not instance.commodities:
         return _assemble_solution(instance, {})
     form = _build_formulation(instance, formulation, k, single_homing)
+    form.lp.integral_objective = (formulation == "node-link" and not single_homing
+                                  and _integral_data(instance, channel_fixed_costs))
     big_m = sum(c.demand for c in instance.commodities)
+    required = _required_channels(instance)
     select_vars: dict[str, int] = {}
     for ch_id in sorted(instance.channel_edges):
-        j = form.lp.add_var(f"use[{ch_id}]", upper=1.0, integer=True)
+        j = form.lp.add_var(f"use[{ch_id}]", upper=1.0, integer=True,
+                            lower=float(ch_id in required))
         select_vars[ch_id] = j
         form.lp.objective[j] = float(channel_fixed_costs.get(ch_id, 0.0))
         coeffs = dict.fromkeys(form.channel_rows_vars[ch_id], 1.0)
@@ -737,6 +759,51 @@ def solve_uncapacitated(instance: BuiltInstance,
     return _assemble_solution(instance, routes, selected=selected,
                               fixed_cost_part=fixed_part,
                               relaxation_objective=relaxed)
+
+
+def _required_channels(instance: BuiltInstance) -> set[str]:
+    """The channels whose removal cuts some subscriber with demand off
+    from every server in layer 1: all of its routes cross them.  A
+    subscriber that no server reaches makes none required, so a design
+    infeasible by connectivity fails as it would without them.  Only a
+    channel on a subscriber's path in the servers' reachability forest
+    can cut it off, so only those are searched again, each with one
+    reachability search from all servers."""
+    adj, servers = instance.graph.adjacency(1), instance.server_ids()
+
+    def reached(banned: Optional[tuple] = None) -> dict[str, Optional[tuple]]:
+        """Each node the servers reach without channel ``banned`` (a
+        key), with the channel and node it was first reached from."""
+        via: dict[str, Optional[tuple]] = dict.fromkeys(servers)
+        stack = list(servers)
+        while stack:
+            node = stack.pop()
+            for nbr, edge in adj[node].items():
+                if nbr not in via and edge.key != banned:
+                    via[nbr] = (edge.key, node)
+                    stack.append(nbr)
+        return via
+
+    forest = reached()
+    sinks = {c.sink.id for c in instance.commodities if c.demand > 0} & forest.keys()
+    on_paths: set[tuple] = set()
+    for node in sinks:
+        while (hop := forest[node]) is not None and hop[0] not in on_paths:
+            on_paths.add(hop[0])
+            node = hop[1]
+    return {ch for ch, edge in instance.channel_edges.items()
+            if edge.key in on_paths and not sinks <= reached(edge.key).keys()}
+
+
+def _integral_data(instance: BuiltInstance, channel_fixed_costs: Mapping[str, float]) -> bool:
+    """Whether every channel cost, finite capacity and fixed cost, every
+    demand and every server productivity is an integer."""
+    edges = instance.channel_edges.values()
+    numbers = itertools.chain(
+        (e.cost for e in edges), (e.capacity for e in edges), channel_fixed_costs.values(),
+        (c.demand for c in instance.commodities),
+        (instance.server_productivity(s) for s in instance.server_ids()))
+    return all(float(v).is_integer() for v in numbers if v != math.inf)
 
 
 def _build_formulation(instance, formulation, k, single_homing) -> _Formulation:

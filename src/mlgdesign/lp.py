@@ -2,8 +2,8 @@
 anti-cycling fallback, and depth-first branch and bound for integer
 variables that takes the up branch first.
 
-Every column lies between a lower and an upper bound (0 and
-``Variable.upper`` unless a caller narrows them).  A nonbasic column
+Every column lies between a lower and an upper bound (``Variable.lower``,
+0 unless posed, and ``Variable.upper`` unless a caller narrows them).  A nonbasic column
 sits at one of its bounds and the ratio test flips it to the other, so
 a bound never becomes a row (Chvátal, *Linear Programming*, 1983,
 ch. 8).  Each row has one logical column, and every solve takes one
@@ -13,7 +13,9 @@ its start dual feasible: from the logical basis that clips them at
 zero, so no phase 1 is needed (Koberstein, *The dual simplex method*,
 PhD thesis, Paderborn, 2005, ch. 4).  A branch narrows one bound of one
 column; the parent's optimal basis stays dual feasible, so each child
-is re-solved from it on the true costs.  A solve can also restart from
+is re-solved from it on the true costs, in place in the tableau its
+parent left: a dive keeps one tableau, and a saved copy is restored
+only on backtrack.  A solve can also restart from
 a basis found before columns and rows were appended, as column
 generation does; an optimal solve returns the row duals that price
 such columns.  A cold solve may start from a crash basis the caller
@@ -33,7 +35,10 @@ The search
 takes the up branch first: in the design models a binary's up branch
 opens a channel or homes a subscriber, which tends to reach feasible
 integer points soon (Achterberg, Koch & Martin, *Oper. Res. Letters*
-33, 2005, on node selection).
+33, 2005, on node selection).  A program whose integer points all cost
+integers says so (``LinearProgram.integral_objective``), and the search
+then prunes a node on its bound rounded up (Achterberg, *Constraint
+Integer Programming*, PhD thesis, TU Berlin, 2007).
 
 Sized for desk-scale design instances; robustness and determinism are
 prioritized over raw speed.
@@ -57,8 +62,9 @@ INT_TOL = 1e-6
 @dataclass
 class Variable:
     name: str
-    upper: Optional[float] = None  # lower bound is always 0
+    upper: Optional[float] = None  # None: no upper bound
     integer: bool = False
+    lower: float = 0.0
 
 
 @dataclass
@@ -70,20 +76,30 @@ class Constraint:
 
 
 class LinearProgram:
-    """Minimization LP over nonnegative variables."""
+    """Minimization LP over bounded variables.
+
+    ``integral_objective`` declares that every integer point's best
+    completion costs an integer, so branch and bound may prune a node
+    whose bound rounds up to the incumbent's (see
+    :func:`branch_and_bound`).  The caller that poses the program vouches
+    for it; it is False unless set."""
 
     def __init__(self):
         self.variables: list[Variable] = []
         self.constraints: list[Constraint] = []
         self.objective: dict[int, float] = {}
+        self.integral_objective = False
 
     def add_var(self, name: str, upper: Optional[float] = None,
-                integer: bool = False) -> int:
-        """Append a column in [0, ``upper``]; None or +inf means no upper
-        bound.  A NaN or -inf bound raises ``ValueError``."""
+                integer: bool = False, lower: float = 0.0) -> int:
+        """Append a column in [``lower``, ``upper``]; None or +inf means no
+        upper bound.  A NaN or -inf upper bound, or a lower bound that is
+        not finite, raises ``ValueError``."""
         if upper is not None and (math.isnan(upper) or upper == -math.inf):
             raise ValueError(f"upper bound of {name!r} must be a number or +inf, not {upper}")
-        self.variables.append(Variable(name, upper, integer))
+        if not math.isfinite(lower):
+            raise ValueError(f"lower bound of {name!r} must be a finite number, not {lower}")
+        self.variables.append(Variable(name, upper, integer, lower))
         return len(self.variables) - 1
 
     def add_constraint(self, coeffs: dict[int, float], relation: str, rhs: float,
@@ -103,10 +119,11 @@ class LinearProgram:
         return [j for j, v in enumerate(self.variables) if v.integer]
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lower, upper) per variable as posed: 0, and ``upper`` with
-        None read as no bound."""
+        """(lower, upper) per variable as posed, ``upper`` None read as no
+        bound."""
+        lower = [v.lower for v in self.variables]
         upper = [math.inf if v.upper is None else v.upper for v in self.variables]
-        return np.zeros(len(upper)), np.array(upper, dtype=float)
+        return np.array(lower, dtype=float), np.array(upper, dtype=float)
 
 
 class _StandardForm:
@@ -293,6 +310,7 @@ class LpSolution:
     # bound can mend that only if u @ A_j > 0 (Farkas pricing)
     farkas: np.ndarray = field(default_factory=lambda: np.zeros(0))
     basis: Optional[Basis] = None  # the final basis of an optimal or infeasible solve
+    nodes: int = 0  # of a branch-and-bound result: the node LPs solved, the root not counted
 
 
 class _Tableau:
@@ -398,6 +416,49 @@ class _Tableau:
     def final_basis(self) -> Basis:
         return Basis(self.basis, self.at_upper, self.form, self.binv)
 
+    def read_off(self) -> tuple[np.ndarray, float]:
+        """The structural columns' values, with entries below 1e-12 in
+        magnitude read as 0, and their cost.  The basic values are read
+        fresh off the inverse (:meth:`basic_values`) and also replace
+        ``xb``, so the tableau then holds what one built over this basis
+        would derive."""
+        n = self.form.n
+        x = self.nonbasic_values()
+        x[self.basis] = self.xb = self.basic_values(x)
+        x = x[:n].copy()
+        x[np.abs(x) < 1e-12] = 0.0
+        return x, float(self.form.cost[:n].dot(x))
+
+    _STATE = ("basis", "binv", "xb", "lower", "upper", "blocked", "at_upper", "side",
+              "movable", "lower_b", "upper_b")
+
+    def save(self) -> tuple:
+        """A copy of everything a solve or :meth:`narrow` changes."""
+        return tuple(getattr(self, name).copy() for name in self._STATE)
+
+    def restore(self, saved: tuple) -> None:
+        """Return to a state :meth:`save` took; ``saved`` is taken over,
+        not copied, so it is restored at most once."""
+        for name, value in zip(self._STATE, saved):
+            setattr(self, name, value)
+
+    def narrow(self, col: int, lower: float, upper: float) -> None:
+        """Set column ``col``'s bounds to [``lower``, ``upper``], leaving
+        exactly what a tableau built over this basis with the new bounds
+        would derive: a column now fixed is blocked, and a nonbasic
+        column moved off a bound that went away or became its lower one
+        sits at its lower bound, which moves the basic values."""
+        self.lower[col], self.upper[col] = lower, upper
+        fixed = self.blocked[col] = upper <= lower
+        rows = (self.basis == col).nonzero()[0]
+        if rows.size:
+            self.lower_b[rows[0]], self.upper_b[rows[0]] = lower, upper
+            return
+        up = self.at_upper[col] = self.at_upper[col] and not fixed and upper < np.inf
+        self.side[col] = -1.0 if up else 1.0
+        self.movable[col] = not fixed
+        self.xb = self.basic_values(self.nonbasic_values())
+
     def run(self, cost: np.ndarray, max_iter: int) -> tuple[str, np.ndarray, np.ndarray]:
         """Bounded revised primal simplex from a primal-feasible basis.
 
@@ -455,13 +516,15 @@ class _Tableau:
             self._pivot(row, col, direction, to_upper=not falling[row])
         raise MalformedProgram("simplex iteration limit exceeded")
 
-    def dual_run(self, cost: np.ndarray,
-                 max_iter: int) -> Optional[tuple[list[str], np.ndarray]]:
+    def dual_run(self, cost: np.ndarray, max_iter: int,
+                 red: Optional[np.ndarray] = None) -> Optional[int]:
         """Bounded dual simplex, until every basic value is within its
         bounds (then None).  If a basic value out of its bounds cannot be
         moved toward them by any column, the program is infeasible:
-        returns that row's certificate and its multipliers (``farkas``
-        of :class:`LpSolution`).
+        returns that row, whose proof :meth:`proof` reads.  ``red``, if
+        given, is ``cost``'s reduced costs over the start basis, as the
+        last pricing of a ``run`` that ended there computed them; it is
+        not written to.
 
         It runs on ``cost`` shifted so that the start is dual feasible:
         each nonbasic column whose reduced cost has the wrong sign by
@@ -482,7 +545,7 @@ class _Tableau:
             return None
         xb, lower_b, upper_b = self.xb, self.lower_b, self.upper_b
         side, movable = self.side, self.movable
-        red = None  # priced at the first ratio test, which no pivot precedes
+        shifted = False  # priced at the first ratio test, which no pivot precedes
         bland = False
         degenerate_run = 0
         for _ in range(max_iter):
@@ -507,13 +570,12 @@ class _Tableau:
                 toward *= -1.0
             cols = ((toward > PIVOT_TOL) & movable).nonzero()[0]
             if cols.size == 0:
-                farkas = self.binv[row] if to_upper else -self.binv[row]
-                return (self._certificate(farkas, -alpha if to_upper else alpha,
-                                          self.basis[row] if to_upper else None),
-                        farkas * self.form.sign)
-            if red is None:
-                red = cost - self.duals(cost).dot(self.A)
-                red[red * side < -PIVOT_TOL] = 0.0  # the shift
+                return row
+            if not shifted:
+                if red is None:
+                    red = cost - self.duals(cost).dot(self.A)
+                red = np.where(red * side < -PIVOT_TOL, 0.0, red)  # the shift
+                shifted = True
             step = toward[cols]
             ratios = np.maximum((red * side)[cols], 0.0) / step
             best = ratios[ratios.argmin()]
@@ -530,22 +592,28 @@ class _Tableau:
             red -= red[col] / alpha[col] * alpha
         raise MalformedProgram("simplex iteration limit exceeded")
 
-    def _certificate(self, multipliers: np.ndarray, gradient: np.ndarray,
-                     own: Optional[int] = None) -> list[str]:
-        """Names of an infeasibility proof: ``bound[<var>]`` for each
-        variable whose upper bound it uses (a nonbasic one whose
-        ``gradient`` entry is negative, plus ``own``), then each named
-        row with a nonzero multiplier."""
+    def proof(self, row: int) -> tuple[list[str], np.ndarray]:
+        """The certificate and multipliers (``farkas`` of
+        :class:`LpSolution`) of ``row``, which :meth:`dual_run` returned:
+        its basic value is out of its bounds and no column moves it back.
+
+        The certificate names the proof: ``bound[<var>]`` for each
+        variable whose upper bound it uses (a nonbasic one whose gradient
+        entry is negative, plus the row's basic one when it lies above its
+        upper bound), then each named row with a nonzero multiplier."""
         form = self.form
-        used = gradient < -FEAS_TOL
+        to_upper = bool(self.xb[row] - self.upper_b[row] > self.lower_b[row] - self.xb[row])
+        alpha = self.binv[row].dot(self.A)
+        farkas = self.binv[row] if to_upper else -self.binv[row]
+        used = (-alpha if to_upper else alpha) < -FEAS_TOL
         used[self.basis] = False
-        if own is not None:
-            used[own] = True
+        if to_upper:
+            used[self.basis[row]] = True
         used &= self.upper < np.inf
         names = [f"bound[{form.var_names[j]}]" for j in np.nonzero(used[:form.n])[0]]
-        names += [form.row_names[i] for i in np.nonzero(np.abs(multipliers) > FEAS_TOL)[0]
+        names += [form.row_names[i] for i in np.nonzero(np.abs(farkas) > FEAS_TOL)[0]
                   if form.row_names[i]]
-        return names
+        return names, farkas * form.sign
 
 
 def _crossed_bounds(lp: LinearProgram, lower: np.ndarray, upper: np.ndarray) -> list[str]:
@@ -596,8 +664,11 @@ def simplex_solve(lp: LinearProgram, lower: Optional[np.ndarray] = None,
     pivots and bound flips of the standard form; past that it raises
     MalformedProgram.
     """
-    lower = np.zeros(len(lp.variables)) if lower is None else np.asarray(lower, dtype=float)
-    upper = lp.bounds()[1] if upper is None else np.asarray(upper, dtype=float)
+    if lower is None or upper is None:
+        posed = lp.bounds()
+        lower = posed[0] if lower is None else lower
+        upper = posed[1] if upper is None else upper
+    lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
     # one pass over the bounds; the reasons are sorted out only when it fails
     if np.count_nonzero(np.isfinite(lower) & (lower <= upper)) < lower.size:
         return LpSolution(status="Infeasible", certificate=_crossed_bounds(lp, lower, upper))
@@ -611,18 +682,15 @@ def simplex_solve(lp: LinearProgram, lower: Optional[np.ndarray] = None,
     tab = _Tableau(form, lower, upper, start)
     max_iter = 50 * (tab.m + tab.total) + 1000
 
-    proof = tab.dual_run(form.cost, max_iter)
-    if proof is not None:
-        return LpSolution(status="Infeasible", certificate=proof[0], farkas=proof[1],
+    row = tab.dual_run(form.cost, max_iter)
+    if row is not None:
+        certificate, farkas = tab.proof(row)
+        return LpSolution(status="Infeasible", certificate=certificate, farkas=farkas,
                           iterations=tab.iterations, basis=tab.final_basis())
     status, red, y = tab.run(form.cost, max_iter)
     if status == "Unbounded":
         return LpSolution(status="Unbounded", iterations=tab.iterations)
-    x = tab.nonbasic_values()
-    x[tab.basis] = tab.basic_values(x)
-    x = x[:form.n].copy()
-    x[np.abs(x) < 1e-12] = 0.0
-    objective = float(form.cost[:form.n].dot(x))
+    x, objective = tab.read_off()
     return LpSolution(status="Optimal", values=x, objective=objective,
                       iterations=tab.iterations,
                       reduced_costs=red[:form.n].copy(),
@@ -642,53 +710,80 @@ def branch_and_bound(lp: LinearProgram,
 
     A node whose relaxation does not beat the incumbent by more than
     1e-9 is pruned, and every integral node that survives becomes the
-    incumbent.  The node order is fixed, so the result is the first
-    optimum that order reaches, and it is deterministic.
+    incumbent.  When ``lp.integral_objective`` is set, every integer
+    point's objective is an integer, so a node is also pruned when its
+    bound rounds up to the incumbent's: ``ceil(bound - 1e-6) >=
+    incumbent - 1e-9``.  Its subtree could hold only ties, which never
+    replace the incumbent, so the result is the same.  The node order
+    is fixed, so the result is the first optimum that order reaches,
+    and it is deterministic.
 
     The root is the first node: ``root``, if given, is
     ``simplex_solve(lp)`` already solved, else it is solved here.  A
     root that is not optimal is returned as solved, with its status and
     certificate.
-    """
-    int_idx = lp.integer_indices()
-    if not int_idx:
-        raise ValueError("branch_and_bound requires at least one integer variable")
 
+    A dive keeps one tableau (Koberstein, 2005).  A child narrows one
+    bound of the branched column in it and runs the dual and primal
+    simplex in place; the down child's start is saved when its parent
+    branches and restored when the search backtracks to it.  Each child starts bit for bit where
+    ``simplex_solve(lp, lower, upper, parent.basis)`` would: from the
+    parent's final basis, its basic values read fresh off the inverse
+    and its last pricing, so it takes the same pivots.  The result has
+    the incumbent's values, objective and basis, the pivots of every
+    solve in ``iterations`` and the node LPs solved in ``nodes``.
+    """
+    int_idx = np.array(lp.integer_indices(), dtype=int)
+    if not int_idx.size:
+        raise ValueError("branch_and_bound requires at least one integer variable")
+    if root is None:
+        root = simplex_solve(lp)
+    if root.status != "Optimal":
+        return root
+
+    form = root.basis.form
+    cost, max_iter = form.cost, 50 * (form.m + form.total) + 1000
+    total_iters, nodes = root.iterations, 0
     incumbent: Optional[LpSolution] = None
-    total_iters = 0
-    # node = (lower bounds, upper bounds, parent's basis; None at the root)
-    stack: list[tuple[np.ndarray, np.ndarray, Optional[Basis]]] = [(*lp.bounds(), None)]
-    while stack:
-        lower, upper, start = stack.pop()
-        if start is None:
-            sol = root if root is not None else simplex_solve(lp)
+    tab: Optional[_Tableau] = None  # built when the root branches
+    # the down children still to solve: (their parent's saved tableau and
+    # last pricing, the branched column, its new upper bound)
+    stack: list[tuple[tuple, Optional[np.ndarray], int, float]] = []
+    values, objective, red = root.values, root.objective, None  # of the node just solved
+    while True:
+        col = -1
+        if values is not None and (incumbent is None or _bound(lp, objective)
+                                   < incumbent.objective - 1e-9):
+            col = _most_fractional(values, int_idx)
+            if col < 0:
+                incumbent = root if tab is None else LpSolution(
+                    status="Optimal", values=values, objective=objective,
+                    basis=Basis(tab.basis.copy(), tab.at_upper.copy(), form, tab.binv.copy()))
+        if col >= 0:
+            if tab is None:
+                tab = _Tableau(form, *lp.bounds(), root.basis)
+            v = values[col]
+            stack.append((tab.save(), red, col, math.floor(v)))
+            tab.narrow(col, math.ceil(v), tab.upper[col])  # the up child, solved next
+        elif stack:
+            saved, red, col, cut = stack.pop()
+            tab.restore(saved)
+            tab.narrow(col, tab.lower[col], cut)
         else:
-            sol = simplex_solve(lp, lower, upper, start)
-        total_iters += sol.iterations
-        if sol.status != "Optimal":
-            if start is None:
-                return sol
+            break
+        nodes += 1
+        values = None
+        if tab.lower[col] > tab.upper[col]:
             continue
-        if incumbent is not None and sol.objective >= incumbent.objective - 1e-9:
-            continue
-        frac_j, frac_amount = -1, -1.0
-        for j, v in zip(int_idx, sol.values[int_idx].tolist()):
-            f = abs(v - round(v))
-            if f > INT_TOL and f > frac_amount + 1e-12:
-                frac_amount = f
-                frac_j = j
-        if frac_j < 0:
-            incumbent = sol
-            continue
-        v = sol.values[frac_j]
-        raised, cut = lower.copy(), upper.copy()
-        raised[frac_j] = math.ceil(v)
-        cut[frac_j] = math.floor(v)
-        stack.append((lower, cut, sol.basis))
-        stack.append((raised, upper, sol.basis))  # popped first
+        tab.iterations = 0
+        if tab.dual_run(cost, max_iter, red) is None:
+            status, red, _y = tab.run(cost, max_iter)
+            if status == "Optimal":
+                values, objective = tab.read_off()
+        total_iters += tab.iterations
 
     if incumbent is None:
-        return LpSolution(status="Infeasible", iterations=total_iters)
+        return LpSolution(status="Infeasible", iterations=total_iters, nodes=nodes)
     # The incumbent's integer columns lie within INT_TOL of integers, and
     # a basic one off its integer carries that error into the columns it
     # scales.  Re-solved cold with them fixed at those integers,
@@ -701,5 +796,24 @@ def branch_and_bound(lp: LinearProgram,
         total_iters += fixed.iterations
         if fixed.status == "Optimal":
             incumbent = fixed
-    incumbent.iterations = total_iters
+    incumbent.iterations, incumbent.nodes = total_iters, nodes
     return incumbent
+
+
+def _bound(lp: LinearProgram, objective: float) -> float:
+    """What a node's relaxation ``objective`` proves of the integer points
+    below it: the next integer up when ``lp.integral_objective``."""
+    return math.ceil(objective - 1e-6) if lp.integral_objective else objective
+
+
+def _most_fractional(values: np.ndarray, int_idx: np.ndarray) -> int:
+    """The integer column farthest from an integer, by more than
+    ``INT_TOL``; a later one wins only by more than 1e-12.  -1 when
+    every one is integral."""
+    ints = values[int_idx]
+    fraction = np.abs(ints - np.round(ints))
+    best, amount = -1, -1.0
+    for k in (fraction > INT_TOL).nonzero()[0].tolist():
+        if fraction[k] > amount + 1e-12:
+            best, amount = int(int_idx[k]), fraction[k]
+    return best

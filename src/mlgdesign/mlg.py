@@ -155,10 +155,12 @@ class MultiLayerGraph:
         if u not in nodes or v not in nodes:
             missing = u if u not in nodes else v
             raise GraphError(f"node {missing!r} missing from layer {layer}")
-        if capacity < 0:
-            raise GraphError("capacity must be >= 0")
-        if cost < 0:
-            raise GraphError("cost must be >= 0")
+        if not capacity >= 0:  # NaN fails every comparison
+            raise GraphError(f"edge ({u},{v}) at layer {layer}: capacity must be >= 0, "
+                             f"not {capacity}")
+        if not 0 <= cost < math.inf:
+            raise GraphError(f"edge ({u},{v}) at layer {layer}: cost must be finite and "
+                             f"nonnegative, not {cost}")
         edge = IntraEdge(layer, (u, v) if u <= v else (v, u), capacity, cost, name)
         edges, adj = lay["edges"], lay["adj"]
         if edge.key in edges:
@@ -184,6 +186,9 @@ class MultiLayerGraph:
         for ref in (upper, lower):
             if not self.has_node(ref):
                 raise GraphError(f"node {ref} does not exist")
+        if not capacity >= 0:  # NaN fails every comparison
+            raise GraphError(f"inter edge {upper} -> {lower}: capacity must be >= 0, "
+                             f"not {capacity}")
         edge = InterEdge(upper, lower, capacity)
         self._inter[inter_key(upper, lower)] = edge
         self._down.setdefault(upper, set()).add(lower)

@@ -838,16 +838,25 @@ class TestSolveUncapacitated:
         logical basis, not the servers' forest); down first took 3849
         and 3693.  Pruning
         nodes that only tie the incumbent proves the single-homing
-        optimum in 43 and 21 solves, where exploring them took 51 and 29."""
+        optimum in 43 and 21 solves, where exploring them took 51 and 29.
+        An LP solve is a ``simplex_solve`` call or a node LP of the
+        search (``LpSolution.nodes``), which no longer calls it."""
         calls = []
         original = lp_module.simplex_solve
+        search = design.branch_and_bound
 
         def counted(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
+        def nodes_counted(*args, **kwargs):
+            sol = search(*args, **kwargs)
+            calls.extend([1] * sol.nodes)
+            return sol
+
         monkeypatch.setattr(lp_module, "simplex_solve", counted)
         monkeypatch.setattr(design, "simplex_solve", counted)
+        monkeypatch.setattr(design, "branch_and_bound", nodes_counted)
         instance = build_redundant_mlg(
             big_problem(seed=1, n_sub=12, n_srv=3, n_int=2, n_ch=26, slack=1))
         fixed = {ch: 1.0 for ch in instance.channel_edges}
@@ -859,6 +868,161 @@ class TestSolveUncapacitated:
         sol = solve_capacitated(instance, formulation=formulation, single_homing=True)
         assert sol.objective == pytest.approx(64.0, abs=1e-6)
         assert len(calls) <= {"node-link": 45, "link-path": 25}[formulation]
+
+
+def posed_fixed_charge(instance, fixed, monkeypatch, **kwargs):
+    """The program ``solve_uncapacitated`` poses, and its solution."""
+    programs = []
+    solve = design._solve
+
+    def captured(inst, form):
+        programs.append(form.lp)
+        return solve(inst, form)
+
+    monkeypatch.setattr(design, "_solve", captured)
+    sol = solve_uncapacitated(instance, fixed, **kwargs)
+    return programs[0], sol
+
+
+def use_bounds(lp):
+    """Channel id -> its ``use`` column's (lower, upper) as posed."""
+    lower, upper = lp.bounds()
+    return {v.name[4:-1]: (lower[j], upper[j]) for j, v in enumerate(lp.variables)
+            if v.name.startswith("use[")}
+
+
+class TestRequiredChannels:
+    """A channel every route of some subscriber with demand crosses is
+    posed open: ``use`` in [1, 1]."""
+
+    @staticmethod
+    def instance(extra_subscribers=(), extra_channels=(), intermediates=("z1", "z2", "z3")):
+        """Servers s1 and s2 on a cycle with z1; u1 hangs off z1 by
+        ``pend``; the bridge z1-z2 leads to a part with no server, where
+        u2 sits on the cycle z2-u2-z3."""
+        channels = [Channel("s1z1", ("s1", "z1"), 10.0), Channel("s2z1", ("s2", "z1"), 10.0),
+                    Channel("s1s2", ("s1", "s2"), 10.0), Channel("pend", ("u1", "z1"), 10.0),
+                    Channel("bridge", ("z1", "z2"), 10.0), Channel("z2u2", ("z2", "u2"), 10.0),
+                    Channel("z2z3", ("z2", "z3"), 10.0), Channel("z3u2", ("z3", "u2"), 10.0),
+                    *extra_channels]
+        subscribers = [Subscriber("u1", [Session("u1", 3.0)]),
+                       Subscriber("u2", [Session("u2", 2.0)]), *extra_subscribers]
+        return build_redundant_mlg(DesignProblem(
+            subscribers=subscribers, servers=[Server("s1", 5.0), Server("s2", 5.0)],
+            service_id="v0", service_productivity=10.0, intermediates=list(intermediates),
+            channels=channels))
+
+    @pytest.mark.parametrize("single_homing", [False, True])
+    @pytest.mark.parametrize("formulation", ["node-link", "link-path"])
+    def test_pendant_and_bridge_posed_open(self, formulation, single_homing, monkeypatch):
+        instance = self.instance()
+        fixed = dict.fromkeys(instance.channel_edges, 1.0)
+        lp, sol = posed_fixed_charge(instance, fixed, monkeypatch, formulation=formulation,
+                                     single_homing=single_homing)
+        bounds = use_bounds(lp)
+        assert {ch for ch, (lo, _up) in bounds.items() if lo == 1.0} == {"pend", "bridge"}
+        assert bounds["pend"] == bounds["bridge"] == (1.0, 1.0)
+        for ch in ("s1z1", "s2z1", "s1s2", "z2u2", "z2z3", "z3u2"):  # each on a cycle
+            assert bounds[ch] == (0.0, 1.0)
+        assert {"pend", "bridge"} <= set(sol.selected_channels)
+
+    def test_unreached_subscriber_fixes_nothing(self, monkeypatch):
+        """u3 and z4 form a part no server reaches: the design is
+        infeasible, its channel is not required, and the certificate is
+        the one posed without any required channel."""
+        instance = self.instance(
+            extra_subscribers=[Subscriber("u3", [Session("u3", 1.0)])],
+            extra_channels=[Channel("z4u3", ("z4", "u3"), 10.0)],
+            intermediates=("z1", "z2", "z3", "z4"))
+        fixed = dict.fromkeys(instance.channel_edges, 1.0)
+        assert design._required_channels(instance) == {"pend", "bridge"}
+        with pytest.raises(InfeasibleError) as required:
+            solve_uncapacitated(instance, fixed)
+        monkeypatch.setattr(design, "_required_channels", lambda inst: set())
+        with pytest.raises(InfeasibleError) as unrequired:
+            solve_uncapacitated(instance, fixed)
+        assert required.value.certificate == unrequired.value.certificate
+        assert "conservation[u3]" in required.value.certificate
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_a_search_per_channel(self, seed):
+        """The forest-path shortcut finds what one reachability search
+        without each channel in turn finds."""
+        instance = build_redundant_mlg(random_problem(random.Random(9000 + seed)) if seed % 2
+                                       else big_problem(seed, n_sub=6, n_srv=2, n_int=3,
+                                                        n_ch=12, slack=1))
+        adj, servers = instance.graph.adjacency(1), instance.server_ids()
+
+        def reached(banned):
+            seen, stack = set(servers), list(servers)
+            while stack:
+                for nbr, edge in adj[stack.pop()].items():
+                    if nbr not in seen and edge.key != banned:
+                        seen.add(nbr)
+                        stack.append(nbr)
+            return seen
+
+        sinks = {c.sink.id for c in instance.commodities} & reached(None)
+        assert design._required_channels(instance) == {
+            ch for ch, edge in instance.channel_edges.items()
+            if not sinks <= reached(edge.key)}
+
+    def test_t1_spokes_required(self, t1_instance):
+        """u1 and u2 each hang off z1 by one channel; z1 reaches both
+        servers, which are on a cycle."""
+        assert design._required_channels(t1_instance) == {"b1", "b2"}
+
+
+class TestIntegralObjective:
+    @pytest.mark.parametrize("formulation, single_homing, flagged",
+                             [("node-link", False, True), ("node-link", True, False),
+                              ("link-path", False, False), ("link-path", True, False)])
+    def test_flag_only_for_node_link_without_homing(self, formulation, single_homing,
+                                                    flagged, t1_instance, monkeypatch):
+        fixed = dict.fromkeys(t1_instance.channel_edges, 2.0)
+        lp, _sol = posed_fixed_charge(t1_instance, fixed, monkeypatch,
+                                      formulation=formulation, single_homing=single_homing)
+        assert lp.integral_objective is flagged
+
+    @pytest.mark.parametrize("field, value", [("fixed", 0.5), ("cost", 1.5),
+                                              ("capacity", 2.5)])
+    def test_fractional_data_leaves_it_off(self, field, value, monkeypatch):
+        problem = t1_problem()
+        if field != "fixed":
+            problem.channels[2] = dataclasses.replace(problem.channels[2], **{field: value})
+        instance = build_redundant_mlg(problem)
+        fixed = dict.fromkeys(instance.channel_edges, 1.0)
+        if field == "fixed":
+            fixed["b3"] = value
+        lp, _sol = posed_fixed_charge(instance, fixed, monkeypatch)
+        assert lp.integral_objective is False
+
+    def test_fewer_nodes_same_design(self, monkeypatch):
+        """On the 12/26 instance the prune skips node-link nodes and
+        returns the design the search returns without it."""
+        instance = build_redundant_mlg(
+            big_problem(seed=1, n_sub=12, n_srv=3, n_int=2, n_ch=26, slack=1))
+        fixed = dict.fromkeys(instance.channel_edges, 1.0)
+        search = lp_module.branch_and_bound
+        nodes = []
+
+        def recorded(lp, root=None):
+            sol = search(lp, root)
+            nodes.append(sol.nodes)
+            return sol
+
+        def unflagged(lp, root=None):
+            lp.integral_objective = False
+            return recorded(lp, root)
+
+        monkeypatch.setattr(design, "branch_and_bound", recorded)
+        flagged = solve_uncapacitated(instance, fixed)
+        monkeypatch.setattr(design, "branch_and_bound", unflagged)
+        plain = solve_uncapacitated(instance, fixed)
+        assert nodes[0] < nodes[1]
+        assert flagged.objective == plain.objective
+        assert flagged.selected_channels == plain.selected_channels
+        assert flagged.routes == plain.routes
 
 
 class TestOracle:

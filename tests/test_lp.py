@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 import random
 
 import numpy as np
@@ -6,7 +8,9 @@ import pytest
 from scipy.optimize import linprog
 
 import mlgdesign.lp as lp_module
-from mlgdesign import LinearProgram, branch_and_bound, simplex_solve
+from mlgdesign import (LinearProgram, branch_and_bound, build_redundant_mlg, design,
+                       simplex_solve, solve_uncapacitated)
+from mlgdesign.cli import problem_from_dict
 from mlgdesign.errors import MalformedProgram
 
 
@@ -747,3 +751,155 @@ class TestBranchAndBound:
             assert sol.status == "Optimal"
             assert sol.objective == pytest.approx(ref.fun, abs=1e-7)
             assert np.array_equal(sol.values, np.round(sol.values))
+
+
+def milp_reference(lp):
+    """scipy's HiGHS ``milp`` result for ``lp`` as posed."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    n = len(lp.variables)
+    rows = np.zeros((len(lp.constraints), n))
+    lb, ub = [], []
+    for i, con in enumerate(lp.constraints):
+        for j, c in con.coeffs.items():
+            rows[i, j] = c
+        lb.append(-np.inf if con.relation == "<=" else con.rhs)
+        ub.append(np.inf if con.relation == ">=" else con.rhs)
+    cost = np.zeros(n)
+    for j, c in lp.objective.items():
+        cost[j] = c
+    lower, upper = lp.bounds()
+    integrality = np.array([v.integer for v in lp.variables], dtype=int)
+    constraints = LinearConstraint(rows, lb, ub) if lp.constraints else ()
+    return milp(cost, constraints=constraints, integrality=integrality,
+                bounds=Bounds(lower, upper))
+
+
+def mixed_binary_program(rng):
+    """A random bounded program (``random_program``) whose first column
+    is a 0/1 integer, and each other with probability 1/2, or a binary covering
+    program (``covering_program``) over 8-14 columns; every column
+    has an upper bound."""
+    if rng.random() < 0.5:
+        lp = covering_program(rng, n=rng.randint(8, 14), m=rng.randint(3, 6))
+        for v in lp.variables:
+            v.integer = True
+        return lp
+    lp, _ = random_program(rng, bounded=True)
+    for j, v in enumerate(lp.variables):
+        if j == 0 or rng.random() < 0.5:
+            v.integer, v.upper = True, 1.0
+        elif v.upper is None:
+            v.upper = 6.0
+    return lp
+
+
+class TestDive:
+    STATE = ("basis", "binv", "lower", "upper", "lower_b", "upper_b", "side", "movable",
+             "blocked", "at_upper", "xb")
+
+    @pytest.fixture
+    def fresh_starts(self, monkeypatch):
+        """Checks that every dual run starts bit for bit where a tableau
+        built over its basis and bounds would, with the reduced costs it
+        is given equal to that tableau's pricing; lists whether each run
+        was given them."""
+        runs = []
+        dual_run = lp_module._Tableau.dual_run
+
+        def checked(tab, cost, max_iter, red=None):
+            n = tab.form.n
+            fresh = lp_module._Tableau(
+                tab.form, tab.lower[:n], tab.upper[:n],
+                lp_module.Basis(tab.basis, tab.at_upper, tab.form, tab.binv))
+            for name in self.STATE:
+                assert getattr(tab, name).tobytes() == getattr(fresh, name).tobytes(), name
+            if red is not None:
+                assert red.tobytes() == (cost - fresh.duals(cost).dot(fresh.A)).tobytes()
+            runs.append(red is not None)
+            return dual_run(tab, cost, max_iter, red)
+
+        monkeypatch.setattr(lp_module._Tableau, "dual_run", checked)
+        return runs
+
+    def test_random_mixed_binary_programs(self, fresh_starts):
+        """Seeded random bounded programs with 0/1 integer columns: each
+        node starts fresh, and each search ends at HiGHS's optimum."""
+        searched = 0
+        for seed in range(100):
+            lp = mixed_binary_program(random.Random(7100 + seed))
+            sol = branch_and_bound(lp)
+            ref = milp_reference(lp)
+            assert (sol.status == "Optimal") == (ref.status == 0), seed
+            if sol.status == "Optimal":
+                # HiGHS accepts an integer column within 1e-6 of an
+                # integer, which moves its objective by up to 1e-6 per
+                # unit of the column's cost
+                assert sol.objective == pytest.approx(ref.fun, abs=1e-5)
+            searched += sol.nodes > 0
+        assert searched > 20 and sum(fresh_starts) > 100
+
+    @pytest.mark.parametrize("formulation", ["node-link", "link-path"])
+    def test_bnb04_fixed_charge(self, formulation, fresh_starts, monkeypatch):
+        """The fixed-charge programs of ``tests/data/bnb04.json``."""
+        data = pathlib.Path(__file__).parent / "data"
+        instance = build_redundant_mlg(problem_from_dict(json.loads(
+            (data / "bnb04.json").read_text())))
+        fixed = json.loads((data / "bnb04.fixed.json").read_text())
+        searches = []
+        search = design.branch_and_bound
+
+        def recorded(lp, root=None):
+            searches.append((lp, search(lp, root)))
+            return searches[-1][1]
+
+        monkeypatch.setattr(design, "branch_and_bound", recorded)
+        solve_uncapacitated(instance, fixed, formulation=formulation)
+        (lp, sol), = searches
+        assert sol.nodes > 0 and sum(fresh_starts) > 0
+        assert sol.objective == pytest.approx(milp_reference(lp).fun, abs=1e-7)
+
+
+class TestPosedBounds:
+    def test_lower_bound_posed(self):
+        lp = LinearProgram()
+        x = lp.add_var("x", upper=4.0, lower=1.5)
+        y = lp.add_var("y")
+        lp.add_constraint({x: 1.0, y: 1.0}, ">=", 1.0)
+        lp.set_objective({x: 1.0, y: 2.0})
+        lower, upper = lp.bounds()
+        assert lower.tolist() == [1.5, 0.0] and upper.tolist() == [4.0, math.inf]
+        sol = simplex_solve(lp)
+        assert sol.status == "Optimal" and sol.values.tolist() == [1.5, 0.0]
+
+    @pytest.mark.parametrize("lower", [math.nan, math.inf, -math.inf])
+    def test_non_finite_lower_rejected(self, lower):
+        with pytest.raises(ValueError, match="lower bound of 'x'"):
+            LinearProgram().add_var("x", lower=lower)
+
+
+class TestSearchCounts:
+    @staticmethod
+    def program(integral_objective):
+        """The root sits at y1 = 0.5; its up child (1, 0) costs 1, and
+        its down child's relaxation (0, 0.5) costs 0.5."""
+        lp = LinearProgram()
+        y1 = lp.add_var("y1", upper=1.0, integer=True)
+        y2 = lp.add_var("y2", upper=1.0, integer=True)
+        lp.add_constraint({y1: 2.0, y2: 2.0}, ">=", 1.0)
+        lp.set_objective({y1: 1.0, y2: 1.0})
+        lp.integral_objective = integral_objective
+        return lp
+
+    def test_nodes_counts_node_lps(self):
+        """The up child, the down child, the down child's up child (a tie,
+        pruned) and its down child (infeasible): four node LPs."""
+        sol = branch_and_bound(self.program(False))
+        assert sol.nodes == 4
+        assert sol.values.tolist() == [1.0, 0.0]
+
+    def test_integral_objective_prunes_on_the_rounded_bound(self):
+        """0.5 rounds up to the incumbent's 1, so the down child is not
+        branched on; the result is the same."""
+        sol = branch_and_bound(self.program(True))
+        assert sol.nodes == 2
+        assert sol.values.tolist() == [1.0, 0.0] and sol.objective == 1.0

@@ -47,3 +47,21 @@ def test_integer_modes_match_milp(size, seed, mode, formulation):
             solve()
     else:
         assert solve().objective == pytest.approx(ref.objective, rel=1e-9, abs=1e-6)
+
+
+@pytest.mark.parametrize("formulation", ["node-link", "link-path"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_fractional_fixed_costs_match_milp(seed, formulation):
+    """Fixed costs of 0.5, 1.5 and 2.5: no integer objective to prune
+    on, and channels every design needs still posed open."""
+    doc = gen.big_problem(seed, **SIZES["8-18"])
+    instance = build_redundant_mlg(problem_from_dict(doc))
+    rng = random.Random(seed)
+    fixed = {ch["id"]: rng.choice([0.5, 1.5, 2.5]) for ch in doc["channels"]}
+    ref = reference.reference_optimum(doc, mode="uncapacitated", fixed_costs=fixed)
+    if ref.status == "infeasible":
+        with pytest.raises(InfeasibleError):
+            solve_uncapacitated(instance, fixed, formulation=formulation)
+    else:
+        sol = solve_uncapacitated(instance, fixed, formulation=formulation)
+        assert sol.objective == pytest.approx(ref.objective, rel=1e-9, abs=1e-6)

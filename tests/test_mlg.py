@@ -61,6 +61,29 @@ class TestAddIntraEdge:
         with pytest.raises(GraphError, match="parallel"):
             g.add_intra_edge(1, "z1", "u1")
 
+    def test_nan_capacity_rejected(self):
+        g = small_graph()
+        with pytest.raises(GraphError, match=r"edge \(u1,z1\) at layer 1: capacity"):
+            g.add_intra_edge(1, "u1", "z1", capacity=float("nan"), cost=1.0)
+        assert g.intra_edges(1) == []
+
+    def test_nan_cost_rejected(self):
+        g = small_graph()
+        with pytest.raises(GraphError, match=r"edge \(u1,z1\) at layer 1: cost"):
+            g.add_intra_edge(1, "u1", "z1", capacity=3.0, cost=float("nan"))
+        assert g.intra_edges(1) == []
+
+    def test_infinite_cost_rejected(self):
+        g = small_graph()
+        with pytest.raises(GraphError, match=r"edge \(u1,z1\) at layer 1: cost"):
+            g.add_intra_edge(1, "u1", "z1", cost=float("inf"))
+        assert g.intra_edges(1) == []
+
+    def test_infinite_capacity_allowed(self):
+        g = small_graph()
+        edge = g.add_intra_edge(1, "u1", "z1", capacity=float("inf"), cost=2.0)
+        assert edge.capacity == float("inf")
+
 
 class TestAddInterEdge:
     def setup_method(self):
@@ -84,6 +107,16 @@ class TestAddInterEdge:
     def test_missing_endpoint_rejected(self):
         with pytest.raises(GraphError, match="does not exist"):
             self.g.add_inter_edge(NodeRef(3, "ghost"), NodeRef(2, "s1"))
+
+    def test_nan_capacity_rejected(self):
+        with pytest.raises(GraphError, match="inter edge .*v0.* -> .*s1.*: capacity"):
+            self.g.add_inter_edge(NodeRef(3, "v0"), NodeRef(2, "s1"), capacity=float("nan"))
+        assert self.g.inter_neighbors_down(NodeRef(3, "v0"), 2) == []
+
+    def test_negative_capacity_rejected(self):
+        with pytest.raises(GraphError, match="inter edge .*v0.* -> .*s1.*: capacity"):
+            self.g.add_inter_edge(NodeRef(3, "v0"), NodeRef(2, "s1"), capacity=-5.0)
+        assert self.g.inter_neighbors_down(NodeRef(3, "v0"), 2) == []
 
 
 class TestEdgeKeys:
