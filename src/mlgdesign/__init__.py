@@ -14,8 +14,8 @@ from .flows import (Commodity, FlowAssignment, Session, aggregate_service_flows,
                     check_productivity_projection)
 from .lp import LinearProgram, LpSolution, branch_and_bound, simplex_solve
 from .mlg import (UNBOUNDED, InterEdge, IntraEdge, MultiLayerGraph, NodeRef,
-                  RealizationPath, ValidationReport, cheapest_path,
-                  realization_path, validate_overlay)
+                  RealizationPath, ValidationReport, realization_path,
+                  validate_overlay)
 from .report import ChannelUse, ProjectReport, render_report
 
 __version__ = "0.1.0"

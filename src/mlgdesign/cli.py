@@ -363,8 +363,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--formulation", choices=["node-link", "link-path"],
                          default="node-link")
     p_solve.add_argument("--k", type=int, default=None,
-                         help="at most this many candidate paths per server "
-                              "(link-path only; default 4)")
+                         help="accepted for compatibility and has no effect: link-path "
+                              "prices every layer-1 path (link-path only; >= 1)")
     p_solve.add_argument("--single-homing", action="store_true")
     p_solve.add_argument("--fixed-costs", metavar="FILE",
                          help="JSON map channel id -> fixed cost (uncapacitated)")
@@ -430,11 +430,11 @@ def _cmd_solve(args) -> int:
     if args.mode == "uncapacitated":
         fixed = _load_fixed_costs(args.fixed_costs, instance)
         solution = design.solve_uncapacitated(
-            instance, fixed, formulation=args.formulation, k=args.k,
+            instance, fixed, formulation=args.formulation,
             single_homing=args.single_homing)
     else:
         solution = design.solve_capacitated(
-            instance, formulation=args.formulation, k=args.k,
+            instance, formulation=args.formulation,
             single_homing=args.single_homing)
     return _write_report(solution, instance, args.output)
 
@@ -469,9 +469,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.command == "solve":
         if args.k is not None and args.formulation != "link-path":
             parser.error("argument --k: only with --formulation link-path")
-        if args.k is None:
-            args.k = 4
-        if args.k < 1:
+        if args.k is not None and args.k < 1:
             parser.error(f"argument --k: must be >= 1, got {args.k}")
     if getattr(args, "fixed_costs", None) is not None and args.mode != "uncapacitated":
         parser.error("argument --fixed-costs: only with --mode uncapacitated")

@@ -6,12 +6,14 @@ and uncapacitated drivers on top of the in-package simplex / branch and
 bound, and an independent brute-force oracle backed by exhaustive path
 enumeration plus scipy's LP solver.
 
-Capacitated link-path is exact over every layer-1 path: column
-generation prices the paths with one reduced-cost search per server
-(see :func:`_price_link_path`).  The integer link-path modes (fixed
-charge, single homing) still optimize over each server's first k Yen
-paths (:func:`enumerate_candidate_paths`), as their branch and bound
-cannot price columns at its nodes.
+Link-path is exact over every layer-1 path in every mode.  It starts
+from each server's cheapest path to each subscriber
+(:func:`enumerate_candidate_paths`), and one pricer
+(:class:`_PathPricer`) grows it with one reduced-cost search per
+server: column generation at the root (:func:`_price_link_path`), and
+in fixed charge and single homing branch and price, at every
+branch-and-bound node whose LP decides that node (Barnhart et al.,
+"Branch-and-price", *Oper. Res.* 46, 1998).
 
 Without single homing the node-link model aggregates every commodity
 into one min-cost flow.  That is exact: all commodities leave from the
@@ -24,16 +26,16 @@ demand each server's flow delivers.
 
 Fixed charge adds one ``use`` binary per channel to either
 formulation.  A channel that every layer-1 route of some subscriber
-crosses is posed open (``use`` in [1, 1]), and node-link without single
-homing tells branch and bound when its objective is integral on every
-integer point (see :func:`solve_uncapacitated`).
+crosses is posed open (``use`` in [1, 1]), and either formulation
+without single homing tells branch and bound when its objective is
+integral on every integer point (see :func:`solve_uncapacitated`).
 
 Where a formulation knows a dual-feasible basis, its root LP starts
 there rather than at the logical basis: the dual simplex then only
 repairs the rows that basis leaves out of bounds.  Node-link without
 single homing starts from the servers' cheapest-path forest (see
-:func:`formulate_node_link`), priced link-path from each commodity's
-cheapest path (see :func:`_price_link_path`).  The model and its
+:func:`formulate_node_link`), capacitated link-path from each
+commodity's cheapest path (see :func:`solve_capacitated`).  The model and its
 optimum are the same; only which of several equal-cost optima is
 returned can differ.  Single homing and the integer link-path roots
 start from the logical basis, whose optimum steers branch and bound.
@@ -41,7 +43,6 @@ start from the logical basis, whose optimum steers branch and bound.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -53,9 +54,8 @@ import numpy as np
 from .builder import BuiltInstance
 from .errors import DecompositionError, InfeasibleError, LimitsExceeded
 from .flows import CONSERVATION_TOL, Commodity, FlowAssignment
-from .lp import Basis, LinearProgram, branch_and_bound, simplex_solve
-from .mlg import (IntraEdge, MultiLayerGraph, NodeRef, cheapest_path, cheapest_paths_from,
-                  distances_to, intra_key)
+from .lp import Basis, LinearProgram, LpSolution, branch_and_bound, simplex_solve
+from .mlg import IntraEdge, MultiLayerGraph, NodeRef, cheapest_paths_from, intra_key
 
 FLOW_EPS = 1e-9
 
@@ -84,78 +84,11 @@ class DesignSolution:
 
 
 # ---------------------------------------------------------------------------
-# candidate path enumeration (Yen's k shortest loopless paths)
+# candidate paths
 # ---------------------------------------------------------------------------
 
 _channel_cost = attrgetter("cost")
 _Adjacency = Mapping[str, Mapping[str, IntraEdge]]  # node -> neighbour -> channel
-
-
-def _k_shortest_paths(graph: MultiLayerGraph, first: tuple[float, tuple[str, ...]],
-                      to_dst: dict[str, float]):
-    """Yen's cheapest simple paths (Yen, 1971) from ``first[1][0]`` to
-    ``dst = first[1][-1]``, yielded as (cost, nodes) in (cost, nodes)
-    order, with Lawler's rule and lazy spurs.  ``first`` is the cheapest
-    such path as :func:`mlgdesign.mlg.cheapest_path` returns it.  A
-    caller takes the first k; nothing past the last path taken is
-    searched.
-
-    ``to_dst`` is the exact distance map to ``dst``
-    (:func:`mlgdesign.mlg.distances_to`), shared by every server's paths
-    to one subscriber.  Left empty, it is filled when the first path's
-    spur roots are bounded, so a caller that takes one path builds none.
-    A path costs the left-to-right sum of its hops, as :func:`_add_hops`
-    adds them: the root's sum, then each spur hop in turn.
-
-    The list is exactly Yen's:
-
-    - **Lawler's rule** (Lawler, 1972).  A spur root with its banned
-      next hops stands for the paths not found yet that start with the
-      root and leave it by another hop.  These sets partition the paths
-      not found yet, so no path is queued twice.  A path that left its
-      parent at index d is spurred from indices >= d only: a root before
-      d has the same bans as when the parent was spurred, so its spur
-      could only repeat a path already found or queued.  The first path
-      left its (empty) parent at index 0; the partition holds for any
-      cheapest first path.
-    - **Lazy spurs.**  A root enters the queue with a lower bound: its
-      cost plus the least hop cost + ``to_dst`` over its allowed first
-      hops.  Its spur is searched only when that bound reaches the top
-      of the queue.  A bound sorts before a path of equal cost, so every
-      path that precedes another in (cost, nodes) order is queued before
-      that one is popped.  The spur is one
-      :func:`mlgdesign.mlg.cheapest_path` search guided by ``to_dst``;
-      bans only lengthen paths, so the map stays a consistent potential.
-    """
-    adj, dst = graph.adjacency(1), first[1][-1]
-    # (bound, 0, root, root cost, bans, None) stands for an unsearched
-    # spur; (cost, 1, path, root cost, bans, root index) for a found one
-    queue = [(first[0], 1, first[1], 0.0, frozenset(), 0)]
-    while queue:
-        cost, is_path, nodes, root_cost, bans, d = heapq.heappop(queue)
-        if not is_path:
-            x = nodes[-1]
-            spur = cheapest_path(graph, 1, [x], {dst}, _channel_cost, frozenset(nodes[:-1]),
-                                 {(x, b) for b in bans}, to_dst)
-            if spur is not None:
-                heapq.heappush(queue, (_add_hops(root_cost, spur[1], adj), 1,
-                                       nodes[:-1] + spur[1], root_cost, bans, len(nodes) - 1))
-            continue
-        yield cost, nodes
-        if not to_dst:
-            to_dst.update(distances_to(graph, 1, dst, _channel_cost))
-        on_root = set(nodes[:d])
-        for i in range(d, len(nodes) - 1):
-            x, nxt = nodes[i], nodes[i + 1]
-            banned = bans | {nxt} if i == d else frozenset((nxt,))
-            # layer 1 is undirected: every neighbour of x reaches dst
-            hops = [edge.cost + to_dst[v] for v, edge in adj[x].items()
-                    if v not in banned and v not in on_root]
-            if hops:
-                heapq.heappush(queue, (root_cost + min(hops), 0, nodes[:i + 1],
-                                       root_cost, banned, None))
-            on_root.add(x)
-            root_cost += adj[x][nxt].cost
 
 
 def _add_hops(cost: float, nodes, adj: _Adjacency) -> float:
@@ -172,37 +105,25 @@ def _candidate(server: str, nodes: tuple[str, ...], cost: float,
 
 
 def enumerate_candidate_paths(instance: BuiltInstance, commodity: Commodity,
-                              k: int, trees: Optional[dict[str, dict[str, tuple]]] = None
+                              trees: Optional[dict[str, dict[str, tuple]]] = None
                               ) -> list[CandidatePath]:
-    """Up to k loop-free cheapest layer-1 paths per server, merged and
-    sorted by (cost, node sequence).  A path's cost is its left-to-right
-    sum, as in :func:`all_candidate_paths`.
+    """Each server's cheapest layer-1 path to the commodity's subscriber,
+    sorted by (cost, node sequence): the first columns of every link-path
+    formulation, which pricing then grows (see :class:`_PathPricer`).  A
+    path's cost is its left-to-right sum, as in
+    :func:`all_candidate_paths`, and with costs that add exactly in binary
+    floating point (integers, halves, ...) each server's path is the first
+    of that server's in :func:`all_candidate_paths`.
 
-    Per server these are the first k paths of :func:`all_candidate_paths`
-    in that order, when channel costs add exactly in binary floating
-    point (integers, halves, ...).  With costs such as 0.1/0.2/0.3, path
-    costs equal in real arithmetic can round apart, so which of such
-    tied paths make the first k can fall either way (see
-    :func:`mlgdesign.mlg.cheapest_path`).
-
-    Each server's first path comes from its tree in ``trees``
-    (:func:`_server_trees` of the instance, built here when not given; a
-    caller enumerating every commodity builds it once), and the rest are
-    :func:`_k_shortest_paths`.  The servers share one distance map to
-    the subscriber, which is built only when some server takes a second
-    path.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    The paths are read off ``trees`` (:func:`_server_trees` of the
+    instance, built here when not given; a caller enumerating every
+    commodity builds it once)."""
     if trees is None:
         trees = _server_trees(instance)
     subscriber = commodity.sink.id
     adj = instance.graph.adjacency(1)
-    to_dst: dict[str, float] = {}
-    out = [_candidate(server, nodes, cost, adj)
-           for server in instance.server_ids() if subscriber in trees[server]
-           for cost, nodes in itertools.islice(
-               _k_shortest_paths(instance.graph, trees[server][subscriber], to_dst), k)]
+    out = [_candidate(server, trees[server][subscriber][1], trees[server][subscriber][0], adj)
+           for server in instance.server_ids() if subscriber in trees[server]]
     out.sort(key=lambda p: (p.cost, p.nodes))
     return out
 
@@ -256,13 +177,17 @@ class _Formulation:
     # (instance, form, values) -> per-commodity layer-1 route flows
     read_routes: Callable
     # var index -> role tuple: ("arc", group, channel, from, to), ("inject",
-    # group, server), ("assign", cid, server) or ("path", cid, CandidatePath);
-    # a node-link group is its server under single homing, else None
+    # group, server), ("assign", cid, server), ("path", cid, CandidatePath)
+    # or ("use", channel); a node-link group is its server under single
+    # homing, else None
     meta: dict[int, tuple] = field(default_factory=dict)
     channel_rows_vars: dict[str, list[int]] = field(default_factory=dict)
     # row -> column of a dual-feasible start basis (lp.Basis.of); empty
     # when the root LP starts from the logical basis
     start: dict[int, int] = field(default_factory=dict)
+    # link-path: each server's cheapest-path tree (_server_trees), from
+    # which the first columns came; its columns are priced (_PathPricer)
+    trees: Optional[dict[str, dict[str, tuple]]] = None
 
 
 def formulate_link_path(instance: BuiltInstance,
@@ -584,110 +509,154 @@ def _routes_from_path_vars(instance: BuiltInstance, form: _Formulation,
 # ---------------------------------------------------------------------------
 
 def solve_capacitated(instance: BuiltInstance, formulation: str = "node-link",
-                      k: int = 4, single_homing: bool = False) -> DesignSolution:
+                      single_homing: bool = False) -> DesignSolution:
     """Minimize total carried flow cost under channel and server capacities.
 
-    Link-path without single homing prices its columns over every
-    layer-1 path (see :func:`_price_link_path`), so ``k`` bounds only
-    single homing's first k paths per server."""
-    _check_args(formulation, k)
+    Link-path prices its columns over every layer-1 path (see
+    :class:`_PathPricer`), at the root and, under single homing, at the
+    branch-and-bound nodes too."""
+    _check_args(formulation)
     if not instance.commodities:
         return _assemble_solution(instance, {})
-    if formulation == "link-path" and not single_homing:
-        form, sol = _price_link_path(instance)
-        routes, relaxed = form.read_routes(instance, form, sol.values), sol.objective
+    if formulation == "node-link":
+        form = formulate_node_link(instance, single_homing=single_homing)
     else:
-        form = _build_formulation(instance, formulation, k, single_homing)
-        _sol, relaxed, routes = _solve(instance, form)
+        form = _link_path(instance, single_homing)
+        if not single_homing:  # each commodity's cheapest path basic in its demand row
+            form.start = {i: min(con.coeffs) for i, con in enumerate(form.lp.constraints)
+                          if con.name.startswith("demand[") and con.coeffs}
+    _sol, relaxed, routes = _solve(instance, form)
     return _assemble_solution(instance, routes, relaxation_objective=relaxed)
 
 
-def _check_args(formulation: str, k: int) -> None:
+def _check_args(formulation: str) -> None:
     if formulation not in ("node-link", "link-path"):
         raise ValueError(f"unknown formulation {formulation!r}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
 
 
-def _price_link_path(instance: BuiltInstance):
-    """The capacitated link-path LP over every layer-1 path, solved by
-    column generation (Ford & Fulkerson, 1958): (form, optimal
-    solution).  Raises ``InfeasibleError`` when the LP is infeasible.
+def _link_path(instance: BuiltInstance, single_homing: bool) -> _Formulation:
+    """The link-path formulation over each server's cheapest path to each
+    subscriber (:func:`enumerate_candidate_paths`), to be priced."""
+    trees = _server_trees(instance)
+    paths = {c.id: enumerate_candidate_paths(instance, c, trees)
+             for c in instance.commodities}
+    form = formulate_link_path(instance, paths, single_homing=single_homing)
+    form.trees = trees
+    return form
 
-    The first columns are each server's cheapest path to each
-    subscriber, read off one cheapest-path tree per server.  The first
-    solve starts with each commodity's cheapest path basic in its
-    ``demand`` row, every other row on its logical.  Then sigma_c is
-    that path's cost and every other path of c prices at its cost less
-    sigma_c >= 0, so the start is dual feasible.
+
+class _PathPricer:
+    """Prices the columns of a link-path formulation over every layer-1
+    path (Ford & Fulkerson, 1958), as ``price`` of
+    :func:`mlgdesign.lp.branch_and_bound` and of the root loop
+    :func:`_price_link_path`: a call reads an LP solve of the program and
+    appends the paths that price in.
 
     A path of commodity c from server s has coefficient 1 in
-    ``demand[c]``, ``productivity[s]`` and each ``capacity`` row of its
-    channels.  After an optimal solve its reduced cost is its length
-    under w(e) = cost_e - pi_e, less ``sigma_c + rho_s``, the duals of
-    the first two rows; pi_e <= 0 is the dual of ``capacity[e]``, 0 for
-    a channel without one.  So one search per server with these
-    nonnegative lengths finds its cheapest path to every subscriber,
-    and that path enters when ``sigma_c + rho_s - length > 1e-9``.
-    After an infeasible solve, the same search prices the multipliers u
-    of the infeasible row (``LpSolution.farkas``): w(e) = -u_e >= 0, and
-    a path enters when ``u_demand + u_prod - length > 1e-9``, as only
-    such a column can mend the proof (Farkas pricing; Desaulniers,
-    Desrosiers & Solomon (eds.), *Column Generation*, 2005).
+    ``demand[c]``, ``productivity[s]``, ``homing[c,s]`` and, for each of
+    its channels, ``capacity[e]`` and ``coupling[e]``, where those rows
+    exist.  After an optimal solve its reduced cost is its length under
+    w(e) = cost_e - pi_capacity[e] - pi_coupling[e], less sigma_c + rho_s
+    + eta_{c,s}, the duals of the other three rows, a missing row counting
+    0.  The duals of the ``<=`` rows are <= 0, so w(e) >= cost_e, and one
+    search per server (:func:`mlgdesign.mlg.cheapest_paths_from`) finds
+    its cheapest path to every subscriber; that path enters when
+    ``sigma_c + rho_s + eta_{c,s} - length > 1e-9``.  After an infeasible
+    solve the same formula, with cost_e scaled by 0, prices the
+    multipliers of the proof (``LpSolution.farkas``): only such a column
+    can mend it (Farkas pricing; Desaulniers, Desrosiers & Solomon
+    (eds.), *Column Generation*, 2005).  Since w(e) >= scale * cost_e, a
+    server is searched only when its plain cheapest path's bound lets a
+    path enter.
 
-    Entering paths are appended as columns, with a ``capacity`` row for
-    each channel new to the LP, and the LP is re-solved from its last
-    basis.  No path enters twice.  When none enters, no path prices in,
-    so the optimum, or the infeasibility verdict and its certificate,
-    are the full LP's.
-    """
-    graph, servers = instance.graph, instance.server_ids()
-    adj = graph.adjacency(1)
-    trees = _server_trees(instance)
-    initial = {c.id: sorted((_candidate(s, trees[s][c.sink.id][1], trees[s][c.sink.id][0], adj)
-                             for s in servers if c.sink.id in trees[s]),
-                            key=lambda p: (p.cost, p.nodes))
-               for c in instance.commodities}
-    form = formulate_link_path(instance, initial)
-    lp = form.lp
-    rows = {con.name: i for i, con in enumerate(lp.constraints)}
-    seen = {(cid, p.nodes) for cid, paths in initial.items() for p in paths}
-    # a demand row's lowest column is its commodity's cheapest path, the
-    # first of ``initial[c]``, which is sorted by (cost, nodes)
-    demand_rows = [lp.constraints[rows[f"demand[{cid}]"]] for cid in initial]
-    sol = simplex_solve(lp, start=Basis.of(lp, {rows[row.name]: min(row.coeffs)
-                                                 for row in demand_rows if row.coeffs}))
-    while True:
-        optimal = sol.status == "Optimal"
-        y = (sol.duals if optimal else sol.farkas).tolist()
-        price = {name: y[i] for name, i in rows.items()}
-        scale = 1.0 if optimal else 0.0
-        length = {edge.key: scale * edge.cost - price.get(f"capacity[{ch}]", 0.0)
-                  for ch, edge in instance.channel_edges.items()}
+    At a branch-and-bound node, a channel whose ``use`` column has upper
+    bound 0 is banned (w(e) = +inf), and so is server s for commodity c
+    when ``y[c,s]`` has upper bound 0: their coupling and homing rows
+    hold such a path at 0 there.  Entering paths are appended in
+    commodity, then server order (:func:`_append_path`), and no path
+    enters twice.  When none enters, no path prices in, so the solve is
+    that of the program over every path."""
+
+    def __init__(self, instance: BuiltInstance, form: _Formulation):
+        self.instance, self.form = instance, form
+        trees, servers = form.trees, instance.server_ids()
+        self.rows = rows = {con.name: i for i, con in enumerate(form.lp.constraints)}
+        self.seen = {(meta[1], meta[2].nodes) for meta in form.meta.values()
+                     if meta[0] == "path"}
+        edges = instance.channel_edges
+        self.keys = [edge.key for edge in edges.values()]
+        self.cost = [edge.cost for edge in edges.values()]
+        # row indices, -1 for a row the program lacks: the multipliers get
+        # a 0 appended for it
+        self.coupling = [rows.get(f"coupling[{ch}]", -1) for ch in edges]
+        use = {meta[1]: j for j, meta in form.meta.items() if meta[0] == "use"}
+        self.use = np.array([use[ch] for ch in edges], dtype=int) if use else None
+        assign = {meta[1:]: j for j, meta in form.meta.items() if meta[0] == "assign"}
+        # each commodity and server a path can join, with its rows and the
+        # cost of the server's tree path, which bounds every path's length
+        self.pairs = [(c, s, rows[f"demand[{c.id}]"], rows.get(f"productivity[{s}]", -1),
+                       rows.get(f"homing[{c.id},{s}]", -1), trees[s][c.sink.id][0])
+                      for c in instance.commodities for s in servers if c.sink.id in trees[s]]
+        self.assign = (np.array([assign[c.id, s] for c, s, *_ in self.pairs], dtype=int)
+                       if assign else None)
+        self._capacity_rows()
+
+    def _capacity_rows(self) -> None:
+        self.capacity = [self.rows.get(f"capacity[{ch}]", -1)
+                         for ch in self.instance.channel_edges]
+
+    def __call__(self, kind: str, multipliers: np.ndarray, lower: np.ndarray,
+                 upper: np.ndarray) -> bool:
+        instance, rows = self.instance, self.rows
+        scale = 1.0 if kind == "optimal" else 0.0
+        y = multipliers.tolist()
+        y.append(0.0)
+        homed = None if self.assign is None else (upper[self.assign] > 0).tolist()
+        # w(e) >= scale * cost_e, so no path is shorter than its tree path
+        open_ = [(c, s, gain) for k, (c, s, demand, productivity, homing, tree)
+                 in enumerate(self.pairs)
+                 if (gain := y[demand] + y[productivity] + y[homing]) - scale * tree > 1e-9
+                 and (homed is None or homed[k])]
+        if not open_:
+            return False
+        length = [scale * cost - y[capacity] - y[coupling]
+                  for cost, capacity, coupling in zip(self.cost, self.capacity, self.coupling)]
+        if self.use is not None:
+            length = [math.inf if up <= 0 else w
+                      for w, up in zip(length, upper[self.use].tolist())]
+        weight = dict(zip(self.keys, length))
+        graph, adj = instance.graph, instance.graph.adjacency(1)
         priced: dict[str, dict[str, tuple]] = {}  # server -> its tree, searched when needed
         new = []
-        for c in instance.commodities:
-            for s in servers:
-                if c.sink.id not in trees[s]:
-                    continue
-                gain = price[f"demand[{c.id}]"] + price.get(f"productivity[{s}]", 0.0)
-                # w(e) >= scale * cost_e, so no path is shorter than this bound
-                if gain - scale * trees[s][c.sink.id][0] <= 1e-9:
-                    continue
-                if s not in priced:
-                    priced[s] = cheapest_paths_from(graph, 1, [s], lambda e: length[e.key])
-                reduced, nodes = priced[s][c.sink.id]
-                if gain - reduced > 1e-9 and (c.id, nodes) not in seen:
-                    seen.add((c.id, nodes))
-                    new.append((c.id, _candidate(s, nodes, _add_hops(0.0, nodes, adj), adj)))
-        if not new:
-            break
+        for c, s, gain in open_:
+            if s not in priced:
+                priced[s] = cheapest_paths_from(graph, 1, [s], lambda e: weight[e.key])
+            reduced, nodes = priced[s][c.sink.id]
+            if gain - reduced > 1e-9 and (c.id, nodes) not in self.seen:
+                self.seen.add((c.id, nodes))
+                new.append((c.id, _candidate(s, nodes, _add_hops(0.0, nodes, adj), adj)))
         for cid, path in new:
-            _append_path(instance, form, rows, cid, path)
+            _append_path(instance, self.form, rows, cid, path)
+        if new:
+            self._capacity_rows()
+        return bool(new)
+
+
+def _price_link_path(lp: LinearProgram, price: _PathPricer,
+                     start: Optional[Basis]) -> LpSolution:
+    """The root LP of a link-path formulation over every layer-1 path,
+    solved by column generation: the LP from ``start``, then, while
+    ``price`` appends paths, again from its last basis.  When none enters,
+    the optimum, or the infeasibility verdict and its certificate, are
+    those of the program over every path."""
+    sol = simplex_solve(lp, start=start)
+    while sol.basis is not None:
+        optimal = sol.status == "Optimal"
+        if not price("optimal" if optimal else "infeasible",
+                     sol.duals if optimal else sol.farkas, *lp.bounds()):
+            break
         sol = simplex_solve(lp, start=sol.basis)
-    if not optimal:
-        raise InfeasibleError(certificate=sol.certificate)
-    return form, sol
+    return sol
 
 
 def _append_path(instance: BuiltInstance, form: _Formulation, rows: dict[str, int],
@@ -707,14 +676,15 @@ def _append_path(instance: BuiltInstance, form: _Formulation, rows: dict[str, in
             rows[f"capacity[{ch}]"] = len(lp.constraints)
             lp.add_constraint({}, "<=", capacity, name=f"capacity[{ch}]")
     for row in (f"demand[{cid}]", f"productivity[{path.server}]",
-                *(f"capacity[{ch}]" for ch in path.channels)):
+                f"homing[{cid},{path.server}]",
+                *(f"{kind}[{ch}]" for ch in path.channels for kind in ("capacity", "coupling"))):
         if row in rows:
             lp.constraints[rows[row]].coeffs[j] = 1.0
 
 
 def solve_uncapacitated(instance: BuiltInstance,
                         channel_fixed_costs: dict[str, float],
-                        formulation: str = "node-link", k: int = 4,
+                        formulation: str = "node-link",
                         single_homing: bool = False) -> DesignSolution:
     """Select channels (binary per-channel decision with fixed cost) and
     route flows over the selected subset.
@@ -722,15 +692,17 @@ def solve_uncapacitated(instance: BuiltInstance,
     Two exact reductions shrink the search.  A channel every design
     needs (:func:`_required_channels`) carries flow in every feasible
     design, so its coupling row forces ``use`` to 1 there: ``use`` is
-    posed in [1, 1], which removes no feasible point.  Node-link without
-    single homing is, once every ``use`` is fixed, a min-cost flow, so
-    with integer data (:func:`_integral_data`) every integer point's
-    best routing costs an integer (Ahuja, Magnanti & Orlin, *Network
-    Flows*, 1993, the integrality property) and the program says so
-    (``LinearProgram.integral_objective``).  Under single homing the
-    servers' flows share channels, and link-path optimizes over a
-    restricted path set, so neither holds there."""
-    _check_args(formulation, k)
+    posed in [1, 1], which removes no feasible point.  Without single
+    homing, once every ``use`` is fixed, node-link is a min-cost flow,
+    and so is link-path: pricing makes it exact over every path, whose
+    flows decompose into that flow's.  So with integer data
+    (:func:`_integral_data`) every integer point's best routing costs an
+    integer (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, the
+    integrality property) and the program says so
+    (``LinearProgram.integral_objective``); branch and bound prunes on
+    it only at nodes it has priced.  Under single homing the servers'
+    flows share channels, so it does not hold there."""
+    _check_args(formulation)
     for ch_id, fc in channel_fixed_costs.items():
         if ch_id not in instance.channel_edges:
             raise KeyError(f"unknown channel {ch_id!r} in fixed costs")
@@ -738,8 +710,11 @@ def solve_uncapacitated(instance: BuiltInstance,
             raise ValueError("fixed costs must be finite and >= 0")
     if not instance.commodities:
         return _assemble_solution(instance, {})
-    form = _build_formulation(instance, formulation, k, single_homing)
-    form.lp.integral_objective = (formulation == "node-link" and not single_homing
+    if formulation == "node-link":
+        form = formulate_node_link(instance, single_homing=single_homing)
+    else:
+        form = _link_path(instance, single_homing)
+    form.lp.integral_objective = (not single_homing
                                   and _integral_data(instance, channel_fixed_costs))
     big_m = sum(c.demand for c in instance.commodities)
     required = _required_channels(instance)
@@ -748,6 +723,7 @@ def solve_uncapacitated(instance: BuiltInstance,
         j = form.lp.add_var(f"use[{ch_id}]", upper=1.0, integer=True,
                             lower=float(ch_id in required))
         select_vars[ch_id] = j
+        form.meta[j] = ("use", ch_id)
         form.lp.objective[j] = float(channel_fixed_costs.get(ch_id, 0.0))
         coeffs = dict.fromkeys(form.channel_rows_vars[ch_id], 1.0)
         coeffs[j] = -big_m
@@ -806,28 +782,23 @@ def _integral_data(instance: BuiltInstance, channel_fixed_costs: Mapping[str, fl
     return all(float(v).is_integer() for v in numbers if v != math.inf)
 
 
-def _build_formulation(instance, formulation, k, single_homing) -> _Formulation:
-    if formulation == "node-link":
-        return formulate_node_link(instance, single_homing=single_homing)
-    trees = _server_trees(instance)
-    paths = {c.id: enumerate_candidate_paths(instance, c, k, trees=trees)
-             for c in instance.commodities}
-    return formulate_link_path(instance, paths, single_homing=single_homing)
-
-
 def _solve(instance: BuiltInstance, form: _Formulation):
     """Root LP, branch and bound from that root when the LP has integer
     columns, then routes: (solution, root relaxation objective, routes).
     A root or search that ends other than optimal raises
     ``InfeasibleError``.  The root starts from ``form.start``, if the
-    formulation names one."""
+    formulation names one.  A link-path formulation is priced
+    (:class:`_PathPricer`) at the root and at the search's nodes."""
     start = Basis.of(form.lp, form.start) if form.start else None
-    relax = simplex_solve(form.lp, start=start)
+    price = None if form.trees is None else _PathPricer(instance, form)
+    relax = (simplex_solve(form.lp, start=start) if price is None
+             else _price_link_path(form.lp, price, start))
     if relax.status != "Optimal":
         raise InfeasibleError(certificate=relax.certificate)
     sol = relax
     if form.lp.integer_indices():
-        sol = branch_and_bound(form.lp, root=relax)
+        sol = (branch_and_bound(form.lp, root=relax) if price is None
+               else branch_and_bound(form.lp, root=relax, price=price))
         if sol.status != "Optimal":
             raise InfeasibleError(certificate=sol.certificate)
     return sol, relax.objective, form.read_routes(instance, form, sol.values)

@@ -18,8 +18,12 @@ parent left: a dive keeps one tableau, and a saved copy is restored
 only on backtrack.  A solve can also restart from
 a basis found before columns and rows were appended, as column
 generation does; an optimal solve returns the row duals that price
-such columns.  A cold solve may start from a crash basis the caller
-names by its columns (:meth:`Basis.of`) in place of the logical one.
+such columns, and an infeasible one the Farkas multipliers that price
+a column able to mend it.  Branch and bound takes a pricer that appends
+columns and rows at the nodes whose LP decides them, and grows its
+tableau in place (branch and price).  A cold solve may start from a
+crash basis the caller names by its columns (:meth:`Basis.of`) in place
+of the logical one.
 
 At desk scale a NumPy call costs more than its arithmetic, so the
 tableau keeps what each iteration reads of the basis: the bounds of
@@ -48,7 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -136,7 +140,10 @@ class _StandardForm:
     ``base``, if given, is the form of this program before columns and
     rows were appended.  Its blocks are copied, and only what is new is
     read from ``lp``: the new rows, the old rows' coefficients in new
-    columns and the new columns' costs.  Raises ``ValueError`` when
+    columns and the new columns' costs.  Nothing of the old columns
+    changes, so the coefficients and costs of new columns are the last
+    entries each row's dict and the objective gained: each is read from
+    its end back to its first old column.  Raises ``ValueError`` when
     ``lp`` is smaller than ``base``'s program, and ``MalformedProgram``
     when a number read is NaN or infinite."""
 
@@ -159,11 +166,12 @@ class _StandardForm:
             self.logical_upper[:m0] = base.logical_upper
             self.cost[:n0] = base.cost[:n0]
         A = self.A
-        if n0 < n:  # the old rows' coefficients in new columns
+        if n0 < n:  # the old rows' coefficients in new columns, the last ones each gained
             for i, (con, sign) in enumerate(zip(lp.constraints, self.sign[:m0].tolist())):
-                for j, c in con.coeffs.items():
-                    if j >= n0:
-                        A[i, j] = sign * c
+                for j in reversed(con.coeffs):
+                    if j < n0:
+                        break
+                    A[i, j] = sign * con.coeffs[j]
         for i, con in enumerate(lp.constraints[m0:], m0):
             sign = self.sign[i] = -1.0 if con.relation == ">=" else 1.0
             for j, c in con.coeffs.items():
@@ -171,11 +179,12 @@ class _StandardForm:
             self.b[i] = sign * con.rhs
             if con.relation == "=":
                 self.logical_upper[i] = 0.0
-        for j, c in lp.objective.items():
-            if j >= n0:
-                self.cost[j] = c
-        new = (self.A[:m0, n0:n], self.A[m0:, :n], self.b[m0:], self.cost[n0:n])
-        if not all(np.isfinite(block).all() for block in new):
+        for j in reversed(lp.objective):  # the new columns' costs, set last
+            if j < n0:
+                break
+            self.cost[j] = lp.objective[j]
+        if not (np.isfinite(A[:m0, n0:n]).all() and np.isfinite(A[m0:, :n]).all()
+                and np.isfinite(self.b[m0:]).all() and np.isfinite(self.cost[n0:n]).all()):
             raise MalformedProgram("NaN or infinite coefficient in program")
         A.reshape(-1)[n::n + m + 1] = 1.0  # the logical columns, B = I
 
@@ -272,26 +281,6 @@ class Basis:
             given.add(row)
             basis[row] = col
         return cls(basis, np.zeros(form.total, dtype=bool), form, inverse)
-
-    def extended(self, form: _StandardForm) -> Basis:
-        """This basis in ``form``, the standard form of its program after
-        columns and rows were appended: the old columns keep their index
-        and the logicals move past the new columns, each new column is
-        nonbasic at its lower bound, and each new row's logical is
-        basic.  With R the
-        new rows over the old basic columns, the inverse of
-        [[B, 0], [R, I]] is [[B^-1, 0], [-R B^-1, I]]."""
-        old = self.form
-        grown = form.n - old.n
-        remap = np.where(self.columns < old.n, self.columns, self.columns + grown)
-        columns = np.concatenate([remap, np.arange(form.n + old.m, form.total)])
-        at_upper = np.zeros(form.total, dtype=bool)
-        at_upper[:old.n] = self.at_upper[:old.n]
-        at_upper[form.n:form.n + old.m] = self.at_upper[old.n:]
-        inverse = np.eye(form.m)
-        inverse[:old.m, :old.m] = self.inverse
-        inverse[old.m:, :old.m] = -form.A[old.m:, remap] @ self.inverse
-        return Basis(columns, at_upper, form, inverse)
 
 
 @dataclass
@@ -433,14 +422,51 @@ class _Tableau:
               "movable", "lower_b", "upper_b")
 
     def save(self) -> tuple:
-        """A copy of everything a solve or :meth:`narrow` changes."""
-        return tuple(getattr(self, name).copy() for name in self._STATE)
+        """The form, and a copy of everything a solve or :meth:`narrow`
+        changes."""
+        return (self.form, *(getattr(self, name).copy() for name in self._STATE))
 
     def restore(self, saved: tuple) -> None:
-        """Return to a state :meth:`save` took; ``saved`` is taken over,
-        not copied, so it is restored at most once."""
-        for name, value in zip(self._STATE, saved):
+        """Return to a state :meth:`save` took, over the form it was taken
+        in; ``saved`` is taken over, not copied, so it is restored at most
+        once."""
+        form, *arrays = saved
+        self.form, self.A, self.m, self.total = form, form.A, form.m, form.total
+        for name, value in zip(self._STATE, arrays):
             setattr(self, name, value)
+
+    def grow(self, form: _StandardForm, lower: np.ndarray, upper: np.ndarray) -> None:
+        """Extend this tableau in place to ``form``, the standard form of
+        its program after columns and rows were appended, the new columns
+        within [``lower``, ``upper``].  The old columns keep their index and
+        the logicals move past the new columns; each new column is nonbasic
+        at its lower bound, and each new row's logical is basic.  With R the
+        new rows over the old basic columns, the inverse of [[B, 0], [R, I]]
+        is [[B^-1, 0], [-R B^-1, I]].  The tableau then holds what one built
+        over that basis would derive, with no pivot."""
+        n0, m0, rows = self.form.n, self.form.m, form.m - self.form.m
+
+        def pad(old, new, logicals):  # the old columns, new ones, old and new logicals
+            return np.concatenate([old[:n0], new, old[n0:], logicals])
+
+        self.lower = pad(self.lower, lower, np.zeros(rows))
+        self.upper = pad(self.upper, upper, form.logical_upper[m0:])
+        self.at_upper = pad(self.at_upper, np.zeros(lower.size, dtype=bool),
+                            np.zeros(rows, dtype=bool))
+        remap = np.where(self.basis < n0, self.basis, self.basis + lower.size)
+        self.basis = np.concatenate([remap, np.arange(form.n + m0, form.total)])
+        if rows:
+            binv = np.eye(form.m)
+            binv[:m0, :m0] = self.binv
+            binv[m0:, :m0] = -form.A[m0:, remap] @ self.binv
+            self.binv = binv
+        self.form, self.A, self.m, self.total = form, form.A, form.m, form.total
+        self.blocked = self.upper <= self.lower
+        self.side = np.where(self.at_upper, -1.0, 1.0)
+        self.movable = ~self.blocked
+        self.movable[self.basis] = False
+        self.lower_b, self.upper_b = self.lower[self.basis], self.upper[self.basis]
+        self.xb = self.basic_values(self.nonbasic_values())
 
     def narrow(self, col: int, lower: float, upper: float) -> None:
         """Set column ``col``'s bounds to [``lower``, ``upper``], leaving
@@ -604,7 +630,7 @@ class _Tableau:
         form = self.form
         to_upper = bool(self.xb[row] - self.upper_b[row] > self.lower_b[row] - self.xb[row])
         alpha = self.binv[row].dot(self.A)
-        farkas = self.binv[row] if to_upper else -self.binv[row]
+        farkas = self.farkas(row)
         used = (-alpha if to_upper else alpha) < -FEAS_TOL
         used[self.basis] = False
         if to_upper:
@@ -613,7 +639,12 @@ class _Tableau:
         names = [f"bound[{form.var_names[j]}]" for j in np.nonzero(used[:form.n])[0]]
         names += [form.row_names[i] for i in np.nonzero(np.abs(farkas) > FEAS_TOL)[0]
                   if form.row_names[i]]
-        return names, farkas * form.sign
+        return names, farkas
+
+    def farkas(self, row: int) -> np.ndarray:
+        """The multipliers of ``row``'s proof (:meth:`proof`), one per row as posed."""
+        up = self.xb[row] - self.upper_b[row] > self.lower_b[row] - self.xb[row]
+        return (self.binv[row] if up else -self.binv[row]) * self.form.sign
 
 
 def _crossed_bounds(lp: LinearProgram, lower: np.ndarray, upper: np.ndarray) -> list[str]:
@@ -645,8 +676,8 @@ def simplex_solve(lp: LinearProgram, lower: Optional[np.ndarray] = None,
     rows may have been appended to the program since: old rows may gain
     coefficients in new columns, and nothing else of them may change.
     The standard form is then grown from the basis's (only the new
-    numbers are read and checked), and the basis is extended by
-    :meth:`Basis.extended`, with no refactorization.  The dual simplex runs on the costs shifted to make
+    numbers are read and checked), and the tableau over the basis is
+    extended by ``_Tableau.grow``, with no refactorization.  The dual simplex runs on the costs shifted to make
     its start dual feasible (see ``_Tableau.dual_run``); the primal
     simplex then restores the true costs.
 
@@ -672,14 +703,14 @@ def simplex_solve(lp: LinearProgram, lower: Optional[np.ndarray] = None,
     # one pass over the bounds; the reasons are sorted out only when it fails
     if np.count_nonzero(np.isfinite(lower) & (lower <= upper)) < lower.size:
         return LpSolution(status="Infeasible", certificate=_crossed_bounds(lp, lower, upper))
-    if start is None:
-        form = _StandardForm(lp)
-    elif (start.form.n, start.form.m) != (len(lp.variables), len(lp.constraints)):
-        form = _StandardForm(lp, start.form)
-        start = start.extended(form)
-    else:
-        form = start.form
-    tab = _Tableau(form, lower, upper, start)
+    form = _StandardForm(lp) if start is None else start.form
+    n = form.n
+    grown = (None if (n, form.m) == (len(lp.variables), len(lp.constraints))
+             else _StandardForm(lp, form))
+    tab = _Tableau(form, lower[:n], upper[:n], start)
+    if grown is not None:
+        tab.grow(grown, lower[n:], upper[n:])
+        form = grown
     max_iter = 50 * (tab.m + tab.total) + 1000
 
     row = tab.dual_run(form.cost, max_iter)
@@ -698,8 +729,8 @@ def simplex_solve(lp: LinearProgram, lower: Optional[np.ndarray] = None,
                       basis=tab.final_basis())
 
 
-def branch_and_bound(lp: LinearProgram,
-                     root: Optional[LpSolution] = None) -> LpSolution:
+def branch_and_bound(lp: LinearProgram, root: Optional[LpSolution] = None,
+                     price: Optional[Callable[..., bool]] = None) -> LpSolution:
     """Depth-first branch and bound over the LP's integer variables.
 
     A value within ``INT_TOL`` of an integer counts as integral; the
@@ -732,6 +763,27 @@ def branch_and_bound(lp: LinearProgram,
     and its last pricing, so it takes the same pivots.  The result has
     the incumbent's values, objective and basis, the pivots of every
     solve in ``iterations`` and the node LPs solved in ``nodes``.
+
+    ``price``, if given, prices columns in wherever a node's LP decides
+    that node (Barnhart et al., "Branch-and-price", *Oper. Res.* 46,
+    1998): an infeasible node before it is pruned, an optimal node
+    before it is pruned on its bound, and an integral node before it
+    becomes the incumbent.  A node that branches is not priced; its
+    children are, where they are decided.  ``price(kind, multipliers,
+    lower, upper)`` reads the node's LP: ``kind`` is "optimal", with the
+    row duals as posed, or "infeasible", with the Farkas multipliers as
+    posed (``LpSolution.farkas``), and ``lower`` and ``upper`` are the
+    node's structural bounds, read only.  It may append columns and rows
+    to ``lp`` and returns whether any entered.  Then the standard form
+    grows once, the tableau is extended in place (``_Tableau.grow``) and
+    the node is solved again in place, until nothing enters.  A saved
+    down child from an older form is extended the same way when it is
+    restored.  A column appended later takes its posed bounds at every
+    node.  As every node the search prunes or accepts is fully priced,
+    the result is the optimum over every column ``price`` can add.  The
+    result's ``values`` has one entry per column of the final program,
+    0 in those appended after the incumbent was found; ``nodes`` counts
+    each node once, however often it is solved.
     """
     int_idx = np.array(lp.integer_indices(), dtype=int)
     if not int_idx.size:
@@ -745,20 +797,42 @@ def branch_and_bound(lp: LinearProgram,
     cost, max_iter = form.cost, 50 * (form.m + form.total) + 1000
     total_iters, nodes = root.iterations, 0
     incumbent: Optional[LpSolution] = None
-    tab: Optional[_Tableau] = None  # built when the root branches
+    tab: Optional[_Tableau] = None  # built when the root branches or grows
     # the down children still to solve: (their parent's saved tableau and
     # last pricing, the branched column, its new upper bound)
     stack: list[tuple[tuple, Optional[np.ndarray], int, float]] = []
-    values, objective, red = root.values, root.objective, None  # of the node just solved
+    # of the node just solved: its values and objective when optimal, its
+    # last pricing, and its duals (optimal) or infeasible row, which a
+    # pricer reads; proof is None for a node not solved to either
+    values, objective, red, proof = root.values, root.objective, None, root.duals
     while True:
         col = -1
-        if values is not None and (incumbent is None or _bound(lp, objective)
-                                   < incumbent.objective - 1e-9):
+        live = values is not None and (incumbent is None or _bound(lp, objective)
+                                       < incumbent.objective - 1e-9)
+        if live:
             col = _most_fractional(values, int_idx)
-            if col < 0:
-                incumbent = root if tab is None else LpSolution(
-                    status="Optimal", values=values, objective=objective,
-                    basis=Basis(tab.basis.copy(), tab.at_upper.copy(), form, tab.binv.copy()))
+        if col < 0 and price is not None and proof is not None:
+            if tab is None:
+                entered = price("optimal", proof, *lp.bounds())
+            elif values is not None:
+                entered = price("optimal", proof * form.sign, tab.lower[:form.n],
+                                tab.upper[:form.n])
+            else:
+                entered = price("infeasible", tab.farkas(proof), tab.lower[:form.n],
+                                tab.upper[:form.n])
+            if entered:
+                if tab is None:
+                    tab = _Tableau(form, *(b[:form.n] for b in lp.bounds()), root.basis)
+                form = _StandardForm(lp, form)
+                cost, max_iter = form.cost, 50 * (form.m + form.total) + 1000
+                tab.grow(form, *(b[tab.form.n:] for b in lp.bounds()))
+                values, objective, red, proof = _solve_node(tab, cost, max_iter, None)
+                total_iters += tab.iterations
+                continue
+        if live and col < 0:
+            incumbent = root if tab is None else LpSolution(
+                status="Optimal", values=values, objective=objective,
+                basis=Basis(tab.basis.copy(), tab.at_upper.copy(), form, tab.binv.copy()))
         if col >= 0:
             if tab is None:
                 tab = _Tableau(form, *lp.bounds(), root.basis)
@@ -768,18 +842,17 @@ def branch_and_bound(lp: LinearProgram,
         elif stack:
             saved, red, col, cut = stack.pop()
             tab.restore(saved)
+            if tab.form is not form:  # saved before the program grew
+                tab.grow(form, *(b[tab.form.n:] for b in lp.bounds()))
+                red = None
             tab.narrow(col, tab.lower[col], cut)
         else:
             break
         nodes += 1
-        values = None
+        values = proof = None
         if tab.lower[col] > tab.upper[col]:
             continue
-        tab.iterations = 0
-        if tab.dual_run(cost, max_iter, red) is None:
-            status, red, _y = tab.run(cost, max_iter)
-            if status == "Optimal":
-                values, objective = tab.read_off()
+        values, objective, red, proof = _solve_node(tab, cost, max_iter, red)
         total_iters += tab.iterations
 
     if incumbent is None:
@@ -794,10 +867,42 @@ def branch_and_bound(lp: LinearProgram,
         lower[int_idx] = upper[int_idx] = rounded
         fixed = simplex_solve(lp, lower, upper)
         total_iters += fixed.iterations
+        while price is not None and fixed.basis is not None:
+            optimal = fixed.status == "Optimal"
+            if not price("optimal" if optimal else "infeasible",
+                         fixed.duals if optimal else fixed.farkas, lower, upper):
+                break
+            posed_lower, posed_upper = lp.bounds()
+            lower = np.concatenate([lower, posed_lower[lower.size:]])
+            upper = np.concatenate([upper, posed_upper[upper.size:]])
+            fixed = simplex_solve(lp, lower, upper, fixed.basis)
+            total_iters += fixed.iterations
         if fixed.status == "Optimal":
             incumbent = fixed
+    n = len(lp.variables)
+    if incumbent.values.size < n:
+        incumbent.values = np.concatenate([incumbent.values,
+                                           np.zeros(n - incumbent.values.size)])
     incumbent.iterations, incumbent.nodes = total_iters, nodes
     return incumbent
+
+
+def _solve_node(tab: _Tableau, cost: np.ndarray, max_iter: int,
+                red: Optional[np.ndarray]) -> tuple:
+    """Solve a node in place in ``tab`` (``red`` as :meth:`_Tableau.dual_run`
+    takes it): (values and objective, None and NaN unless optimal; its last
+    pricing, or ``red`` when the dual simplex stopped; the duals of the
+    standard form when optimal, the infeasible row when infeasible, else
+    None).  ``tab.iterations`` counts its pivots."""
+    tab.iterations = 0
+    row = tab.dual_run(cost, max_iter, red)
+    if row is not None:
+        return None, math.nan, red, row
+    status, red, y = tab.run(cost, max_iter)
+    if status != "Optimal":
+        return None, math.nan, red, None
+    values, objective = tab.read_off()
+    return values, objective, red, y
 
 
 def _bound(lp: LinearProgram, objective: float) -> float:

@@ -6,13 +6,11 @@ edges connecting functional units across layers.  Every intra-layer
 edge above layer 1 must be realizable as a path through some lower
 layer; :func:`validate_overlay` checks this from each lower layer's
 connected components, :func:`realization_path` computes the witnessing
-path.  :func:`cheapest_path` is the one simple-path search over a
-layer's adjacency index, optionally guided by a potential such as the
-exact distance map of :func:`distances_to`; realization uses it, and so
-does every spur of the design solver's Yen paths, guided by the
-subscriber's distance map.  :func:`cheapest_paths_from` is
-the same search from one start or several, settling every node it
-reaches: a cheapest-path tree, or a forest rooted at the starts.
+path.  :func:`cheapest_paths_from` is the one path search over a
+layer's adjacency index: from one start or several, it settles every
+node it reaches, a cheapest-path tree or a forest rooted at the starts.
+Realization reads its witness off one such search, and the design
+solver prices its link-path columns with one per server.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Optional
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
 from .errors import GraphError, NoRealization
 
@@ -250,7 +248,9 @@ def realization_path(graph: MultiLayerGraph, edge: IntraEdge) -> RealizationPath
 
     Searches layer l-1 first, then successively lower layers.  Among
     paths in the chosen layer the one with fewest hop edges wins, ties
-    broken by lexicographically smallest node-id sequence.
+    broken by lexicographically smallest node-id sequence: the least
+    (hops, nodes) over the nodes below the far end, read off one
+    :func:`cheapest_paths_from` from the nodes below the near end.
     """
     layer = edge.layer
     if layer <= 1:
@@ -259,8 +259,9 @@ def realization_path(graph: MultiLayerGraph, edge: IntraEdge) -> RealizationPath
     v_ref = NodeRef(layer, edge.ends[1])
     for lower in range(layer - 1, 0, -1):
         starts = [n.id for n in graph.inter_neighbors_down(u_ref, lower)]
-        goals = {n.id for n in graph.inter_neighbors_down(v_ref, lower)}
-        found = cheapest_path(graph, lower, starts, goals, lambda _edge: 1)
+        tree = cheapest_paths_from(graph, lower, starts, lambda _edge: 1)
+        found = min((tree[n.id] for n in graph.inter_neighbors_down(v_ref, lower)
+                     if n.id in tree), default=None)
         if found is None:
             continue
         path = found[1]
@@ -268,68 +269,6 @@ def realization_path(graph: MultiLayerGraph, edge: IntraEdge) -> RealizationPath
         sequence = (u_ref, *(NodeRef(lower, n) for n in path), v_ref)
         return RealizationPath(sequence=sequence, hop_edges=hops, via_layer=lower)
     raise NoRealization(edge)
-
-
-def cheapest_path(graph: MultiLayerGraph, layer: int, starts: Iterable[str],
-                  goals: Collection[str], weight: Callable[[IntraEdge], float],
-                  banned_nodes: Collection[str] = frozenset(),
-                  banned_edges: Collection[tuple[str, str]] = frozenset(),
-                  potential: Optional[Mapping[str, float]] = None
-                  ) -> Optional[tuple[float, tuple[str, ...]]]:
-    """Cheapest simple path in one layer from any start to any goal.
-
-    Edge lengths are ``weight(edge)``.  Paths never enter ``banned_nodes``
-    or cross a ``banned_edges`` pair (either orientation).  Returns
-    ``(cost, nodes)`` or None.
-
-    ``potential`` optionally guides the search (A*; Hart, Nilsson &
-    Raphael, 1968).  It maps a node to a lower bound on the cost left
-    from it to a goal and must be consistent: ``potential[a] <=
-    weight(edge) + potential[b]`` for every edge a-b, with 0 at the
-    goals.  The exact distances of :func:`distances_to` are; bans only
-    remove edges, so they stay so: a Yen spur bans its root's nodes and
-    next hops and still searches with the subscriber's exact distance
-    map.  A node with an infinite potential, or none in the map, cannot
-    reach a goal and is never entered.  Without a potential every node
-    counts 0.
-
-    **Order contract.**  The path returned is the one plain Dijkstra
-    keyed by (cost, node-id sequence) pops first at a goal: the
-    cheapest, ties broken by the lexicographically smallest sequence.
-    The heap is keyed by (cost + potential, node-id sequence, cost), so
-    entries of equal estimate pop in lexicographic depth-first order,
-    straight down the smallest tight path when the potential is exact.
-    For any one node an equal estimate means an equal cost, so the
-    first entry popped there is still its least by (cost, sequence).
-    That holds exactly when lengths add exactly in binary floating
-    point (integers, halves, ...).  With lengths such as 0.1/0.2/0.3,
-    sums equal in real arithmetic can round apart, so such ties can
-    fall either way, with or without a potential.
-    """
-    adj = graph.adjacency(layer)  # expansion order cannot change the result
-    inf = math.inf
-    bound = (dict.fromkeys(adj, 0.0) if potential is None else potential).get
-    heap = [(left, (s,), 0.0) for s in sorted(starts) if (left := bound(s, inf)) < inf]
-    heapq.heapify(heap)
-    best: dict[str, tuple] = {}
-    while heap:
-        _, path, cost = heapq.heappop(heap)
-        node = path[-1]
-        if node in best and best[node] <= (cost, path):
-            continue
-        best[node] = (cost, path)
-        if node in goals:
-            return cost, path
-        for nbr, edge in adj[node].items():
-            if nbr in banned_nodes or nbr in path:
-                continue
-            if (node, nbr) in banned_edges or (nbr, node) in banned_edges:
-                continue
-            left = bound(nbr, inf)
-            if left < inf:
-                step = cost + weight(edge)
-                heapq.heappush(heap, (step + left, path + (nbr,), step))
-    return None
 
 
 def cheapest_paths_from(graph: MultiLayerGraph, layer: int, starts: Iterable[str],
@@ -341,14 +280,14 @@ def cheapest_paths_from(graph: MultiLayerGraph, layer: int, starts: Iterable[str
     last node) is settled before it, so the paths form a forest rooted
     at the starts.
 
-    This is :func:`cheapest_path`'s heap loop without a goal or a
-    potential: entries keyed by (cost, node-id sequence) pop in the same
-    order, so for every goal the path is exactly the one
-    ``cheapest_path(graph, layer, starts, {goal}, weight)`` returns,
-    with inexact costs too.  A key never falls below its parent's, so a
-    node's first pop settles it and no entry is pushed toward a settled
-    node.  A start that a zero-cost path from a smaller start reaches is
-    settled on that path.
+    Entries are keyed by (cost, node-id sequence), so each node's path is
+    the cheapest, ties broken by the lexicographically smallest sequence.
+    That holds exactly when lengths add exactly in binary floating point
+    (integers, halves, ...); with lengths such as 0.1/0.2/0.3, sums equal
+    in real arithmetic can round apart, so such ties can fall either way.
+    A key never falls below its parent's, so a node's first pop settles
+    it and no entry is pushed toward a settled node.  A start that a
+    zero-cost path from a smaller start reaches is settled on that path.
     """
     adj = graph.adjacency(layer)
     heap = [(0.0, (s,)) for s in sorted(starts)]
@@ -363,28 +302,6 @@ def cheapest_paths_from(graph: MultiLayerGraph, layer: int, starts: Iterable[str
             if nbr not in best:
                 heapq.heappush(heap, (cost + weight(edge), path + (nbr,)))
     return best
-
-
-def distances_to(graph: MultiLayerGraph, layer: int, goal: str,
-                 weight: Callable[[IntraEdge], float]) -> dict[str, float]:
-    """Cost of the cheapest path from every node of one layer to ``goal``
-    (one reverse Dijkstra; layers are undirected).
-
-    Nodes that cannot reach the goal are left out.  The result is a
-    consistent ``potential`` for :func:`cheapest_path` toward ``goal``.
-    """
-    adj = graph.adjacency(layer)
-    heap = [(0.0, goal)]
-    dist: dict[str, float] = {}
-    while heap:
-        cost, node = heapq.heappop(heap)
-        if node in dist:
-            continue
-        dist[node] = cost
-        for nbr, edge in adj[node].items():
-            if nbr not in dist:
-                heapq.heappush(heap, (cost + weight(edge), nbr))
-    return dist
 
 
 def _component_labels(graph: MultiLayerGraph, layer: int) -> dict[str, str]:
@@ -410,19 +327,19 @@ def validate_overlay(graph: MultiLayerGraph) -> ValidationReport:
     An upper edge is realizable when, on some lower layer, a node below
     one end shares a connected component with a node below the other:
     exactly when :func:`realization_path` finds a witness.  Components
-    are labelled once per layer, so no path is searched.
+    are labelled once per layer, so no path is searched, and each upper
+    node's components below it are gathered once per layer it lies in.
     """
     report = ValidationReport()
-    labels = {lower: _component_labels(graph, lower)
-              for lower in range(1, graph.layer_count)}
-
-    def below(ref: NodeRef, lower: int) -> set[str]:
-        return {labels[lower][n.id] for n in graph.inter_neighbors_down(ref, lower)}
-
+    labels = [_component_labels(graph, lower) for lower in range(1, graph.layer_count)]
     for layer in range(2, graph.layer_count + 1):
+        # per node of this layer, the components below it in each lower layer
+        below = {node: [{labels[lower - 1][n.id]
+                         for n in graph.inter_neighbors_down(NodeRef(layer, node), lower)}
+                        for lower in range(1, layer)]
+                 for node in graph.nodes(layer)}
         for edge in graph.intra_edges(layer):
-            u_ref, v_ref = (NodeRef(layer, end) for end in edge.ends)
-            if not any(below(u_ref, lower) & below(v_ref, lower)
-                       for lower in range(layer - 1, 0, -1)):
+            u, v = (below[end] for end in edge.ends)
+            if all(a.isdisjoint(b) for a, b in zip(u, v)):
                 report.violations.append((edge, "NoRealization"))
     return report

@@ -50,7 +50,7 @@ def corpus():
                             "nl": nl, "lp": None})
             continue
         nl = solve_capacitated(instance, formulation="node-link")
-        lp = solve_capacitated(instance, formulation="link-path", k=50)
+        lp = solve_capacitated(instance, formulation="link-path")
         entries.append({"instance": instance, "oracle": oracle,
                         "nl": nl, "lp": lp})
     elapsed = time.perf_counter() - start

@@ -256,16 +256,25 @@ class TestSolveCommand:
     def test_five_routes_at_every_k(self, t1_path, tmp_path):
         """``tests/data/five_routes.json``: one server and subscriber joined
         by five disjoint two-hop routes of capacity 1, demand 5.  Priced
-        link-path reaches all five at ``--k`` 1, 4 and 5 and writes the
-        committed golden, objective 10."""
+        link-path reaches all five at ``--k`` 1, 4 and 5 and without it,
+        in every mode, and writes the committed goldens: objective 10
+        capacitated and under single homing, 20 with unit fixed costs, as
+        node-link writes them."""
         data = pathlib.Path(t1_path).parent
-        golden = data / "golden" / "five_routes.solve.link-path.json"
-        assert json.loads(golden.read_text())["objective"] == 10.0
-        for k in ("1", "4", "5"):
-            out = tmp_path / f"sol{k}.json"
-            assert main(["solve", str(data / "five_routes.json"), "--formulation",
-                         "link-path", "--k", k, "-o", str(out)]) == 0
-            assert out.read_bytes() == golden.read_bytes()
+        for mode, flags, objective in [("", (), 10.0),
+                                       (".single-homing", ("--single-homing",), 10.0),
+                                       (".uncapacitated", ("--mode", "uncapacitated"), 20.0)]:
+            golden = data / "golden" / f"five_routes.solve{mode}.link-path.json"
+            assert json.loads(golden.read_text())["objective"] == objective
+            for k in (("--k", "1"), ("--k", "4"), ("--k", "5"), ()):
+                out = tmp_path / "sol.json"
+                assert main(["solve", str(data / "five_routes.json"), *flags, "--formulation",
+                             "link-path", *k, "-o", str(out)]) == 0
+                assert out.read_bytes() == golden.read_bytes()
+            if mode:
+                assert main(["solve", str(data / "five_routes.json"), *flags,
+                             "-o", str(out)]) == 0
+                assert out.read_bytes() == golden.read_bytes()
 
     @pytest.mark.parametrize("formulation, flags, balance_row", [
         ("node-link", (), "conservation[u1]"),

@@ -1,5 +1,5 @@
 import dataclasses
-import heapq
+import json
 import math
 import random
 
@@ -8,15 +8,16 @@ import pytest
 
 import mlgdesign.lp as lp_module
 from mlgdesign import (Channel, DecompositionError, DesignProblem, InfeasibleError,
-                       LimitsExceeded, MultiLayerGraph, OracleLimits, Server, Session,
+                       LimitsExceeded, OracleLimits, Server, Session,
                        Subscriber, brute_force_oracle, build_redundant_mlg,
                        check_capacities, check_conservation, design,
                        enumerate_candidate_paths, NodeRef, formulate_link_path,
                        formulate_node_link, solve_capacitated, solve_uncapacitated)
-from mlgdesign.design import (CandidatePath, _add_hops, _channel_cost,
-                              _decompose_node_link, all_candidate_paths)
+from mlgdesign.design import (_add_hops, _channel_cost, _decompose_node_link,
+                              all_candidate_paths)
+from mlgdesign.cli import main, write_problem
 from mlgdesign.lp import Basis
-from mlgdesign.mlg import cheapest_path, cheapest_paths_from, distances_to
+from mlgdesign.mlg import cheapest_paths_from
 from helpers import big_problem, random_problem, scaled_big_problem, t1_problem
 
 
@@ -25,46 +26,36 @@ def commodity(instance, cid):
 
 
 class TestCandidatePaths:
-    def test_t1_two_per_server(self, t1_instance):
-        paths = enumerate_candidate_paths(t1_instance, commodity(t1_instance, "u1"), 2)
+    def test_k_one_keeps_cheapest(self, t1_instance):
+        """Each server's cheapest path to the subscriber, merged in (cost,
+        nodes) order: the first columns of every link-path formulation."""
+        paths = enumerate_candidate_paths(t1_instance, commodity(t1_instance, "u1"))
         assert [(p.server, p.nodes) for p in paths] == [
             ("s1", ("s1", "z1", "u1")),
             ("s2", ("s2", "z1", "u1")),
-            ("s1", ("s1", "s2", "z1", "u1")),
-            ("s2", ("s2", "s1", "z1", "u1")),
         ]
         assert paths[0].channels == ("b3", "b1")
         assert paths[0].cost == pytest.approx(2.0)
-
-    def test_k_one_keeps_cheapest(self, t1_instance):
-        paths = enumerate_candidate_paths(t1_instance, commodity(t1_instance, "u1"), 1)
-        assert len(paths) == 2
-        assert all(len(p.nodes) == 3 for p in paths)
 
     def test_disconnected_subscriber_yields_nothing(self):
         problem = t1_problem()
         problem.channels = [c for c in problem.channels if "u1" not in c.ends]
         instance = build_redundant_mlg(problem)
-        paths = enumerate_candidate_paths(instance, commodity(instance, "u1"), 3)
+        paths = enumerate_candidate_paths(instance, commodity(instance, "u1"))
         assert paths == []
-
-    def test_k_must_be_positive(self, t1_instance):
-        with pytest.raises(ValueError):
-            enumerate_candidate_paths(t1_instance, commodity(t1_instance, "u1"), 0)
 
     @staticmethod
     def assert_first_k_of_exhaustive(instance):
         for c in instance.commodities:
             every = all_candidate_paths(instance, c)
-            for k in (1, 2, 3, 8):
-                expected = [p for s in instance.server_ids()
-                            for p in [p for p in every if p.server == s][:k]]
-                expected.sort(key=lambda p: (p.cost, p.nodes))
-                assert enumerate_candidate_paths(instance, c, k) == expected
+            expected = [next(p for p in every if p.server == s) for s in instance.server_ids()
+                        if any(p.server == s for p in every)]
+            expected.sort(key=lambda p: (p.cost, p.nodes))
+            assert enumerate_candidate_paths(instance, c) == expected
 
     @pytest.mark.parametrize("costs", [None, (0.0, 0.5, 1.0, 2.5)])
     def test_first_k_of_exhaustive_on_corpus(self, costs):
-        """Yen's paths per server are the first k of the exhaustive
+        """Each server's path is the first of its own in the exhaustive
         enumeration in (cost, nodes) order, merged in that order: on the
         acceptance corpus with costs as drawn and with mixed costs."""
         for seed in range(9000, 9100):
@@ -92,72 +83,6 @@ class TestCandidatePaths:
             checked += 1
 
     @staticmethod
-    def eager_yen(instance, commodity, k):
-        """Yen (1971) as first written: every root of every path found is
-        spurred by an unguided ``cheapest_path``, with no bound and no
-        distance map; merged over the servers like the candidate list."""
-        graph, dst = instance.graph, commodity.sink.id
-        adj = graph.adjacency(1)
-        weight = _channel_cost
-        out = []
-        for server in instance.server_ids():
-            first = cheapest_path(graph, 1, [server], {dst}, weight)
-            if first is None:
-                continue
-            found, candidates, seen = [first[1]], [], {first[1]}
-            while len(found) < k:
-                prev = found[-1]
-                for i in range(len(prev) - 1):
-                    root = prev[:i + 1]
-                    banned = {(p[i], p[i + 1]) for p in found if p[:i + 1] == root}
-                    spur = cheapest_path(graph, 1, [root[-1]], {dst}, weight,
-                                         frozenset(root[:-1]), banned)
-                    if spur is None:
-                        continue
-                    nodes = root[:-1] + spur[1]
-                    if nodes not in seen:
-                        seen.add(nodes)
-                        heapq.heappush(candidates, (_add_hops(0.0, nodes, adj), nodes))
-                if not candidates:
-                    break
-                found.append(heapq.heappop(candidates)[1])
-            for nodes in found:
-                channels = tuple(graph.find_intra(1, a, b).name
-                                 for a, b in zip(nodes, nodes[1:]))
-                out.append(CandidatePath(server=server, nodes=nodes, channels=channels,
-                                         cost=_add_hops(0.0, nodes, adj)))
-        out.sort(key=lambda p: (p.cost, p.nodes))
-        return out
-
-    @pytest.mark.parametrize("costs", [None, (0.0, 0.5, 1.0, 2.5)])
-    def test_eager_yen_on_big_problem(self, costs):
-        """At ladder scale, beyond the exhaustive check's reach, the list
-        equals eager Yen's element for element: on ``big_problem(seed=1)``
-        with unit costs and with mixed costs."""
-        problem = big_problem(seed=1)
-        if costs is not None:
-            rng = random.Random(5)
-            problem.channels = [dataclasses.replace(ch, cost=rng.choice(costs))
-                                for ch in problem.channels]
-        instance = build_redundant_mlg(problem)
-        for c in instance.commodities:
-            for k in (1, 4, 8):
-                assert enumerate_candidate_paths(instance, c, k) == self.eager_yen(
-                    instance, c, k)
-
-    @staticmethod
-    def one_subscriber(intermediates, channels):
-        """Server ``s`` and subscriber ``u`` over the given channels
-        (id, a, b, cost)."""
-        problem = DesignProblem(
-            subscribers=[Subscriber("u", [Session("u", 1.0)])],
-            servers=[Server("s", 1.0)], service_id="v", service_productivity=1.0,
-            intermediates=intermediates,
-            channels=[Channel(cid, (a, b), 1.0, cost) for cid, a, b, cost in channels])
-        instance = build_redundant_mlg(problem)
-        return instance, instance.commodities[0]
-
-    @staticmethod
     def count_calls(monkeypatch, name):
         """The arguments of every later call to ``design.<name>``."""
         calls = []
@@ -170,52 +95,29 @@ class TestCandidatePaths:
         monkeypatch.setattr(design, name, counted)
         return calls
 
-    @pytest.mark.parametrize("channels", [
-        # a-b costs 0: with a-u banned, the spur from root s-a enters b,
-        # whose one cheapest way on to u runs back through a, on the root
-        [("c1", "s", "a", 1.0), ("c2", "a", "b", 0.0), ("c3", "a", "u", 1.0)],
-        # with x-u banned, the spur from root s-r-x leaves by w, whose
-        # cheapest way on to u runs back through x, on the root
-        [("c1", "s", "r", 1.0), ("c2", "r", "x", 1.0), ("c3", "x", "u", 1.0),
-         ("c4", "x", "w", 1.0), ("c5", "w", "r", 1.0), ("c6", "w", "q", 1.0),
-         ("c7", "q", "u", 2.0)],
-    ])
-    def test_blocked_chains_are_searched(self, channels, monkeypatch):
-        """Where a spur's cheapest way on to the subscriber runs through
-        the root, the guided spur search goes round it, and the list is
-        still the exhaustive one's first k."""
-        ids = sorted({end for _, a, b, _ in channels for end in (a, b)} - {"s", "u"})
-        instance, c = self.one_subscriber(ids, channels)
-        every = all_candidate_paths(instance, c)
-        calls = self.count_calls(monkeypatch, "cheapest_path")
-        for k in (1, 2, 3, 4, 8):
-            assert enumerate_candidate_paths(instance, c, k) == every[:k]
-        assert calls
-
     def test_k1_builds_no_map(self, monkeypatch):
-        """The cheapest path per server comes from the server's cheapest-path
-        tree: k = 1 builds no distance map and makes no spur search, and
-        k = 4 on the same commodity does both."""
+        """The first path per server is read off the servers' cheapest-path
+        trees: given them, the list makes no search at all; without them,
+        it builds one tree per server."""
         instance = build_redundant_mlg(big_problem(seed=1))
-        calls = self.count_calls(monkeypatch, "cheapest_path")
-        maps = self.count_calls(monkeypatch, "distances_to")
+        trees = design._server_trees(instance)
+        calls = self.count_calls(monkeypatch, "cheapest_paths_from")
         for c in instance.commodities:
-            assert len(enumerate_candidate_paths(instance, c, 1)) == len(
+            assert len(enumerate_candidate_paths(instance, c, trees)) == len(
                 instance.server_ids())
-        assert calls == maps == []
-        enumerate_candidate_paths(instance, instance.commodities[0], 4)
-        assert calls and len(maps) == 1
+        assert calls == []
+        enumerate_candidate_paths(instance, instance.commodities[0])
+        assert [args[2] for args in calls] == [[s] for s in instance.server_ids()]
 
     def test_integer_link_path_builds_one_tree_per_server(self, monkeypatch):
-        """The link-path formulation of the integer modes builds one
-        cheapest-path tree per server and shares it among the commodities:
-        5 trees at ``big_problem(seed=1)``, where one set per commodity
-        made 100."""
+        """The link-path formulation builds one cheapest-path tree per
+        server and shares it among the commodities: 5 trees at
+        ``big_problem(seed=1)``, where one set per commodity made 100."""
         trees = self.count_calls(monkeypatch, "cheapest_paths_from")
         instance = build_redundant_mlg(big_problem(seed=1, slack=1))
         for single_homing in (False, True):
             trees.clear()
-            design._build_formulation(instance, "link-path", 4, single_homing)
+            design._link_path(instance, single_homing)
             assert [args[2] for args in trees] == [[s] for s in instance.server_ids()]
 
     def test_costs_are_left_to_right_sums(self):
@@ -232,7 +134,7 @@ class TestCandidatePaths:
             instance = build_redundant_mlg(problem)
             adj = instance.graph.adjacency(1)
             for c in instance.commodities:
-                paths = enumerate_candidate_paths(instance, c, 8)
+                paths = enumerate_candidate_paths(instance, c)
                 keys = [(_add_hops(0.0, p.nodes, adj), p.nodes) for p in paths]
                 assert [p.cost for p in paths] == [cost for cost, _ in keys]
                 assert keys == sorted(keys)
@@ -242,11 +144,9 @@ class TestCheapestPath:
     @pytest.mark.parametrize("costs", [(1.0,), (0.0, 0.5, 1.0, 2.5)])
     def test_first_of_all_candidate_paths(self, costs):
         """On the acceptance corpus (as drawn, and with mixed channel costs)
-        the search from one server, or from all at once, returns the first
-        path in (cost, nodes) order of the exhaustive enumeration; with the
-        first hop of that path banned (given reversed), the first path
-        that avoids it.  Both hold with and without the goal's exact
-        distance map as the potential."""
+        the search from one server, or from all at once, reaches each
+        subscriber on the first path in (cost, nodes) order of the
+        exhaustive enumeration from those servers."""
         for seed in range(9000, 9100):
             rng = random.Random(seed)
             problem = random_problem(rng)
@@ -257,62 +157,20 @@ class TestCheapestPath:
             for c in instance.commodities:
                 paths = [(p.cost, p.nodes, p.server)
                          for p in all_candidate_paths(instance, c)]
-                to_sink = distances_to(graph, 1, c.sink.id, lambda e: e.cost)
-                for potential in (None, to_sink):
-                    for starts in [[s] for s in servers] + [servers]:
-                        mine = [p[:2] for p in paths if p[2] in starts]
-                        found = cheapest_path(graph, 1, starts, {c.sink.id},
-                                              lambda e: e.cost, potential=potential)
-                        assert found == (mine[0] if mine else None)
-                        if not mine:
-                            assert not any(s in to_sink for s in starts)
-                            continue
-                        assert mine[0][0] == min(to_sink[s] for s in starts)
-                        hop = mine[0][1][:2]
-                        rest = [p for p in mine
-                                if hop not in zip(p[1], p[1][1:])
-                                and hop[::-1] not in zip(p[1], p[1][1:])]
-                        found = cheapest_path(graph, 1, starts, {c.sink.id},
-                                              lambda e: e.cost,
-                                              banned_edges={hop[::-1]},
-                                              potential=potential)
-                        assert found == (rest[0] if rest else None)
-
-    @staticmethod
-    def diamond():
-        """a-b-d costs 1+1, a-c-d costs 2+2."""
-        g = MultiLayerGraph()
-        g.add_layer(["a", "b", "c", "d"])
-        for u, v, cost in (("a", "b", 1.0), ("b", "d", 1.0),
-                           ("a", "c", 2.0), ("c", "d", 2.0)):
-            g.add_intra_edge(1, u, v, cost=cost)
-        return g
-
-    def test_infinite_potential_never_entered(self):
-        g = self.diamond()
-        weighed = []
-
-        def weight(edge):
-            weighed.append(edge.ends)
-            return edge.cost
-
-        potential = {"a": 0.0, "b": math.inf, "c": 0.0, "d": 0.0}
-        assert cheapest_path(g, 1, ["a"], {"d"}, weight,
-                             potential=potential) == (4.0, ("a", "c", "d"))
-        assert not any("b" in ends for ends in weighed)
-        # a node missing from the map counts as infinite; so does the start
-        assert cheapest_path(g, 1, ["a"], {"d"}, weight,
-                             potential={"a": 0.0, "b": 0.0, "d": 0.0}) == (2.0, ("a", "b", "d"))
-        assert cheapest_path(g, 1, ["a"], {"d"}, weight,
-                             potential={"b": 0.0, "c": 0.0, "d": 0.0}) is None
+                for starts in [[s] for s in servers] + [servers]:
+                    mine = [p[:2] for p in paths if p[2] in starts]
+                    found = cheapest_paths_from(graph, 1, starts, lambda e: e.cost)
+                    assert found.get(c.sink.id) == (mine[0] if mine else None)
 
     @pytest.mark.parametrize("costs", [None, (0.0, 0.5, 1.0, 2.5), (0.1, 0.2, 0.3)])
     def test_tree_matches_goal_search(self, costs):
         """From every server to every layer-1 node, the settle-every-node
-        search returns exactly the path and cost of the goal search
-        without a potential: on the acceptance corpus with costs as
-        drawn, mixed with zero-cost channels, and with 0.1/0.2/0.3, whose
-        sums depend on the order they are added in."""
+        search returns the first path of an exhaustive goal search in
+        (cost, nodes) order, at its left-to-right cost: on the acceptance
+        corpus with costs as drawn and mixed with zero-cost channels.
+        With 0.1/0.2/0.3, whose sums depend on the order they are added
+        in, equal sums can round apart, so there the cost is the least to
+        rounding."""
         weight = _channel_cost
         for seed in range(9000, 9100):
             rng = random.Random(seed)
@@ -326,21 +184,26 @@ class TestCheapestPath:
             for server in instance.server_ids():
                 tree = cheapest_paths_from(graph, 1, [server], weight)
                 for goal in graph.nodes(1):
-                    assert tree.get(goal) == cheapest_path(graph, 1, [server], {goal},
-                                                           weight)
-                    if goal in tree:
-                        cost, nodes = tree[goal]
-                        assert cost == _add_hops(0.0, nodes, adj)
+                    every = sorted((_add_hops(0.0, nodes, adj), nodes)
+                                   for nodes in design._simple_paths(graph, server, goal))
+                    if not every:
+                        assert goal not in tree
+                        continue
+                    cost, nodes = tree[goal]
+                    assert cost == _add_hops(0.0, nodes, adj)
+                    if costs == (0.1, 0.2, 0.3):
+                        assert cost == pytest.approx(every[0][0], rel=1e-12)
+                    else:
+                        assert (cost, nodes) == every[0]
 
     @pytest.mark.parametrize("costs", [None, (0.0, 0.5, 1.0, 2.5), (0.1, 0.2, 0.3)])
     def test_forest_merges_server_trees(self, costs):
-        """From every server at once the search returns, per node, the
-        goal search's path from all servers, and settles each path's
+        """From every server at once the search settles each path's
         parent before it.  When costs add exactly (as drawn, and mixed
-        with zero-cost channels) that is the least (cost, nodes) over the
-        single-server trees.  With 0.1/0.2/0.3 equal sums can round
-        apart, so there only the costs agree, to rounding.  On the
-        acceptance corpus and ``big_problem`` seeds 1-3 (5 servers)."""
+        with zero-cost channels) each node's path is the least (cost,
+        nodes) over the single-server trees.  With 0.1/0.2/0.3 equal sums
+        can round apart, so there only the costs agree, to rounding.  On
+        the acceptance corpus and ``big_problem`` seeds 1-3 (5 servers)."""
         weight = _channel_cost
         problems = [(random.Random(seed), random_problem(random.Random(seed)))
                     for seed in range(9000, 9100)]
@@ -359,7 +222,6 @@ class TestCheapestPath:
             assert forest.keys() == merged.keys()
             settled = list(forest)
             for node, (cost, nodes) in forest.items():
-                assert (cost, nodes) == cheapest_path(graph, 1, servers, {node}, weight)
                 if len(nodes) > 1:
                     assert settled.index(nodes[-2]) < settled.index(node)
                 if costs == (0.1, 0.2, 0.3):
@@ -367,20 +229,10 @@ class TestCheapestPath:
                 else:
                     assert (cost, nodes) == merged[node]
 
-    def test_distances_to(self):
-        g = self.diamond()
-        g.add_layer(["x"])
-        assert distances_to(g, 1, "d", lambda e: e.cost) == {
-            "d": 0.0, "b": 1.0, "a": 2.0, "c": 2.0}
-        g.remove_intra_edge(1, "b", "d")
-        assert distances_to(g, 1, "d", lambda e: e.cost) == {
-            "d": 0.0, "c": 2.0, "a": 4.0, "b": 5.0}
-        assert distances_to(g, 2, "x", lambda e: e.cost) == {"x": 0.0}
-
 
 class TestFormulations:
     def test_link_path_shape(self, t1_instance):
-        paths = {c.id: enumerate_candidate_paths(t1_instance, c, 2)
+        paths = {c.id: all_candidate_paths(t1_instance, c)
                  for c in t1_instance.commodities}
         lp = formulate_link_path(t1_instance, paths).lp
         assert len(lp.variables) == 8
@@ -420,7 +272,7 @@ class TestFormulations:
     def formulate(instance, formulation, single_homing=False):
         if formulation == "node-link":
             return formulate_node_link(instance, single_homing=single_homing).lp
-        paths = {c.id: enumerate_candidate_paths(instance, c, 2)
+        paths = {c.id: all_candidate_paths(instance, c)
                  for c in instance.commodities}
         return formulate_link_path(instance, paths, single_homing=single_homing).lp
 
@@ -495,9 +347,19 @@ class TestSolveCapacitated:
     @pytest.mark.parametrize("uncapacitated", [False, True])
     @pytest.mark.parametrize("formulation, k", [("bogus", 4), ("node-link", 0),
                                                 ("link-path", 0), ("link-path", -3)])
-    def test_drivers_check_arguments_first(self, uncapacitated, formulation, k):
-        """Both drivers refuse an unknown formulation or k < 1 before
-        anything else, on an instance with no demand to route too."""
+    def test_drivers_check_arguments_first(self, uncapacitated, formulation, k, tmp_path,
+                                           capsys):
+        """Both library drivers refuse an unknown formulation before
+        anything else, on an instance with no demand to route too.  They
+        take no k; the CLI refuses ``--k`` below 1, or with node-link,
+        before it reads the problem file, here one that does not exist."""
+        if formulation != "bogus":
+            mode = ["--mode", "uncapacitated"] if uncapacitated else []
+            with pytest.raises(SystemExit) as exit_:
+                main(["solve", str(tmp_path / "missing.json"), *mode, "--formulation",
+                      formulation, "--k", str(k)])
+            assert exit_.value.code == 2 and "argument --k" in capsys.readouterr().err
+            return
         problem = t1_problem()
         for sub in problem.subscribers:
             sub.sessions = []
@@ -505,9 +367,9 @@ class TestSolveCapacitated:
         assert not instance.commodities
         with pytest.raises(ValueError):
             if uncapacitated:
-                solve_uncapacitated(instance, {}, formulation=formulation, k=k)
+                solve_uncapacitated(instance, {}, formulation=formulation)
             else:
-                solve_capacitated(instance, formulation=formulation, k=k)
+                solve_capacitated(instance, formulation=formulation)
 
     def test_feasibility_closure(self, t1_instance):
         sol = solve_capacitated(t1_instance)
@@ -516,10 +378,9 @@ class TestSolveCapacitated:
         assert check_capacities(t1_instance.graph, sol.flow_assignment).ok
 
 
-def corpus_and_scaled(scales, costs=None):
+def corpus_and_scaled_problems(scales, costs=None):
     """The acceptance corpus and ``big_problem`` seeds 1-5 at ``scales``,
-    built, with channel costs as drawn or, given ``costs``, redrawn from
-    them."""
+    with channel costs as drawn or, given ``costs``, redrawn from them."""
     problems = [(random.Random(seed), random_problem(random.Random(seed)))
                 for seed in range(9000, 9100)]
     problems += [(random.Random(seed), scaled_big_problem(seed, scale))
@@ -528,6 +389,12 @@ def corpus_and_scaled(scales, costs=None):
         if costs is not None:
             problem.channels = [dataclasses.replace(ch, cost=rng.choice(costs))
                                 for ch in problem.channels]
+        yield problem
+
+
+def corpus_and_scaled(scales, costs=None):
+    """The problems of :func:`corpus_and_scaled_problems`, built."""
+    for problem in corpus_and_scaled_problems(scales, costs):
         yield build_redundant_mlg(problem)
 
 
@@ -549,15 +416,20 @@ class TestPricedLinkPath:
 
     @pytest.mark.parametrize("redraw", [False, True])
     @pytest.mark.parametrize("k", [1, 2, 4, 8])
-    def test_same_optimum_as_full_pools(self, k, redraw):
-        """Priced link-path reaches the optimum over every path (the full
-        pools), which node-link computes, within 1e-9 relative, or both
-        are infeasible, whatever the ``k`` passed: it bounds only the
-        integer modes."""
-        for instance in self.instances(redraw):
-            priced = self.objective(
-                lambda: solve_capacitated(instance, formulation="link-path", k=k))
-            full = self.objective(lambda: solve_capacitated(instance))
+    def test_same_optimum_as_full_pools(self, k, redraw, tmp_path):
+        """Priced link-path, solved by the CLI at ``--k`` k, reaches the
+        optimum over every path (the full pools), which node-link
+        computes, within 1e-9 relative, or both are infeasible, whatever
+        the k: ``--k`` is accepted and has no effect."""
+        problem_path, out = str(tmp_path / "problem.json"), tmp_path / "out.json"
+        for problem in corpus_and_scaled_problems((0.5, 1), self.COSTS if redraw else None):
+            write_problem(problem, problem_path)
+            out.unlink(missing_ok=True)
+            code = main(["solve", problem_path, "--formulation", "link-path", "--k", str(k),
+                         "-o", str(out)])
+            assert code in (0, 1)
+            priced = json.loads(out.read_text())["objective"] if code == 0 else None
+            full = self.objective(lambda: solve_capacitated(build_redundant_mlg(problem)))
             if full is None:
                 assert priced is None
             else:
@@ -569,9 +441,8 @@ class TestPricedLinkPath:
         4 or 8 paths is infeasible."""
         instance = list(self.instances(redraw=True))[-1]
         assert len(instance.commodities) == 20
-        for k in (1, 4, 8):
-            sol = solve_capacitated(instance, formulation="link-path", k=k)
-            assert sol.objective == pytest.approx(57.7, rel=1e-9)
+        sol = solve_capacitated(instance, formulation="link-path")
+        assert sol.objective == pytest.approx(57.7, rel=1e-9)
         assert solve_capacitated(instance).objective == pytest.approx(57.7, rel=1e-9)
 
     def test_farkas_proof_holds_for_every_path(self, monkeypatch):
@@ -630,7 +501,7 @@ class TestPricedLinkPath:
 
         monkeypatch.setattr(design, "simplex_solve", counted)
         instance = build_redundant_mlg(scaled_big_problem(1, 2))
-        sol = solve_capacitated(instance, formulation="link-path", k=4)
+        sol = solve_capacitated(instance, formulation="link-path")
         assert sol.objective == pytest.approx(249.0, abs=1e-6)
         assert sizes and max(sizes) <= 600
 
@@ -976,9 +847,12 @@ class TestRequiredChannels:
 class TestIntegralObjective:
     @pytest.mark.parametrize("formulation, single_homing, flagged",
                              [("node-link", False, True), ("node-link", True, False),
-                              ("link-path", False, False), ("link-path", True, False)])
+                              ("link-path", False, True), ("link-path", True, False)])
     def test_flag_only_for_node_link_without_homing(self, formulation, single_homing,
                                                     flagged, t1_instance, monkeypatch):
+        """Set without single homing in both formulations: priced link-path
+        is exact over every path, so with ``use`` fixed it is node-link's
+        min-cost flow."""
         fixed = dict.fromkeys(t1_instance.channel_edges, 2.0)
         lp, _sol = posed_fixed_charge(t1_instance, fixed, monkeypatch,
                                       formulation=formulation, single_homing=single_homing)
@@ -1081,7 +955,7 @@ class TestAgreement:
                 solve_capacitated(instance)
             return
         nl = solve_capacitated(instance, formulation="node-link")
-        lp = solve_capacitated(instance, formulation="link-path", k=10)
+        lp = solve_capacitated(instance, formulation="link-path")
         assert nl.objective == pytest.approx(oracle.objective, abs=1e-6)
         assert lp.objective == pytest.approx(oracle.objective, abs=1e-6)
 

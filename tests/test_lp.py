@@ -838,6 +838,17 @@ class TestDive:
             searched += sol.nodes > 0
         assert searched > 20 and sum(fresh_starts) > 100
 
+    def test_priced_searches_start_fresh(self, fresh_starts):
+        """With columns and rows appended at nodes, each node, re-solved
+        or restored after the program grew, still starts where a tableau
+        built over its basis would."""
+        for seed in range(30):
+            fixed, initial, pool, caps, demand = random_facility(random.Random(7300 + seed))
+            lp = facility_program(fixed, initial, demand)
+            pricer = PoolPricer(lp, pool, caps)
+            assert branch_and_bound(lp, price=pricer).status == "Optimal"
+        assert sum(fresh_starts) > 20
+
     @pytest.mark.parametrize("formulation", ["node-link", "link-path"])
     def test_bnb04_fixed_charge(self, formulation, fresh_starts, monkeypatch):
         """The fixed-charge programs of ``tests/data/bnb04.json``."""
@@ -848,8 +859,8 @@ class TestDive:
         searches = []
         search = design.branch_and_bound
 
-        def recorded(lp, root=None):
-            searches.append((lp, search(lp, root)))
+        def recorded(lp, root=None, **kwargs):
+            searches.append((lp, search(lp, root, **kwargs)))
             return searches[-1][1]
 
         monkeypatch.setattr(design, "branch_and_bound", recorded)
@@ -857,6 +868,152 @@ class TestDive:
         (lp, sol), = searches
         assert sol.nodes > 0 and sum(fresh_starts) > 0
         assert sol.objective == pytest.approx(milp_reference(lp).fun, abs=1e-7)
+
+
+class PoolPricer:
+    """A test pricer over a facility program (:func:`facility_program`):
+    of the pool columns (cost, facility) whose reduced cost, or Farkas
+    gain, lets them enter, it appends the one that gains most, the first
+    of ties.  It skips a facility whose ``y`` has upper bound 0, and opens
+    a ``cap[f]`` row with the first pool column of facility f.  It
+    records each call as (kind, lower, upper, the column appended or
+    None)."""
+
+    def __init__(self, lp, pool, caps):
+        self.lp, self.pool, self.caps, self.calls = lp, list(pool), caps, []
+        self.rows = {con.name: i for i, con in enumerate(lp.constraints)}
+
+    def __call__(self, kind, multipliers, lower, upper):
+        scale = 1.0 if kind == "optimal" else 0.0
+        y = dict(zip(self.rows, multipliers.tolist()))
+        gains = [(y["demand"] + y[f"coupling[{f}]"] + y.get(f"cap[{f}]", 0.0) - scale * cost,
+                  -k) for k, (cost, f) in enumerate(self.pool) if upper[f] > 0]
+        best = max(gains, default=(0.0, 0))
+        column = self.pool.pop(-best[1]) if best[0] > 1e-9 else None
+        if column is not None:
+            add_pool_column(self.lp, self.rows, self.caps, *column)
+        self.calls.append((kind, lower.copy(), upper.copy(), column))
+        return column is not None
+
+
+def add_pool_column(lp, rows, caps, cost, f):
+    if f"cap[{f}]" not in rows:
+        rows[f"cap[{f}]"] = len(lp.constraints)
+        lp.add_constraint({}, "<=", caps[f], name=f"cap[{f}]")
+    j = lp.add_var(f"x[{f},{cost}]")
+    lp.objective[j] = float(cost)
+    for row in ("demand", f"coupling[{f}]", f"cap[{f}]"):
+        lp.constraints[rows[row]].coeffs[j] = 1.0
+
+
+def facility_program(fixed, initial, demand):
+    """Binary ``y[f]`` at fixed cost ``fixed[f]`` (columns 0..F-1), one
+    column per (cost, facility) of ``initial``, ``demand`` = the demand
+    and ``coupling[f]``: what facility f carries <= 2 * demand * y[f]."""
+    lp = LinearProgram()
+    for f, cost in enumerate(fixed):
+        lp.add_var(f"y[{f}]", upper=1.0, integer=True)
+        lp.objective[f] = float(cost)
+    lp.add_constraint({}, "=", float(demand), name="demand")
+    for f in range(len(fixed)):
+        lp.add_constraint({f: -2.0 * demand}, "<=", 0.0, name=f"coupling[{f}]")
+    for cost, f in initial:
+        j = lp.add_var(f"x[{f},{cost}]")
+        lp.objective[j] = float(cost)
+        lp.constraints[0].coeffs[j] = lp.constraints[1 + f].coeffs[j] = 1.0
+    return lp
+
+
+def random_facility(rng):
+    """(fixed costs, initial columns, pool, capacities, demand): 2-4
+    facilities, each with one dear initial column and 1-4 cheaper pool
+    columns whose capacity row caps them below the demand."""
+    n = rng.randint(2, 4)
+    demand = rng.randint(2, 5)
+    fixed = [rng.randint(1, 6) for _ in range(n)]
+    initial = [(rng.randint(8, 12), f) for f in range(n)]
+    pool = sorted({(rng.randint(1, 9), f) for f in range(n) for _ in range(rng.randint(1, 4))})
+    caps = [float(rng.randint(1, demand)) for _ in range(n)]
+    return fixed, initial, pool, caps, demand
+
+
+def full_program(fixed, initial, pool, caps, demand):
+    """The facility program with every pool column posed from the start."""
+    lp = facility_program(fixed, initial, demand)
+    rows = {con.name: i for i, con in enumerate(lp.constraints)}
+    for cost, f in pool:
+        add_pool_column(lp, rows, caps, cost, f)
+    return lp
+
+
+class TestPricing:
+    def hand_case(self):
+        """Facilities 0 and 1 at fixed cost 5 serve a demand of 2 by
+        columns of cost 10; the pool holds one of cost 1 at facility 0
+        and one of cost 2 at facility 1.  The root sits at y = (0.5, 0)."""
+        lp = facility_program([5, 5], [(10, 0), (10, 1)], 2)
+        return lp, PoolPricer(lp, [(1, 0), (2, 1)], [2.0, 2.0])
+
+    def test_column_at_a_node_changes_the_optimum(self):
+        """Without pricing the optimum over the first columns is 25.  The
+        up child y[0] = 1 is integral; priced there, the cost-1 column
+        enters and the optimum is 7, which HiGHS confirms on the program
+        the search ends with."""
+        lp, pricer = self.hand_case()
+        assert branch_and_bound(lp).objective == pytest.approx(25.0)
+        lp, pricer = self.hand_case()
+        sol = branch_and_bound(lp, price=pricer)
+        assert sol.status == "Optimal" and sol.objective == pytest.approx(7.0)
+        kind, lower, _upper, column = pricer.calls[0]
+        assert (kind, lower[0], column) == ("optimal", 1.0, (1, 0))  # at the up child
+        assert sol.objective == pytest.approx(milp_reference(lp).fun)
+
+    def test_values_one_per_final_column(self):
+        """The incumbent was found before the cost-2 column entered under
+        the down child: its values are padded with 0 for it."""
+        lp, pricer = self.hand_case()
+        sol = branch_and_bound(lp, price=pricer)
+        assert len(lp.variables) == 6 and sol.values.size == 6
+        assert sol.values.tolist() == [1.0, 0.0, 0.0, 0.0, 2.0, 0.0]
+
+    def test_down_child_restored_after_growth(self, monkeypatch):
+        """The down child y[0] = 0 was saved before its up sibling grew
+        the program; restored, it is extended to the grown program and
+        priced itself (the cost-2 column enters), and the search ends at
+        the cold search's optimum over every column."""
+        grown = []
+        original = lp_module._Tableau.grow
+
+        def counted(tab, form, lower, upper):
+            grown.append((tab.form.n, form.n))
+            return original(tab, form, lower, upper)
+
+        monkeypatch.setattr(lp_module._Tableau, "grow", counted)
+        lp, pricer = self.hand_case()
+        sol = branch_and_bound(lp, price=pricer)
+        # the up child grows 4 -> 5, the restored down child is padded 4 -> 5,
+        # then grows 5 -> 6 when the cost-2 column enters there
+        assert grown == [(4, 5), (4, 5), (5, 6)]
+        cold = branch_and_bound(full_program([5, 5], [(10, 0), (10, 1)], [(1, 0), (2, 1)],
+                                             [2.0, 2.0], 2))
+        assert sol.objective == pytest.approx(cold.objective)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_facilities_match_cold_search_and_milp(self, seed):
+        """Seeded random facility programs: the priced search ends at the
+        optimum of the cold search over every pool column and at HiGHS's,
+        with one value per column of the program it ends with."""
+        data = random_facility(random.Random(7300 + seed))
+        fixed, initial, pool, caps, demand = data
+        lp = facility_program(fixed, initial, demand)
+        sol = branch_and_bound(lp, price=PoolPricer(lp, pool, caps))
+        full = full_program(*data)
+        cold = branch_and_bound(full)
+        ref = milp_reference(full)
+        assert sol.status == cold.status == "Optimal" and ref.status == 0
+        assert sol.objective == pytest.approx(cold.objective, abs=1e-7)
+        assert sol.objective == pytest.approx(ref.fun, abs=1e-6)
+        assert sol.values.size == len(lp.variables)
 
 
 class TestPosedBounds:
