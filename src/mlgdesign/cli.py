@@ -336,7 +336,7 @@ def export_dot(graph: mlg.MultiLayerGraph, path: Optional[str] = None) -> str:
     lines.append("}")
     text = "\n".join(lines) + "\n"
     if path is not None:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     return text
 

@@ -10,10 +10,11 @@ Link-path is exact over every layer-1 path in every mode.  It starts
 from each server's cheapest path to each subscriber
 (:func:`enumerate_candidate_paths`), and one pricer
 (:class:`_PathPricer`) grows it with one reduced-cost search per
-server: column generation at the root (:func:`_price_link_path`), and
-in fixed charge and single homing branch and price, at every
-branch-and-bound node whose LP decides that node (Barnhart et al.,
-"Branch-and-price", *Oper. Res.* 46, 1998).
+server: column generation at the root (the ``price`` of
+:func:`mlgdesign.lp.simplex_solve`), and in fixed charge and single
+homing branch and price, at every branch-and-bound node whose LP
+decides that node (Barnhart et al., "Branch-and-price", *Oper. Res.*
+46, 1998).
 
 Without single homing the node-link model aggregates every commodity
 into one min-cost flow.  That is exact: all commodities leave from the
@@ -54,7 +55,7 @@ import numpy as np
 from .builder import BuiltInstance
 from .errors import DecompositionError, InfeasibleError, LimitsExceeded
 from .flows import CONSERVATION_TOL, Commodity, FlowAssignment
-from .lp import Basis, LinearProgram, LpSolution, branch_and_bound, simplex_solve
+from .lp import Basis, LinearProgram, branch_and_bound, simplex_solve
 from .mlg import IntraEdge, MultiLayerGraph, NodeRef, cheapest_paths_from, intra_key
 
 FLOW_EPS = 1e-9
@@ -548,9 +549,9 @@ def _link_path(instance: BuiltInstance, single_homing: bool) -> _Formulation:
 class _PathPricer:
     """Prices the columns of a link-path formulation over every layer-1
     path (Ford & Fulkerson, 1958), as ``price`` of
-    :func:`mlgdesign.lp.branch_and_bound` and of the root loop
-    :func:`_price_link_path`: a call reads an LP solve of the program and
-    appends the paths that price in.
+    :func:`mlgdesign.lp.simplex_solve` at the root and of
+    :func:`mlgdesign.lp.branch_and_bound`: a call reads an LP solve of
+    the program and appends the paths that price in.
 
     A path of commodity c from server s has coefficient 1 in
     ``demand[c]``, ``productivity[s]``, ``homing[c,s]`` and, for each of
@@ -642,23 +643,6 @@ class _PathPricer:
         return bool(new)
 
 
-def _price_link_path(lp: LinearProgram, price: _PathPricer,
-                     start: Optional[Basis]) -> LpSolution:
-    """The root LP of a link-path formulation over every layer-1 path,
-    solved by column generation: the LP from ``start``, then, while
-    ``price`` appends paths, again from its last basis.  When none enters,
-    the optimum, or the infeasibility verdict and its certificate, are
-    those of the program over every path."""
-    sol = simplex_solve(lp, start=start)
-    while sol.basis is not None:
-        optimal = sol.status == "Optimal"
-        if not price("optimal" if optimal else "infeasible",
-                     sol.duals if optimal else sol.farkas, *lp.bounds()):
-            break
-        sol = simplex_solve(lp, start=sol.basis)
-    return sol
-
-
 def _append_path(instance: BuiltInstance, form: _Formulation, rows: dict[str, int],
                  cid: str, path: CandidatePath) -> None:
     """Append ``path`` as commodity ``cid``'s next column ``x[cid,i]`` of
@@ -703,11 +687,7 @@ def solve_uncapacitated(instance: BuiltInstance,
     it only at nodes it has priced.  Under single homing the servers'
     flows share channels, so it does not hold there."""
     _check_args(formulation)
-    for ch_id, fc in channel_fixed_costs.items():
-        if ch_id not in instance.channel_edges:
-            raise KeyError(f"unknown channel {ch_id!r} in fixed costs")
-        if not 0 <= fc < math.inf:
-            raise ValueError("fixed costs must be finite and >= 0")
+    _check_fixed_costs(instance, channel_fixed_costs)
     if not instance.commodities:
         return _assemble_solution(instance, {})
     if formulation == "node-link":
@@ -735,6 +715,17 @@ def solve_uncapacitated(instance: BuiltInstance,
     return _assemble_solution(instance, routes, selected=selected,
                               fixed_cost_part=fixed_part,
                               relaxation_objective=relaxed)
+
+
+def _check_fixed_costs(instance: BuiltInstance,
+                       channel_fixed_costs: Mapping[str, float]) -> None:
+    """``KeyError`` for a fixed cost of a channel the instance lacks, and
+    ``ValueError`` for one that is not finite and >= 0."""
+    for ch_id, fc in channel_fixed_costs.items():
+        if ch_id not in instance.channel_edges:
+            raise KeyError(f"unknown channel {ch_id!r} in fixed costs")
+        if not 0 <= fc < math.inf:
+            raise ValueError("fixed costs must be finite and >= 0")
 
 
 def _required_channels(instance: BuiltInstance) -> set[str]:
@@ -791,14 +782,12 @@ def _solve(instance: BuiltInstance, form: _Formulation):
     (:class:`_PathPricer`) at the root and at the search's nodes."""
     start = Basis.of(form.lp, form.start) if form.start else None
     price = None if form.trees is None else _PathPricer(instance, form)
-    relax = (simplex_solve(form.lp, start=start) if price is None
-             else _price_link_path(form.lp, price, start))
+    relax = simplex_solve(form.lp, start=start, price=price)
     if relax.status != "Optimal":
         raise InfeasibleError(certificate=relax.certificate)
     sol = relax
     if form.lp.integer_indices():
-        sol = (branch_and_bound(form.lp, root=relax) if price is None
-               else branch_and_bound(form.lp, root=relax, price=price))
+        sol = branch_and_bound(form.lp, root=relax, price=price)
         if sol.status != "Optimal":
             raise InfeasibleError(certificate=sol.certificate)
     return sol, relax.objective, form.read_routes(instance, form, sol.values)
@@ -826,9 +815,13 @@ def brute_force_oracle(instance: BuiltInstance, mode: str = "capacitated",
     uncapacitated mode, whose fixed costs it adds; only the full set
     when capacitated) times a server per subscriber (under single
     homing; otherwise any server).  Ties within 1e-9 go to the smallest
-    (subset, servers)."""
+    (subset, servers).  Fixed costs are checked as
+    :func:`solve_uncapacitated` checks them."""
     if mode not in ("capacitated", "uncapacitated"):
         raise ValueError(f"unknown oracle mode {mode!r}")
+    uncapacitated = mode == "uncapacitated"
+    fixed = (channel_fixed_costs or {}) if uncapacitated else {}
+    _check_fixed_costs(instance, fixed)
     if (len(instance.commodities) > limits.max_commodities
             or len(instance.channel_edges) > limits.max_channels
             or len(instance.graph.nodes(1)) > limits.max_layer1_nodes):
@@ -839,8 +832,6 @@ def brute_force_oracle(instance: BuiltInstance, mode: str = "capacitated",
     all_paths = {c.id: all_candidate_paths(instance, c)
                  for c in instance.commodities}
     channels = tuple(sorted(instance.channel_edges))
-    uncapacitated = mode == "uncapacitated"
-    fixed = (channel_fixed_costs or {}) if uncapacitated else {}
     subsets = ([s for r in range(len(channels) + 1)
                 for s in itertools.combinations(channels, r)]
                if uncapacitated else [channels])

@@ -15,15 +15,15 @@ PhD thesis, Paderborn, 2005, ch. 4).  A branch narrows one bound of one
 column; the parent's optimal basis stays dual feasible, so each child
 is re-solved from it on the true costs, in place in the tableau its
 parent left: a dive keeps one tableau, and a saved copy is restored
-only on backtrack.  A solve can also restart from
-a basis found before columns and rows were appended, as column
-generation does; an optimal solve returns the row duals that price
-such columns, and an infeasible one the Farkas multipliers that price
-a column able to mend it.  Branch and bound takes a pricer that appends
-columns and rows at the nodes whose LP decides them, and grows its
-tableau in place (branch and price).  A cold solve may start from a
-crash basis the caller names by its columns (:meth:`Basis.of`) in place
-of the logical one.
+only on backtrack.  An optimal solve returns the row duals that price
+new columns, and an infeasible one the Farkas multipliers that price a
+column able to mend it.  A solve takes a pricer that appends columns
+and rows, and grows its tableau in place until none enters (column
+generation), as it does to restart from a basis found before they were
+appended; branch and bound takes the same pricer at the nodes whose LP
+decides them (branch and price).  A cold solve may start from a crash
+basis the caller names by its columns (:meth:`Basis.of`) in place of
+the logical one.
 
 At desk scale a NumPy call costs more than its arithmetic, so the
 tableau keeps what each iteration reads of the basis: the bounds of
@@ -110,14 +110,18 @@ class LinearProgram:
                        name: str = "") -> None:
         if relation not in ("<=", "=", ">="):
             raise ValueError(f"bad relation {relation!r}")
-        n = len(self.variables)
-        for j in coeffs:
-            if not 0 <= j < n:
-                raise ValueError(f"constraint references undeclared variable {j}")
+        self._check_declared(coeffs, "constraint")
         self.constraints.append(Constraint(dict(coeffs), relation, rhs, name))
 
     def set_objective(self, coeffs: dict[int, float]) -> None:
+        self._check_declared(coeffs, "objective")
         self.objective = dict(coeffs)
+
+    def _check_declared(self, coeffs: Mapping[int, float], what: str) -> None:
+        n = len(self.variables)
+        for j in coeffs:
+            if not 0 <= j < n:
+                raise ValueError(f"{what} references undeclared variable {j}")
 
     def integer_indices(self) -> list[int]:
         return [j for j, v in enumerate(self.variables) if v.integer]
@@ -437,14 +441,16 @@ class _Tableau:
 
     def grow(self, form: _StandardForm, lower: np.ndarray, upper: np.ndarray) -> None:
         """Extend this tableau in place to ``form``, the standard form of
-        its program after columns and rows were appended, the new columns
-        within [``lower``, ``upper``].  The old columns keep their index and
+        its program after columns and rows were appended, each new column
+        ``j`` within [``lower[j]``, ``upper[j]``] (structural bounds from
+        the first column on).  The old columns keep their index and
         the logicals move past the new columns; each new column is nonbasic
         at its lower bound, and each new row's logical is basic.  With R the
         new rows over the old basic columns, the inverse of [[B, 0], [R, I]]
         is [[B^-1, 0], [-R B^-1, I]].  The tableau then holds what one built
         over that basis would derive, with no pivot."""
         n0, m0, rows = self.form.n, self.form.m, form.m - self.form.m
+        lower, upper = lower[n0:form.n], upper[n0:form.n]
 
         def pad(old, new, logicals):  # the old columns, new ones, old and new logicals
             return np.concatenate([old[:n0], new, old[n0:], logicals])
@@ -664,7 +670,8 @@ def _crossed_bounds(lp: LinearProgram, lower: np.ndarray, upper: np.ndarray) -> 
 
 def simplex_solve(lp: LinearProgram, lower: Optional[np.ndarray] = None,
                   upper: Optional[np.ndarray] = None,
-                  start: Optional[Basis] = None) -> LpSolution:
+                  start: Optional[Basis] = None,
+                  price: Optional[Callable[..., bool]] = None) -> LpSolution:
     """Bounded revised simplex: the dual simplex to a feasible basis,
     then the primal simplex to an optimal one.
 
@@ -672,27 +679,36 @@ def simplex_solve(lp: LinearProgram, lower: Optional[np.ndarray] = None,
     ``lp.bounds()``.  Without ``start`` the solve begins at the logical
     basis.  ``start`` is a basis of this program from :meth:`Basis.of`,
     or the basis of an earlier solve of it, optimal or infeasible, and
-    the solve starts from it.  Columns and
-    rows may have been appended to the program since: old rows may gain
-    coefficients in new columns, and nothing else of them may change.
-    The standard form is then grown from the basis's (only the new
-    numbers are read and checked), and the tableau over the basis is
-    extended by ``_Tableau.grow``, with no refactorization.  The dual simplex runs on the costs shifted to make
-    its start dual feasible (see ``_Tableau.dual_run``); the primal
+    the solve starts from it.  Columns and rows may have been appended to
+    the program since: old rows may gain coefficients in new columns, and
+    nothing else of them may change.  The tableau over the basis is then
+    grown to the program (``_Tableau.grow``, over a standard form grown
+    from the basis's: only the new numbers are read and checked), with
+    no refactorization.  The dual simplex runs on the costs shifted to
+    make its start dual feasible (see ``_Tableau.dual_run``); the primal
     simplex then restores the true costs.
+
+    ``price``, if given, makes the solve column generation (Desaulniers,
+    Desrosiers & Solomon (eds.), *Column Generation*, 2005): it is called
+    after each optimal or infeasible solve as :func:`branch_and_bound`
+    calls it at a node, with the structural bounds, and while it appends
+    columns or rows the tableau is grown the same way, each new column
+    within its posed bounds, and solved again in place.  The result is
+    then the solve over every column ``price`` can add; ``iterations``
+    counts the pivots and bound flips of every round.
 
     Returns Optimal with reduced costs, the duals of the rows as posed
     and the final basis; Infeasible with a certificate and, past the
     bound check, the Farkas multipliers of the rows as posed and the
     final basis; or Unbounded.  A certificate names the constraint rows
     of the proof, and as ``bound[<variable name>]`` each variable whose
-    upper bound the proof rests on; lower bounds are never named.  Crossed bounds name the variable the same way.  A
-    NaN bound, a lower bound that is not finite or an upper bound of
-    -inf raises ``ValueError`` naming the variable.  A column of
-    ``start`` at an upper bound that is now infinite starts at its lower
-    bound.
-    Each of the two runs is limited to 50 * (rows + columns) + 1000
-    pivots and bound flips of the standard form; past that it raises
+    upper bound the proof rests on; lower bounds are never named.
+    Crossed bounds name the variable the same way.  A NaN bound, a lower
+    bound that is not finite or an upper bound of -inf raises
+    ``ValueError`` naming the variable.  A column of ``start`` at an
+    upper bound that is now infinite starts at its lower bound.  Each
+    dual and primal run is limited to 50 * (rows + columns) + 1000 pivots
+    and bound flips of the standard form; past that it raises
     MalformedProgram.
     """
     if lower is None or upper is None:
@@ -704,29 +720,26 @@ def simplex_solve(lp: LinearProgram, lower: Optional[np.ndarray] = None,
     if np.count_nonzero(np.isfinite(lower) & (lower <= upper)) < lower.size:
         return LpSolution(status="Infeasible", certificate=_crossed_bounds(lp, lower, upper))
     form = _StandardForm(lp) if start is None else start.form
-    n = form.n
-    grown = (None if (n, form.m) == (len(lp.variables), len(lp.constraints))
-             else _StandardForm(lp, form))
-    tab = _Tableau(form, lower[:n], upper[:n], start)
-    if grown is not None:
-        tab.grow(grown, lower[n:], upper[n:])
-        form = grown
-    max_iter = 50 * (tab.m + tab.total) + 1000
-
-    row = tab.dual_run(form.cost, max_iter)
-    if row is not None:
-        certificate, farkas = tab.proof(row)
-        return LpSolution(status="Infeasible", certificate=certificate, farkas=farkas,
-                          iterations=tab.iterations, basis=tab.final_basis())
-    status, red, y = tab.run(form.cost, max_iter)
-    if status == "Unbounded":
-        return LpSolution(status="Unbounded", iterations=tab.iterations)
-    x, objective = tab.read_off()
-    return LpSolution(status="Optimal", values=x, objective=objective,
-                      iterations=tab.iterations,
-                      reduced_costs=red[:form.n].copy(),
-                      duals=y * form.sign,
-                      basis=tab.final_basis())
+    tab = _Tableau(form, lower[:form.n], upper[:form.n], start)
+    if (form.n, form.m) != (len(lp.variables), len(lp.constraints)):
+        tab.grow(_StandardForm(lp, form), lower, upper)
+    iterations = 0
+    while True:
+        values, objective, red, proof = _solve_node(tab, None)
+        iterations += tab.iterations
+        if price is None or proof is None or not _price(price, tab, lp, values is not None,
+                                                        proof):
+            break
+    form = tab.form
+    if values is not None:
+        return LpSolution(status="Optimal", values=values, objective=objective,
+                          iterations=iterations, reduced_costs=red[:form.n].copy(),
+                          duals=proof * form.sign, basis=tab.final_basis())
+    if proof is None:
+        return LpSolution(status="Unbounded", iterations=iterations)
+    certificate, farkas = tab.proof(proof)
+    return LpSolution(status="Infeasible", certificate=certificate, farkas=farkas,
+                      iterations=iterations, basis=tab.final_basis())
 
 
 def branch_and_bound(lp: LinearProgram, root: Optional[LpSolution] = None,
@@ -750,14 +763,15 @@ def branch_and_bound(lp: LinearProgram, root: Optional[LpSolution] = None,
     and it is deterministic.
 
     The root is the first node: ``root``, if given, is
-    ``simplex_solve(lp)`` already solved, else it is solved here.  A
-    root that is not optimal is returned as solved, with its status and
-    certificate.
+    ``simplex_solve(lp)`` already solved, priced or not, else it is
+    solved here, unpriced.  A root that is not optimal is returned as
+    solved, with its status and certificate.
 
-    A dive keeps one tableau (Koberstein, 2005).  A child narrows one
-    bound of the branched column in it and runs the dual and primal
-    simplex in place; the down child's start is saved when its parent
-    branches and restored when the search backtracks to it.  Each child starts bit for bit where
+    One tableau is built over the root's basis, and a dive keeps it
+    (Koberstein, 2005).  A child narrows one bound of the branched
+    column in it and runs the dual and primal simplex in place; the down
+    child's start is saved when its parent branches and restored when
+    the search backtracks to it.  Each child starts bit for bit where
     ``simplex_solve(lp, lower, upper, parent.basis)`` would: from the
     parent's final basis, its basic values read fresh off the inverse
     and its last pricing, so it takes the same pivots.  The result has
@@ -774,13 +788,14 @@ def branch_and_bound(lp: LinearProgram, root: Optional[LpSolution] = None,
     row duals as posed, or "infeasible", with the Farkas multipliers as
     posed (``LpSolution.farkas``), and ``lower`` and ``upper`` are the
     node's structural bounds, read only.  It may append columns and rows
-    to ``lp`` and returns whether any entered.  Then the standard form
-    grows once, the tableau is extended in place (``_Tableau.grow``) and
-    the node is solved again in place, until nothing enters.  A saved
-    down child from an older form is extended the same way when it is
-    restored.  A column appended later takes its posed bounds at every
-    node.  As every node the search prunes or accepts is fully priced,
-    the result is the optimum over every column ``price`` can add.  The
+    to ``lp`` and returns whether any entered.  Then the tableau grows in
+    place by the step that grows a restarted ``simplex_solve``
+    (``_Tableau.grow``) and the node is solved again in place, until
+    nothing enters.  A saved down child from an older form is extended
+    the same way when it is restored.  A column appended later takes
+    its posed bounds at every node.  As every node the search prunes or
+    accepts is fully priced, and the final fixed re-solve too, the
+    result is the optimum over every column ``price`` can add.  The
     result's ``values`` has one entry per column of the final program,
     0 in those appended after the incumbent was found; ``nodes`` counts
     each node once, however often it is solved.
@@ -794,48 +809,33 @@ def branch_and_bound(lp: LinearProgram, root: Optional[LpSolution] = None,
         return root
 
     form = root.basis.form
-    cost, max_iter = form.cost, 50 * (form.m + form.total) + 1000
+    tab = _Tableau(form, *lp.bounds(), root.basis)
     total_iters, nodes = root.iterations, 0
     incumbent: Optional[LpSolution] = None
-    tab: Optional[_Tableau] = None  # built when the root branches or grows
     # the down children still to solve: (their parent's saved tableau and
     # last pricing, the branched column, its new upper bound)
     stack: list[tuple[tuple, Optional[np.ndarray], int, float]] = []
     # of the node just solved: its values and objective when optimal, its
     # last pricing, and its duals (optimal) or infeasible row, which a
     # pricer reads; proof is None for a node not solved to either
-    values, objective, red, proof = root.values, root.objective, None, root.duals
+    values, objective, red, proof = root.values, root.objective, None, root.duals * form.sign
     while True:
         col = -1
         live = values is not None and (incumbent is None or _bound(lp, objective)
                                        < incumbent.objective - 1e-9)
         if live:
             col = _most_fractional(values, int_idx)
-        if col < 0 and price is not None and proof is not None:
-            if tab is None:
-                entered = price("optimal", proof, *lp.bounds())
-            elif values is not None:
-                entered = price("optimal", proof * form.sign, tab.lower[:form.n],
-                                tab.upper[:form.n])
-            else:
-                entered = price("infeasible", tab.farkas(proof), tab.lower[:form.n],
-                                tab.upper[:form.n])
-            if entered:
-                if tab is None:
-                    tab = _Tableau(form, *(b[:form.n] for b in lp.bounds()), root.basis)
-                form = _StandardForm(lp, form)
-                cost, max_iter = form.cost, 50 * (form.m + form.total) + 1000
-                tab.grow(form, *(b[tab.form.n:] for b in lp.bounds()))
-                values, objective, red, proof = _solve_node(tab, cost, max_iter, None)
-                total_iters += tab.iterations
-                continue
+        if (col < 0 and price is not None and proof is not None
+                and _price(price, tab, lp, values is not None, proof)):
+            form = tab.form
+            values, objective, red, proof = _solve_node(tab, None)
+            total_iters += tab.iterations
+            continue
         if live and col < 0:
-            incumbent = root if tab is None else LpSolution(
+            incumbent = LpSolution(
                 status="Optimal", values=values, objective=objective,
                 basis=Basis(tab.basis.copy(), tab.at_upper.copy(), form, tab.binv.copy()))
         if col >= 0:
-            if tab is None:
-                tab = _Tableau(form, *lp.bounds(), root.basis)
             v = values[col]
             stack.append((tab.save(), red, col, math.floor(v)))
             tab.narrow(col, math.ceil(v), tab.upper[col])  # the up child, solved next
@@ -843,7 +843,7 @@ def branch_and_bound(lp: LinearProgram, root: Optional[LpSolution] = None,
             saved, red, col, cut = stack.pop()
             tab.restore(saved)
             if tab.form is not form:  # saved before the program grew
-                tab.grow(form, *(b[tab.form.n:] for b in lp.bounds()))
+                tab.grow(form, *lp.bounds())
                 red = None
             tab.narrow(col, tab.lower[col], cut)
         else:
@@ -852,7 +852,7 @@ def branch_and_bound(lp: LinearProgram, root: Optional[LpSolution] = None,
         values = proof = None
         if tab.lower[col] > tab.upper[col]:
             continue
-        values, objective, red, proof = _solve_node(tab, cost, max_iter, red)
+        values, objective, red, proof = _solve_node(tab, red)
         total_iters += tab.iterations
 
     if incumbent is None:
@@ -865,18 +865,8 @@ def branch_and_bound(lp: LinearProgram, root: Optional[LpSolution] = None,
     if not np.array_equal(rounded, incumbent.values[int_idx]):
         lower, upper = lp.bounds()
         lower[int_idx] = upper[int_idx] = rounded
-        fixed = simplex_solve(lp, lower, upper)
+        fixed = simplex_solve(lp, lower, upper, price=price)
         total_iters += fixed.iterations
-        while price is not None and fixed.basis is not None:
-            optimal = fixed.status == "Optimal"
-            if not price("optimal" if optimal else "infeasible",
-                         fixed.duals if optimal else fixed.farkas, lower, upper):
-                break
-            posed_lower, posed_upper = lp.bounds()
-            lower = np.concatenate([lower, posed_lower[lower.size:]])
-            upper = np.concatenate([upper, posed_upper[upper.size:]])
-            fixed = simplex_solve(lp, lower, upper, fixed.basis)
-            total_iters += fixed.iterations
         if fixed.status == "Optimal":
             incumbent = fixed
     n = len(lp.variables)
@@ -887,13 +877,30 @@ def branch_and_bound(lp: LinearProgram, root: Optional[LpSolution] = None,
     return incumbent
 
 
-def _solve_node(tab: _Tableau, cost: np.ndarray, max_iter: int,
-                red: Optional[np.ndarray]) -> tuple:
-    """Solve a node in place in ``tab`` (``red`` as :meth:`_Tableau.dual_run`
-    takes it): (values and objective, None and NaN unless optimal; its last
-    pricing, or ``red`` when the dual simplex stopped; the duals of the
-    standard form when optimal, the infeasible row when infeasible, else
-    None).  ``tab.iterations`` counts its pivots."""
+def _price(price: Callable[..., bool], tab: _Tableau, lp: LinearProgram,
+           optimal: bool, proof) -> bool:
+    """Call ``price`` on the solve :func:`_solve_node` left in ``tab``:
+    its standard-form duals (``optimal``) or its infeasible row
+    ``proof``, read as posed, and its structural bounds.  When columns or
+    rows entered, grow ``tab`` in place to ``lp`` as it now is, each new
+    column within its posed bounds, and return True."""
+    n = tab.form.n
+    multipliers = proof * tab.form.sign if optimal else tab.farkas(proof)
+    if not price("optimal" if optimal else "infeasible", multipliers,
+                 tab.lower[:n], tab.upper[:n]):
+        return False
+    tab.grow(_StandardForm(lp, tab.form), *lp.bounds())
+    return True
+
+
+def _solve_node(tab: _Tableau, red: Optional[np.ndarray]) -> tuple:
+    """Solve a node in place in ``tab`` on its form's costs (``red`` as
+    :meth:`_Tableau.dual_run` takes it): (values and objective, None and
+    NaN unless optimal; its last pricing, or ``red`` when the dual simplex
+    stopped; the duals of the standard form when optimal, the infeasible
+    row when infeasible, else None).  ``tab.iterations`` counts its
+    pivots."""
+    cost, max_iter = tab.form.cost, 50 * (tab.m + tab.total) + 1000
     tab.iterations = 0
     row = tab.dual_run(cost, max_iter, red)
     if row is not None:

@@ -1,12 +1,16 @@
 import json
 import math
 import pathlib
+import os
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 
 from helpers import big_problem, random_problem
+import mlgdesign
 from mlgdesign import (DecompositionError, InfeasibleError, NoRealization,
                        ProblemFormatError, build_redundant_mlg, design, realization_path,
                        render_report)
@@ -449,6 +453,26 @@ class TestExportDot:
         err = capsys.readouterr().err
         assert err.startswith("invalid input: ") and repr("z1\\") in err
         assert not out.exists()
+
+    def test_non_ascii_id_written_as_utf8_in_c_locale(self, t1_path, tmp_path):
+        """Under the C locale with UTF-8 mode off, whose default file
+        encoding is ASCII, ``export-dot`` still writes a subscriber id
+        ``Київ`` as UTF-8 and exits 0."""
+        doc = load_t1_doc(t1_path)
+        for entry in doc["subscribers"]:
+            entry["id"] = "Київ" if entry["id"] == "u1" else entry["id"]
+        for channel in doc["channels"]:
+            channel["ends"] = ["Київ" if end == "u1" else end for end in channel["ends"]]
+        out = tmp_path / "g.dot"
+        src = str(pathlib.Path(mlgdesign.__file__).resolve().parents[1])
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONPATH": src}
+        run = subprocess.run(
+            [sys.executable, "-c", "import sys; from mlgdesign.cli import main; sys.exit(main())",
+             "export-dot", write_json(tmp_path, doc), "-o", str(out)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert (run.returncode, run.stderr) == (0, "")
+        assert '"3:Київ" -- "2:Київ"' in out.read_bytes().decode("utf-8")
 
     def test_command_deterministic(self, t1_path, tmp_path):
         a = tmp_path / "a.dot"

@@ -496,8 +496,9 @@ class TestPricedLinkPath:
         solve = design.simplex_solve
 
         def counted(lp, *args, **kwargs):
+            sol = solve(lp, *args, **kwargs)
             sizes.append(len(lp.variables))
-            return solve(lp, *args, **kwargs)
+            return sol
 
         monkeypatch.setattr(design, "simplex_solve", counted)
         instance = build_redundant_mlg(scaled_big_problem(1, 2))
@@ -545,15 +546,17 @@ class TestStartBasis:
             made.append(of(lp, columns))
             return made[-1]
 
-        def both(lp, *args, start=None, **kwargs):
-            sol = lp_module.simplex_solve(lp, *args, start=start, **kwargs)
+        def both(lp, *args, start=None, price=None, **kwargs):
+            sol = lp_module.simplex_solve(lp, *args, start=start, price=price, **kwargs)
             if any(start is basis for basis in made):
                 names = ({con.name for con in lp.constraints}
                          | {f"bound[{v.name}]" for v in lp.variables})
+                # cold over the program the priced solve ended with: a second
+                # pricer run would append columns the returned values lack
                 pairs.append((names, sol, lp_module.simplex_solve(lp, *args, **kwargs)))
             return sol
 
-        def root_only(lp, root):
+        def root_only(lp, root, **kwargs):
             raise LimitsExceeded("root only")
 
         monkeypatch.setattr(Basis, "of", recorded)
@@ -564,7 +567,7 @@ class TestStartBasis:
     @pytest.mark.parametrize("redraw", [False, True])
     def test_started_solves_match_cold(self, redraw, monkeypatch):
         """Capacitated node-link, the fixed-charge node-link root (unit
-        fixed costs) and the first priced link-path LP, started from their
+        fixed costs) and the priced link-path LP, started from their
         named bases, reach the status of the cold solve, its objective
         within 1e-9 relative, and certificates that name rows and bounds
         of the program."""
@@ -635,7 +638,7 @@ class TestStartBasis:
             made.append((dict(columns), of(lp, columns)))
             return made[-1][1]
 
-        def root_only(lp, root):
+        def root_only(lp, root, **kwargs):
             raise LimitsExceeded("root only")
 
         monkeypatch.setattr(Basis, "of", recorded)
@@ -880,14 +883,14 @@ class TestIntegralObjective:
         search = lp_module.branch_and_bound
         nodes = []
 
-        def recorded(lp, root=None):
-            sol = search(lp, root)
+        def recorded(lp, root=None, **kwargs):
+            sol = search(lp, root, **kwargs)
             nodes.append(sol.nodes)
             return sol
 
-        def unflagged(lp, root=None):
+        def unflagged(lp, root=None, **kwargs):
             lp.integral_objective = False
-            return recorded(lp, root)
+            return recorded(lp, root, **kwargs)
 
         monkeypatch.setattr(design, "branch_and_bound", recorded)
         flagged = solve_uncapacitated(instance, fixed)
@@ -909,6 +912,19 @@ class TestOracle:
         sol = brute_force_oracle(t1_instance, mode="uncapacitated",
                                  channel_fixed_costs=fixed)
         assert sol.objective == pytest.approx(18.0, abs=1e-6)
+
+    @pytest.mark.parametrize("fixed, error", [({"zz": 1.0}, KeyError),
+                                              ({"b1": -5.0}, ValueError),
+                                              ({"b1": math.inf}, ValueError),
+                                              ({"b1": math.nan}, ValueError)])
+    def test_fixed_costs_checked_as_the_solver_checks_them(self, t1_instance, fixed, error):
+        """An unknown channel, a negative fixed cost and one that is not
+        finite raise the error ``solve_uncapacitated`` raises."""
+        for solve in (lambda: solve_uncapacitated(t1_instance, fixed),
+                      lambda: brute_force_oracle(t1_instance, mode="uncapacitated",
+                                                 channel_fixed_costs=fixed)):
+            with pytest.raises(error):
+                solve()
 
     def test_t1_single_homing(self, t1_instance):
         sol = brute_force_oracle(t1_instance, single_homing=True)

@@ -105,6 +105,18 @@ class TestSimplex:
         assert sol.objective == pytest.approx(3.0)
         assert sol.values[0] == pytest.approx(3.0)
 
+    @pytest.mark.parametrize("column", [-1, 3])
+    def test_undeclared_objective_column_rejected(self, column):
+        """A cost on a column the program lacks raises ``ValueError``, as a
+        row entry on one does; the program keeps its objective."""
+        lp = single_var_lp()
+        with pytest.raises(ValueError, match="undeclared variable"):
+            lp.set_objective({0: 1.0, column: 5.0})
+        with pytest.raises(ValueError, match="undeclared variable"):
+            lp.add_constraint({0: 1.0, column: 5.0}, "<=", 9.0)
+        assert lp.objective == {0: 1.0}
+        assert simplex_solve(lp).objective == pytest.approx(3.0)
+
     def test_split_indifferent(self):
         lp = LinearProgram()
         x1, x2 = lp.add_var("x1"), lp.add_var("x2")
@@ -1014,6 +1026,81 @@ class TestPricing:
         assert sol.objective == pytest.approx(cold.objective, abs=1e-7)
         assert sol.objective == pytest.approx(ref.fun, abs=1e-6)
         assert sol.values.size == len(lp.variables)
+
+
+class TestPricedSolve:
+    """``simplex_solve(lp, ..., price=...)``: column generation over the
+    facility programs of :class:`TestPricing`, their ``y`` continuous."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_reaches_the_full_relaxation(self, seed):
+        """The priced relaxation reaches the cold solve's objective over
+        every pool column, and HiGHS's, with one value per column of the
+        program it ends with."""
+        data = random_facility(random.Random(7300 + seed))
+        fixed, initial, pool, caps, demand = data
+        lp = facility_program(fixed, initial, demand)
+        sol = simplex_solve(lp, price=PoolPricer(lp, pool, caps))
+        full = full_program(*data)
+        cold = simplex_solve(full)
+        assert sol.status == cold.status == "Optimal"
+        assert sol.objective == pytest.approx(cold.objective, abs=1e-9)
+        assert sol.objective == pytest.approx(highs(full).fun, abs=1e-7)
+        assert sol.values.size == len(lp.variables)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_infeasible_start_mended_by_farkas_columns(self, seed):
+        """With no initial columns the demand row cannot be met: the first
+        solve is infeasible, and the columns its Farkas multipliers price
+        in reach the status and objective of the cold solve over every
+        pool column."""
+        fixed, _initial, pool, caps, demand = random_facility(random.Random(7300 + seed))
+        lp = facility_program(fixed, [], demand)
+        pricer = PoolPricer(lp, pool, caps)
+        sol = simplex_solve(lp, price=pricer)
+        cold = simplex_solve(full_program(fixed, [], pool, caps, demand))
+        assert pricer.calls[0][0] == "infeasible" and pricer.calls[0][3] is not None
+        assert sol.status == cold.status
+        if cold.status == "Optimal":
+            assert sol.objective == pytest.approx(cold.objective, abs=1e-9)
+        else:
+            assert sol.farkas.size == len(lp.constraints) and sol.certificate
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_iterations_sum_every_round(self, seed):
+        """The priced solve takes the pivots of a solve restarted from
+        each round's basis after each pricing, summed, and reaches the
+        same objective bit for bit."""
+        fixed, initial, pool, caps, demand = random_facility(random.Random(7300 + seed))
+        lp = facility_program(fixed, initial, demand)
+        priced = simplex_solve(lp, price=PoolPricer(lp, pool, caps))
+        lp = facility_program(fixed, initial, demand)
+        pricer = PoolPricer(lp, pool, caps)
+        sol = simplex_solve(lp)
+        rounds, total = 1, sol.iterations
+        while pricer("optimal", sol.duals, *lp.bounds()):
+            sol = simplex_solve(lp, start=sol.basis)
+            rounds, total = rounds + 1, total + sol.iterations
+        assert rounds == len(pricer.calls) > 1
+        assert priced.iterations == total
+        assert priced.objective == sol.objective
+
+    def test_pricer_reads_the_given_bounds(self):
+        """Given bounds that fix ``y[0]`` at 1 and ``y[1]`` at 0, every
+        call reads them, and the posed bounds of each column appended
+        since; facility 1's pool column never enters."""
+        lp = facility_program([5, 5], [(10, 0), (10, 1)], 2)
+        pricer = PoolPricer(lp, [(1, 0), (2, 1)], [2.0, 2.0])
+        lower, upper = lp.bounds()
+        lower[0], upper[1] = 1.0, 0.0
+        sol = simplex_solve(lp, lower.copy(), upper.copy(), price=pricer)
+        assert sol.status == "Optimal" and sol.objective == pytest.approx(7.0)
+        assert [call[3] for call in pricer.calls] == [(1, 0), None]
+        for _kind, seen_lower, seen_upper, _column in pricer.calls:
+            assert seen_lower[:lower.size].tolist() == lower.tolist()
+            assert seen_upper[:upper.size].tolist() == upper.tolist()
+        assert pricer.calls[1][1][lower.size:].tolist() == [0.0]
+        assert pricer.calls[1][2][upper.size:].tolist() == [math.inf]
 
 
 class TestPosedBounds:
