@@ -14,10 +14,10 @@ zero, so no phase 1 is needed (Koberstein, *The dual simplex method*,
 PhD thesis, Paderborn, 2005, ch. 4).  A branch narrows one bound of one
 column; the parent's optimal basis stays dual feasible, so each child
 is re-solved from it on the true costs, in place in the tableau its
-parent left: a dive keeps one tableau, and a saved copy is restored
-only on backtrack.  An optimal solve returns the row duals that price
-new columns, and an infeasible one the Farkas multipliers that price a
-column able to mend it.  A solve takes a pricer that appends columns
+parent left: a dive keeps one tableau, and a backtrack builds one from
+the down child's record, its parent's basis and bounds.  An optimal
+solve returns the row duals that price new columns, and an infeasible
+one the Farkas multipliers that price a column able to mend it.  A solve takes a pricer that appends columns
 and rows, and grows its tableau in place until none enters (column
 generation), as it does to restart from a basis found before they were
 appended; branch and bound takes the same pricer at the nodes whose LP
@@ -33,7 +33,8 @@ pivot and bound flip updates them in O(1), rather than every iteration
 re-deriving them (Maros, *Computational Techniques of the Simplex
 Method*, 2003).  Bounds are checked once per solve: a NaN bound,
 a lower bound that is not finite or an upper bound of -inf raises
-``ValueError``.
+``ValueError``, as does an index in the objective or a row that is not
+a column of the program.
 
 The search
 takes the up branch first: in the design models a binary's up branch
@@ -121,7 +122,7 @@ class LinearProgram:
         n = len(self.variables)
         for j in coeffs:
             if not 0 <= j < n:
-                raise ValueError(f"{what} references undeclared variable {j}")
+                raise _undeclared(what, j)
 
     def integer_indices(self) -> list[int]:
         return [j for j, v in enumerate(self.variables) if v.integer]
@@ -129,9 +130,18 @@ class LinearProgram:
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """(lower, upper) per variable as posed, ``upper`` None read as no
         bound."""
-        lower = [v.lower for v in self.variables]
-        upper = [math.inf if v.upper is None else v.upper for v in self.variables]
-        return np.array(lower, dtype=float), np.array(upper, dtype=float)
+        return _posed(self.variables)
+
+
+def _posed(variables: list[Variable]) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) of ``variables`` as posed (see :meth:`LinearProgram.bounds`)."""
+    lower = [v.lower for v in variables]
+    upper = [math.inf if v.upper is None else v.upper for v in variables]
+    return np.array(lower, dtype=float), np.array(upper, dtype=float)
+
+
+def _undeclared(what: str, j: int) -> ValueError:
+    return ValueError(f"{what} references undeclared variable {j}")
 
 
 class _StandardForm:
@@ -148,8 +158,10 @@ class _StandardForm:
     changes, so the coefficients and costs of new columns are the last
     entries each row's dict and the objective gained: each is read from
     its end back to its first old column.  Raises ``ValueError`` when
-    ``lp`` is smaller than ``base``'s program, and ``MalformedProgram``
-    when a number read is NaN or infinite."""
+    ``lp`` is smaller than ``base``'s program or an index read is not a
+    column of ``lp`` (every index of a full build; of a grown one, those
+    of the new rows and those read from the ends), and
+    ``MalformedProgram`` when a number read is NaN or infinite."""
 
     def __init__(self, lp: LinearProgram, base: Optional[_StandardForm] = None):
         n, m = len(lp.variables), len(lp.constraints)
@@ -173,19 +185,26 @@ class _StandardForm:
         if n0 < n:  # the old rows' coefficients in new columns, the last ones each gained
             for i, (con, sign) in enumerate(zip(lp.constraints, self.sign[:m0].tolist())):
                 for j in reversed(con.coeffs):
-                    if j < n0:
-                        break
+                    if not n0 <= j < n:
+                        if 0 <= j < n0:
+                            break
+                        raise _undeclared("constraint", j)
                     A[i, j] = sign * con.coeffs[j]
         for i, con in enumerate(lp.constraints[m0:], m0):
             sign = self.sign[i] = -1.0 if con.relation == ">=" else 1.0
+            if con.coeffs and not (0 <= min(con.coeffs) and max(con.coeffs) < n):
+                raise _undeclared("constraint", min(con.coeffs) if min(con.coeffs) < 0
+                                  else max(con.coeffs))
             for j, c in con.coeffs.items():
                 A[i, j] = sign * c
             self.b[i] = sign * con.rhs
             if con.relation == "=":
                 self.logical_upper[i] = 0.0
         for j in reversed(lp.objective):  # the new columns' costs, set last
-            if j < n0:
-                break
+            if not n0 <= j < n:
+                if 0 <= j < n0:
+                    break
+                raise _undeclared("objective", j)
             self.cost[j] = lp.objective[j]
         if not (np.isfinite(A[:m0, n0:n]).all() and np.isfinite(A[m0:, :n]).all()
                 and np.isfinite(self.b[m0:]).all() and np.isfinite(self.cost[n0:n]).all()):
@@ -321,32 +340,39 @@ class _Tableau:
 
     def __init__(self, form: _StandardForm, lower: np.ndarray, upper: np.ndarray,
                  start: Optional[Basis]):
-        self.form = form
-        self.A = form.A  # never mutated
-        self.m, self.total = form.m, form.total
-        self.lower = np.concatenate([lower, np.zeros(form.m)])
-        self.upper = np.concatenate([upper, form.logical_upper])
-        self.blocked = self.upper <= self.lower  # fixed columns never move
+        """The tableau over ``start`` (None: the logical basis) with
+        structural bounds ``lower`` and ``upper``, grown to ``form``
+        (:meth:`grow`) when ``start`` is a basis of an earlier form of its
+        program: every tableau is built this one way."""
+        base = form if start is None else start.form
+        self.lower = np.concatenate([lower[:base.n], np.zeros(base.m)])
+        self.upper = np.concatenate([upper[:base.n], base.logical_upper])
         if start is None:
-            self.basis = np.arange(form.n, form.total)  # the logical columns
-            self.binv = np.eye(form.m)
+            self.basis = np.arange(base.n, base.total)  # the logical columns
+            self.binv = np.eye(base.m)
+            self.at_upper = np.zeros(base.total, dtype=bool)
         else:
             self.basis = start.columns.copy()
             self.binv = start.inverse.copy()
-        if start is None or not np.count_nonzero(start.at_upper):
-            self.at_upper = np.zeros(form.total, dtype=bool)
-            self.side = np.ones(form.total)
-        else:
             # a column whose bounds now meet, or whose upper bound is now
             # infinite, sits at its lower bound
-            self.at_upper = start.at_upper & ~self.blocked & (self.upper < np.inf)
-            self.side = np.where(self.at_upper, -1.0, 1.0)
+            self.at_upper = start.at_upper & (self.lower < self.upper) & (self.upper < np.inf)
+        self._derive(base)
+        self.iterations = 0
+        if base is not form:
+            self.grow(form, lower, upper)
+
+    def _derive(self, form: _StandardForm) -> None:
+        """Take ``form`` as this tableau's, and derive what every
+        iteration reads of the basis from the bounds, the basis and
+        ``at_upper``, and the basic values fresh off the inverse."""
+        self.form, self.A, self.m, self.total = form, form.A, form.m, form.total  # A never mutated
+        self.blocked = self.upper <= self.lower  # fixed columns never move
+        self.side = np.where(self.at_upper, -1.0, 1.0)
         self.movable = ~self.blocked
         self.movable[self.basis] = False
-        self.lower_b = self.lower[self.basis]
-        self.upper_b = self.upper[self.basis]
+        self.lower_b, self.upper_b = self.lower[self.basis], self.upper[self.basis]
         self.xb = self.basic_values(self.nonbasic_values())
-        self.iterations = 0
 
     def nonbasic_values(self) -> np.ndarray:
         """Every column's value with the basic ones at 0: each nonbasic
@@ -407,7 +433,8 @@ class _Tableau:
         return cost[self.basis].dot(self.binv)
 
     def final_basis(self) -> Basis:
-        return Basis(self.basis, self.at_upper, self.form, self.binv)
+        """The current basis, copied: the tableau may pivot on."""
+        return Basis(self.basis.copy(), self.at_upper.copy(), self.form, self.binv.copy())
 
     def read_off(self) -> tuple[np.ndarray, float]:
         """The structural columns' values, with entries below 1e-12 in
@@ -421,23 +448,6 @@ class _Tableau:
         x = x[:n].copy()
         x[np.abs(x) < 1e-12] = 0.0
         return x, float(self.form.cost[:n].dot(x))
-
-    _STATE = ("basis", "binv", "xb", "lower", "upper", "blocked", "at_upper", "side",
-              "movable", "lower_b", "upper_b")
-
-    def save(self) -> tuple:
-        """The form, and a copy of everything a solve or :meth:`narrow`
-        changes."""
-        return (self.form, *(getattr(self, name).copy() for name in self._STATE))
-
-    def restore(self, saved: tuple) -> None:
-        """Return to a state :meth:`save` took, over the form it was taken
-        in; ``saved`` is taken over, not copied, so it is restored at most
-        once."""
-        form, *arrays = saved
-        self.form, self.A, self.m, self.total = form, form.A, form.m, form.total
-        for name, value in zip(self._STATE, arrays):
-            setattr(self, name, value)
 
     def grow(self, form: _StandardForm, lower: np.ndarray, upper: np.ndarray) -> None:
         """Extend this tableau in place to ``form``, the standard form of
@@ -466,13 +476,7 @@ class _Tableau:
             binv[:m0, :m0] = self.binv
             binv[m0:, :m0] = -form.A[m0:, remap] @ self.binv
             self.binv = binv
-        self.form, self.A, self.m, self.total = form, form.A, form.m, form.total
-        self.blocked = self.upper <= self.lower
-        self.side = np.where(self.at_upper, -1.0, 1.0)
-        self.movable = ~self.blocked
-        self.movable[self.basis] = False
-        self.lower_b, self.upper_b = self.lower[self.basis], self.upper[self.basis]
-        self.xb = self.basic_values(self.nonbasic_values())
+        self._derive(form)
 
     def narrow(self, col: int, lower: float, upper: float) -> None:
         """Set column ``col``'s bounds to [``lower``, ``upper``], leaving
@@ -720,9 +724,7 @@ def simplex_solve(lp: LinearProgram, lower: Optional[np.ndarray] = None,
     if np.count_nonzero(np.isfinite(lower) & (lower <= upper)) < lower.size:
         return LpSolution(status="Infeasible", certificate=_crossed_bounds(lp, lower, upper))
     form = _StandardForm(lp) if start is None else start.form
-    tab = _Tableau(form, lower[:form.n], upper[:form.n], start)
-    if (form.n, form.m) != (len(lp.variables), len(lp.constraints)):
-        tab.grow(_StandardForm(lp, form), lower, upper)
+    tab = _Tableau(_StandardForm(lp, form) if _grew(lp, form) else form, lower, upper, start)
     iterations = 0
     while True:
         values, objective, red, proof = _solve_node(tab, None)
@@ -764,17 +766,20 @@ def branch_and_bound(lp: LinearProgram, root: Optional[LpSolution] = None,
 
     The root is the first node: ``root``, if given, is
     ``simplex_solve(lp)`` already solved, priced or not, else it is
-    solved here, unpriced.  A root that is not optimal is returned as
-    solved, with its status and certificate.
+    solved here, unpriced; a root solved before the program grew is
+    solved again, unpriced, from its basis.  A root that is not optimal
+    is returned as solved, with its status and certificate.
 
     One tableau is built over the root's basis, and a dive keeps it
     (Koberstein, 2005).  A child narrows one bound of the branched
-    column in it and runs the dual and primal simplex in place; the down
-    child's start is saved when its parent branches and restored when
-    the search backtracks to it.  Each child starts bit for bit where
-    ``simplex_solve(lp, lower, upper, parent.basis)`` would: from the
-    parent's final basis, its basic values read fresh off the inverse
-    and its last pricing, so it takes the same pivots.  The result has
+    column in it and runs the dual and primal simplex in place.  The
+    down child is an open node: its parent's basis, bounds and last
+    pricing, never a tableau, and on backtrack its tableau is built as
+    every restart's is, grown if the program grew since.  Each child
+    starts bit for bit where ``simplex_solve(lp, lower, upper,
+    parent.basis)`` would: from the parent's final basis, its basic
+    values read fresh off the inverse and its last pricing, so it takes
+    the same pivots.  The result has
     the incumbent's values, objective and basis, the pivots of every
     solve in ``iterations`` and the node LPs solved in ``nodes``.
 
@@ -791,8 +796,7 @@ def branch_and_bound(lp: LinearProgram, root: Optional[LpSolution] = None,
     to ``lp`` and returns whether any entered.  Then the tableau grows in
     place by the step that grows a restarted ``simplex_solve``
     (``_Tableau.grow``) and the node is solved again in place, until
-    nothing enters.  A saved down child from an older form is extended
-    the same way when it is restored.  A column appended later takes
+    nothing enters.  A column appended later takes
     its posed bounds at every node.  As every node the search prunes or
     accepts is fully priced, and the final fixed re-solve too, the
     result is the optimum over every column ``price`` can add.  The
@@ -805,6 +809,10 @@ def branch_and_bound(lp: LinearProgram, root: Optional[LpSolution] = None,
         raise ValueError("branch_and_bound requires at least one integer variable")
     if root is None:
         root = simplex_solve(lp)
+    elif root.basis is not None and _grew(lp, root.basis.form):
+        spent = root.iterations
+        root = simplex_solve(lp, start=root.basis)
+        root.iterations += spent
     if root.status != "Optimal":
         return root
 
@@ -812,9 +820,9 @@ def branch_and_bound(lp: LinearProgram, root: Optional[LpSolution] = None,
     tab = _Tableau(form, *lp.bounds(), root.basis)
     total_iters, nodes = root.iterations, 0
     incumbent: Optional[LpSolution] = None
-    # the down children still to solve: (their parent's saved tableau and
+    # the open down children: (their parent's basis, structural bounds and
     # last pricing, the branched column, its new upper bound)
-    stack: list[tuple[tuple, Optional[np.ndarray], int, float]] = []
+    stack: list[tuple[Basis, np.ndarray, np.ndarray, Optional[np.ndarray], int, float]] = []
     # of the node just solved: its values and objective when optimal, its
     # last pricing, and its duals (optimal) or infeasible row, which a
     # pricer reads; proof is None for a node not solved to either
@@ -832,20 +840,21 @@ def branch_and_bound(lp: LinearProgram, root: Optional[LpSolution] = None,
             total_iters += tab.iterations
             continue
         if live and col < 0:
-            incumbent = LpSolution(
-                status="Optimal", values=values, objective=objective,
-                basis=Basis(tab.basis.copy(), tab.at_upper.copy(), form, tab.binv.copy()))
+            incumbent = LpSolution(status="Optimal", values=values, objective=objective,
+                                   basis=tab.final_basis())
         if col >= 0:
-            v = values[col]
-            stack.append((tab.save(), red, col, math.floor(v)))
+            v, n = values[col], form.n
+            stack.append((tab.final_basis(), tab.lower[:n].copy(), tab.upper[:n].copy(), red,
+                          col, math.floor(v)))
             tab.narrow(col, math.ceil(v), tab.upper[col])  # the up child, solved next
         elif stack:
-            saved, red, col, cut = stack.pop()
-            tab.restore(saved)
-            if tab.form is not form:  # saved before the program grew
-                tab.grow(form, *lp.bounds())
+            basis, lower, upper, red, col, cut = stack.pop()
+            upper[col] = cut
+            if basis.form is not form:  # recorded before the program grew
+                new = _posed(lp.variables[basis.form.n:form.n])
+                lower, upper = np.concatenate([lower, new[0]]), np.concatenate([upper, new[1]])
                 red = None
-            tab.narrow(col, tab.lower[col], cut)
+            tab = _Tableau(form, lower, upper, basis)
         else:
             break
         nodes += 1
@@ -875,6 +884,11 @@ def branch_and_bound(lp: LinearProgram, root: Optional[LpSolution] = None,
                                            np.zeros(n - incumbent.values.size)])
     incumbent.iterations, incumbent.nodes = total_iters, nodes
     return incumbent
+
+
+def _grew(lp: LinearProgram, form: _StandardForm) -> bool:
+    """Whether columns or rows were appended to ``lp`` since ``form`` was built."""
+    return (form.n, form.m) != (len(lp.variables), len(lp.constraints))
 
 
 def _price(price: Callable[..., bool], tab: _Tableau, lp: LinearProgram,

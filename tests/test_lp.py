@@ -117,6 +117,41 @@ class TestSimplex:
         assert lp.objective == {0: 1.0}
         assert simplex_solve(lp).objective == pytest.approx(3.0)
 
+    @pytest.mark.parametrize("where", ["objective", "row", "new row"])
+    def test_index_written_past_the_checks_rejected(self, where):
+        """``x >= 2`` at cost 1, with a cost on column -1, an entry of its
+        row in column n (the row's logical) or a new row's entry in column
+        -1 written straight into the public dicts: the solve raises
+        ``ValueError`` naming the index, cold and when the entry is
+        appended with a new column after a solve and the solve restarts
+        from its basis."""
+        def spoil(lp):
+            if where == "objective":
+                lp.objective[-1] = 5.0
+                return -1
+            if where == "new row":
+                lp.add_constraint({0: 1.0}, "<=", 9.0)
+                lp.constraints[-1].coeffs[-1] = 1.0
+                return -1
+            j = len(lp.variables)
+            lp.constraints[0].coeffs[j] = 3.0
+            return j
+
+        lp = LinearProgram()
+        x = lp.add_var("x")
+        lp.add_constraint({x: 1.0}, ">=", 2.0, name="floor")
+        lp.set_objective({x: 1.0})
+        sol = simplex_solve(lp)
+        assert sol.objective == pytest.approx(2.0)
+        y = lp.add_var("y")
+        lp.objective[y] = 1.0
+        lp.constraints[0].coeffs[y] = 1.0
+        j = spoil(lp)
+        with pytest.raises(ValueError, match=f"undeclared variable {j}$"):
+            simplex_solve(lp, start=sol.basis)
+        with pytest.raises(ValueError, match=f"undeclared variable {j}$"):
+            simplex_solve(lp)
+
     def test_split_indifferent(self):
         lp = LinearProgram()
         x1, x2 = lp.add_var("x1"), lp.add_var("x2")
@@ -671,6 +706,34 @@ class TestBranchAndBound:
         sol = branch_and_bound(lp, root=root)
         assert sol.status == "Optimal" and sol.values[0] == pytest.approx(3.0)
         assert calls == []
+
+    @pytest.mark.parametrize("coeff, rhs", [(2.0, 3.0), (1.0, 2.0)])
+    def test_root_solved_before_the_program_grew(self, coeff, rhs):
+        """Integer x at cost 1 with ``coeff * x >= rhs``, solved, then y at
+        cost 0.1 appended to that row: the stale root, fractional (2x >=
+        3) or integral (x >= 2), is solved again from its basis, and the
+        search ends where a search from scratch does (y = 3 or 2)."""
+        def program():
+            lp = LinearProgram()
+            x = lp.add_var("x", integer=True)
+            lp.add_constraint({x: coeff}, ">=", rhs, name="need")
+            lp.set_objective({x: 1.0})
+            return lp
+
+        def grown(lp):
+            y = lp.add_var("y")
+            lp.objective[y] = 0.1
+            lp.constraints[0].coeffs[y] = 1.0
+            return lp
+
+        lp = program()
+        root = simplex_solve(lp)
+        sol = branch_and_bound(grown(lp), root=root)
+        cold = branch_and_bound(grown(program()))
+        assert sol.status == cold.status == "Optimal"
+        assert sol.objective == pytest.approx(cold.objective) == pytest.approx(0.1 * rhs)
+        assert sol.values.tolist() == cold.values.tolist()
+        assert sol.iterations > root.iterations
 
     def test_infeasible_root_keeps_certificate(self):
         lp = LinearProgram()
