@@ -99,6 +99,8 @@ def parse_problem(path: str) -> builder.DesignProblem:
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(f"{path}: invalid JSON at line {exc.lineno}, "
                                  f"column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # an integer too long, nesting too deep
+        raise ProblemFormatError(f"{path}: invalid JSON: {exc}") from exc
     return problem_from_dict(doc)
 
 
@@ -351,46 +353,38 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="mlgdesign",
         description="Multi-layer graph design of overlay telecom networks")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the arguments of every subcommand, and those of solve and oracle
+    problem = argparse.ArgumentParser(add_help=False)
+    problem.add_argument("problem")
+    problem.add_argument("--allow-productivity-surplus", action="store_true")
+    designed = argparse.ArgumentParser(add_help=False)
+    designed.add_argument("--mode", choices=["capacitated", "uncapacitated"],
+                          default="capacitated")
+    designed.add_argument("--single-homing", action="store_true")
+    designed.add_argument("--fixed-costs", metavar="FILE",
+                          help="JSON map channel id -> fixed cost (uncapacitated)")
+    designed.add_argument("-o", "--output", default=None)
 
-    p_val = sub.add_parser("validate", help="build the instance and check overlay realizability")
-    p_val.add_argument("problem")
-    p_val.add_argument("--allow-productivity-surplus", action="store_true")
-
-    p_solve = sub.add_parser("solve", help="solve the design problem")
-    p_solve.add_argument("problem")
-    p_solve.add_argument("--mode", choices=["capacitated", "uncapacitated"],
-                         default="capacitated")
+    sub.add_parser("validate", parents=[problem],
+                   help="build the instance and check overlay realizability")
+    p_solve = sub.add_parser("solve", parents=[problem, designed],
+                             help="solve the design problem")
     p_solve.add_argument("--formulation", choices=["node-link", "link-path"],
                          default="node-link")
     p_solve.add_argument("--k", type=int, default=None,
                          help="accepted for compatibility and has no effect: link-path "
                               "prices every layer-1 path (link-path only; >= 1)")
-    p_solve.add_argument("--single-homing", action="store_true")
-    p_solve.add_argument("--fixed-costs", metavar="FILE",
-                         help="JSON map channel id -> fixed cost (uncapacitated)")
-    p_solve.add_argument("--allow-productivity-surplus", action="store_true")
-    p_solve.add_argument("-o", "--output", default=None)
-
-    p_dot = sub.add_parser("export-dot", help="write the built instance as Graphviz DOT")
-    p_dot.add_argument("problem")
-    p_dot.add_argument("--allow-productivity-surplus", action="store_true")
+    p_dot = sub.add_parser("export-dot", parents=[problem],
+                           help="write the built instance as Graphviz DOT")
     p_dot.add_argument("-o", "--output", required=True)
-
-    p_oracle = sub.add_parser("oracle", help="brute-force reference solve (small instances)")
-    p_oracle.add_argument("problem")
-    p_oracle.add_argument("--mode", choices=["capacitated", "uncapacitated"],
-                          default="capacitated")
-    p_oracle.add_argument("--single-homing", action="store_true")
-    p_oracle.add_argument("--fixed-costs", metavar="FILE")
-    p_oracle.add_argument("--allow-productivity-surplus", action="store_true")
-    p_oracle.add_argument("-o", "--output", default=None)
+    sub.add_parser("oracle", parents=[problem, designed],
+                   help="brute-force reference solve (small instances)")
     return parser
 
 
 def _load_instance(args) -> builder.BuiltInstance:
     problem = parse_problem(args.problem)
-    return builder.build_redundant_mlg(
-        problem, allow_surplus=getattr(args, "allow_productivity_surplus", False))
+    return builder.build_redundant_mlg(problem, allow_surplus=args.allow_productivity_surplus)
 
 
 def _load_fixed_costs(path: Optional[str], instance) -> dict[str, float]:
@@ -399,7 +393,7 @@ def _load_fixed_costs(path: Optional[str], instance) -> dict[str, float]:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: not UTF-8, not JSON
         raise ProblemFormatError(f"cannot read fixed costs {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ProblemFormatError("fixed costs file must be a JSON object")
@@ -425,41 +419,29 @@ def _cmd_validate(args) -> int:
     return EXIT_INVALID_INPUT
 
 
-def _cmd_solve(args) -> int:
-    instance = _load_instance(args)
-    if args.mode == "uncapacitated":
-        fixed = _load_fixed_costs(args.fixed_costs, instance)
-        solution = design.solve_uncapacitated(
-            instance, fixed, formulation=args.formulation,
-            single_homing=args.single_homing)
-    else:
-        solution = design.solve_capacitated(
-            instance, formulation=args.formulation,
-            single_homing=args.single_homing)
-    return _write_report(solution, instance, args.output)
-
-
 def _cmd_export_dot(args) -> int:
     instance = _load_instance(args)
     export_dot(instance.graph, args.output)
     return EXIT_OK
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_design(args) -> int:
+    """``solve`` and ``oracle``: the design of the problem file, written
+    as a solution document."""
     instance = _load_instance(args)
-    fixed = None
-    if args.mode == "uncapacitated":
-        fixed = _load_fixed_costs(args.fixed_costs, instance)
-    solution = design.brute_force_oracle(
-        instance, mode=args.mode, single_homing=args.single_homing,
-        channel_fixed_costs=fixed)
-    return _write_report(solution, instance, args.output)
-
-
-def _write_report(solution: design.DesignSolution, instance: builder.BuiltInstance,
-                  output: Optional[str]) -> int:
+    fixed = (_load_fixed_costs(args.fixed_costs, instance)
+             if args.mode == "uncapacitated" else None)
+    if args.command == "oracle":
+        solution = design.brute_force_oracle(instance, mode=args.mode, channel_fixed_costs=fixed,
+                                             single_homing=args.single_homing)
+    elif fixed is None:
+        solution = design.solve_capacitated(
+            instance, formulation=args.formulation, single_homing=args.single_homing)
+    else:
+        solution = design.solve_uncapacitated(
+            instance, fixed, formulation=args.formulation, single_homing=args.single_homing)
     rep = report.render_report(solution, instance)
-    write_solution(solution_to_dict(rep, solution.edge_flows), output)
+    write_solution(solution_to_dict(rep, solution.edge_flows), args.output)
     return EXIT_OK
 
 
@@ -473,8 +455,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             parser.error(f"argument --k: must be >= 1, got {args.k}")
     if getattr(args, "fixed_costs", None) is not None and args.mode != "uncapacitated":
         parser.error("argument --fixed-costs: only with --mode uncapacitated")
-    handlers = {"validate": _cmd_validate, "solve": _cmd_solve,
-                "export-dot": _cmd_export_dot, "oracle": _cmd_oracle}
+    handlers = {"validate": _cmd_validate, "solve": _cmd_design,
+                "export-dot": _cmd_export_dot, "oracle": _cmd_design}
     try:
         return handlers[args.command](args)
     except InfeasibleError as exc:

@@ -36,7 +36,7 @@ there rather than at the logical basis: the dual simplex then only
 repairs the rows that basis leaves out of bounds.  Node-link without
 single homing starts from the servers' cheapest-path forest (see
 :func:`formulate_node_link`), capacitated link-path from each
-commodity's cheapest path (see :func:`solve_capacitated`).  The model and its
+commodity's cheapest path (see :func:`_design`).  The model and its
 optimum are the same; only which of several equal-cost optima is
 returned can differ.  Single homing and the integer link-path roots
 start from the logical basis, whose optimum steers branch and bound.
@@ -516,23 +516,7 @@ def solve_capacitated(instance: BuiltInstance, formulation: str = "node-link",
     Link-path prices its columns over every layer-1 path (see
     :class:`_PathPricer`), at the root and, under single homing, at the
     branch-and-bound nodes too."""
-    _check_args(formulation)
-    if not instance.commodities:
-        return _assemble_solution(instance, {})
-    if formulation == "node-link":
-        form = formulate_node_link(instance, single_homing=single_homing)
-    else:
-        form = _link_path(instance, single_homing)
-        if not single_homing:  # each commodity's cheapest path basic in its demand row
-            form.start = {i: min(con.coeffs) for i, con in enumerate(form.lp.constraints)
-                          if con.name.startswith("demand[") and con.coeffs}
-    _sol, relaxed, routes = _solve(instance, form)
-    return _assemble_solution(instance, routes, relaxation_objective=relaxed)
-
-
-def _check_args(formulation: str) -> None:
-    if formulation not in ("node-link", "link-path"):
-        raise ValueError(f"unknown formulation {formulation!r}")
+    return _design(instance, formulation, single_homing)
 
 
 def _link_path(instance: BuiltInstance, single_homing: bool) -> _Formulation:
@@ -686,35 +670,7 @@ def solve_uncapacitated(instance: BuiltInstance,
     (``LinearProgram.integral_objective``); branch and bound prunes on
     it only at nodes it has priced.  Under single homing the servers'
     flows share channels, so it does not hold there."""
-    _check_args(formulation)
-    _check_fixed_costs(instance, channel_fixed_costs)
-    if not instance.commodities:
-        return _assemble_solution(instance, {})
-    if formulation == "node-link":
-        form = formulate_node_link(instance, single_homing=single_homing)
-    else:
-        form = _link_path(instance, single_homing)
-    form.lp.integral_objective = (not single_homing
-                                  and _integral_data(instance, channel_fixed_costs))
-    big_m = sum(c.demand for c in instance.commodities)
-    required = _required_channels(instance)
-    select_vars: dict[str, int] = {}
-    for ch_id in sorted(instance.channel_edges):
-        j = form.lp.add_var(f"use[{ch_id}]", upper=1.0, integer=True,
-                            lower=float(ch_id in required))
-        select_vars[ch_id] = j
-        form.meta[j] = ("use", ch_id)
-        form.lp.objective[j] = float(channel_fixed_costs.get(ch_id, 0.0))
-        coeffs = dict.fromkeys(form.channel_rows_vars[ch_id], 1.0)
-        coeffs[j] = -big_m
-        form.lp.add_constraint(coeffs, "<=", 0.0, name=f"coupling[{ch_id}]")
-
-    sol, relaxed, routes = _solve(instance, form)
-    selected = [ch for ch, j in sorted(select_vars.items()) if sol.values[j] > 0.5]
-    fixed_part = sum(float(channel_fixed_costs.get(ch, 0.0)) for ch in selected)
-    return _assemble_solution(instance, routes, selected=selected,
-                              fixed_cost_part=fixed_part,
-                              relaxation_objective=relaxed)
+    return _design(instance, formulation, single_homing, channel_fixed_costs)
 
 
 def _check_fixed_costs(instance: BuiltInstance,
@@ -773,24 +729,62 @@ def _integral_data(instance: BuiltInstance, channel_fixed_costs: Mapping[str, fl
     return all(float(v).is_integer() for v in numbers if v != math.inf)
 
 
-def _solve(instance: BuiltInstance, form: _Formulation):
-    """Root LP, branch and bound from that root when the LP has integer
-    columns, then routes: (solution, root relaxation objective, routes).
+def _design(instance: BuiltInstance, formulation: str, single_homing: bool,
+            fixed: Optional[Mapping[str, float]] = None) -> DesignSolution:
+    """The one road from an instance to a design, capacitated, or with
+    ``fixed`` the channels' fixed costs: check the arguments, formulate,
+    solve the root LP, branch and bound from that root when the program
+    has integer columns, then assemble the design.
+
+    Capacitated link-path without single homing starts its root from each
+    commodity's cheapest path, basic in its demand row; node-link takes
+    the start its formulation names (``form.start``).  Link-path is priced
+    (:class:`_PathPricer`) at the root and at the search's nodes.  Fixed
+    charge adds one ``use`` column and one ``coupling`` row per channel.
     A root or search that ends other than optimal raises
-    ``InfeasibleError``.  The root starts from ``form.start``, if the
-    formulation names one.  A link-path formulation is priced
-    (:class:`_PathPricer`) at the root and at the search's nodes."""
+    ``InfeasibleError``."""
+    if formulation not in ("node-link", "link-path"):
+        raise ValueError(f"unknown formulation {formulation!r}")
+    if fixed is not None:
+        _check_fixed_costs(instance, fixed)
+    if not instance.commodities:
+        return _assemble_solution(instance, {})
+    if formulation == "node-link":
+        form = formulate_node_link(instance, single_homing=single_homing)
+    else:
+        form = _link_path(instance, single_homing)
+        if fixed is None and not single_homing:
+            form.start = {i: min(con.coeffs) for i, con in enumerate(form.lp.constraints)
+                          if con.name.startswith("demand[") and con.coeffs}
+    use: dict[str, int] = {}
+    if fixed is not None:
+        form.lp.integral_objective = not single_homing and _integral_data(instance, fixed)
+        big_m = sum(c.demand for c in instance.commodities)
+        required = _required_channels(instance)
+        for ch_id in sorted(instance.channel_edges):
+            j = use[ch_id] = form.lp.add_var(f"use[{ch_id}]", upper=1.0, integer=True,
+                                             lower=float(ch_id in required))
+            form.meta[j] = ("use", ch_id)
+            form.lp.objective[j] = float(fixed.get(ch_id, 0.0))
+            coeffs = dict.fromkeys(form.channel_rows_vars[ch_id], 1.0)
+            coeffs[j] = -big_m
+            form.lp.add_constraint(coeffs, "<=", 0.0, name=f"coupling[{ch_id}]")
+
     start = Basis.of(form.lp, form.start) if form.start else None
     price = None if form.trees is None else _PathPricer(instance, form)
-    relax = simplex_solve(form.lp, start=start, price=price)
+    relax = sol = simplex_solve(form.lp, start=start, price=price)
     if relax.status != "Optimal":
         raise InfeasibleError(certificate=relax.certificate)
-    sol = relax
     if form.lp.integer_indices():
         sol = branch_and_bound(form.lp, root=relax, price=price)
         if sol.status != "Optimal":
             raise InfeasibleError(certificate=sol.certificate)
-    return sol, relax.objective, form.read_routes(instance, form, sol.values)
+    selected, fixed_part = None, 0.0
+    if fixed is not None:
+        selected = [ch for ch, j in use.items() if sol.values[j] > 0.5]
+        fixed_part = sum(float(fixed.get(ch, 0.0)) for ch in selected)
+    return _assemble_solution(instance, form.read_routes(instance, form, sol.values),
+                              selected, fixed_part, relax.objective)
 
 
 # ---------------------------------------------------------------------------

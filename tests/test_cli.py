@@ -174,6 +174,26 @@ class TestParseProblem:
         err = capsys.readouterr().err
         assert err.startswith("invalid input: ") and str(path) in err and "UTF-8" in err
 
+    @pytest.mark.parametrize("text, reason", [
+        ("[" * 200_000, "recursion depth"),
+        ('{"b1": ' + "1" * 5000 + "}", "digits")], ids=["deep", "long-integer"])
+    @pytest.mark.parametrize("reader", ["problem", "fixed-costs"])
+    def test_malformed_json_exit(self, t1_path, tmp_path, capsys, reader, text, reason):
+        """JSON the decoder gives up on, nested too deep or with an integer
+        too long to convert, is invalid input (exit 2), in a problem file
+        and in a fixed-cost file, and the message names the file."""
+        if reason == "digits" and not hasattr(sys, "get_int_max_str_digits"):
+            pytest.skip("this Python converts integers of any length")
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        out = tmp_path / "sol.json"
+        argv = (["solve", str(path)] if reader == "problem" else
+                ["solve", t1_path, "--mode", "uncapacitated", "--fixed-costs", str(path)])
+        assert main([*argv, "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: ") and str(path) in err and reason in err
+        assert err.count("\n") == 1 and not out.exists()
+
     def test_utf8_ids_read_in_any_locale(self, t1_path, tmp_path):
         doc = load_t1_doc(t1_path)
         doc["intermediate"][0]["id"] = "z\u00e9"
@@ -361,6 +381,42 @@ class TestSolveCommand:
         assert main(["solve", t1_path, "-o", str(out)]) == 3
         assert "internal error" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestSubcommandOptions:
+    """Each subcommand takes its own options and no other."""
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--mode", "uncapacitated"],
+        ["validate", "-o", "{out}"],
+        ["export-dot", "--single-homing", "-o", "{out}"],
+        ["export-dot"],  # -o is required
+        ["oracle", "--formulation", "link-path", "-o", "{out}"],
+        ["oracle", "--k", "2", "-o", "{out}"],
+    ])
+    def test_foreign_option_exit(self, t1_path, tmp_path, argv):
+        out = str(tmp_path / "out")
+        command, *flags = argv
+        assert exit_code([command, t1_path, *(f.format(out=out) for f in flags)]) == 2
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("command, flags", [
+        ("solve", ["--mode", "uncapacitated", "--formulation", "link-path", "--k", "2",
+                   "--single-homing", "--fixed-costs", "{costs}",
+                   "--allow-productivity-surplus"]),
+        ("oracle", ["--mode", "uncapacitated", "--single-homing", "--fixed-costs", "{costs}",
+                    "--allow-productivity-surplus"]),
+        ("export-dot", ["--allow-productivity-surplus"]),
+    ])
+    def test_every_option_accepted(self, t1_path, tmp_path, command, flags):
+        costs = write_json(tmp_path, {"b1": 2.0}, "costs.json")
+        out = tmp_path / "out"
+        argv = [command, t1_path, *(f.format(costs=costs) for f in flags), "-o", str(out)]
+        assert main(argv) == 0
+        assert out.exists()
+
+    def test_validate_accepts_surplus(self, t1_path):
+        assert main(["validate", t1_path, "--allow-productivity-surplus"]) == 0
 
 
 class TestValidateCommand:

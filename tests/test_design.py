@@ -685,6 +685,33 @@ class TestSolveUncapacitated:
         sol = solve_uncapacitated(t1_instance, {})
         assert sol.objective == pytest.approx(14.0, abs=1e-6)
 
+    @pytest.mark.parametrize("single_homing", [False, True])
+    @pytest.mark.parametrize("formulation", ["node-link", "link-path"])
+    def test_zero_fixed_costs_match_capacitated_on_corpus(self, formulation, single_homing):
+        """With every fixed cost 0 the fixed-charge program is the
+        capacitated one plus free ``use`` columns, so on each instance of
+        the acceptance corpus it reaches the capacitated optimum, or the
+        same infeasibility."""
+
+        def objective(solve, *args):
+            try:
+                return solve(*args, formulation=formulation,
+                             single_homing=single_homing).objective
+            except InfeasibleError:
+                return None
+
+        feasible = 0
+        for seed in range(9000, 9100):
+            instance = build_redundant_mlg(random_problem(random.Random(seed)))
+            want = objective(solve_capacitated, instance)
+            got = objective(solve_uncapacitated, instance,
+                            dict.fromkeys(instance.channel_edges, 0.0))
+            assert (got is None) == (want is None), seed
+            if want is not None:
+                assert abs(got - want) <= 1e-9, seed
+                feasible += 1
+        assert feasible == {False: 89, True: 75}[single_homing]
+
     def test_mandatory_channel_kept_despite_price(self, t1_instance):
         # b1 is the only channel into u1, so it stays selected at any price
         fixed = {"b1": 100.0}
@@ -747,13 +774,13 @@ class TestSolveUncapacitated:
 def posed_fixed_charge(instance, fixed, monkeypatch, **kwargs):
     """The program ``solve_uncapacitated`` poses, and its solution."""
     programs = []
-    solve = design._solve
+    solve = design.simplex_solve
 
-    def captured(inst, form):
-        programs.append(form.lp)
-        return solve(inst, form)
+    def captured(lp, *args, **kwargs):
+        programs.append(lp)
+        return solve(lp, *args, **kwargs)
 
-    monkeypatch.setattr(design, "_solve", captured)
+    monkeypatch.setattr(design, "simplex_solve", captured)
     sol = solve_uncapacitated(instance, fixed, **kwargs)
     return programs[0], sol
 
