@@ -5,7 +5,9 @@ Problem files are JSON documents with top-level keys ``subscribers``,
 unknown keys are rejected.  Every number must be finite, except that a
 channel capacity may be ``Infinity`` (unbounded).  Exit codes:
 0 success, 1 infeasible, 2 invalid input (including bad command-line
-arguments), 3 internal/IO failure, 4 oracle limits exceeded.
+arguments, and a solution in which two edges carrying flow would be
+written under one ``per_edge_flow`` name), 3 internal/IO failure, 4
+oracle limits exceeded.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import json
 import math
 import sys
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from typing import Optional
 
 from . import builder, design, mlg, report
@@ -201,8 +202,21 @@ def _edge_key_str(key: tuple) -> str:
 
 def solution_to_dict(rep: report.ProjectReport, per_edge_flow: dict) -> dict:
     """The solution document: the report plus every edge flow above
-    ``FLOW_EPS``.  Every other outcome of a solve raises before a
-    document is made, so the status is always ``"optimal"``."""
+    ``FLOW_EPS``, under its name (:func:`_edge_key_str`).  Every other
+    outcome of a solve raises before a document is made, so the status
+    is always ``"optimal"``.
+
+    Ids may hold any character, so two edges can read alike (channels
+    ``a``-``b-c`` and ``a-b``-``c`` are both ``L1:a-b-c``); rather than
+    drop one flow, that raises ``ProblemFormatError`` naming both."""
+    named: dict[str, tuple] = {}  # name -> (edge key, flow)
+    for key, flow in per_edge_flow.items():
+        if flow > design.FLOW_EPS:
+            name = _edge_key_str(key)
+            if name in named:
+                raise ProblemFormatError(f"edges {named[name][0]!r} and {key!r} are both "
+                                         f"written {name!r} in per_edge_flow")
+            named[name] = key, flow
     return {
         "status": "optimal",
         "objective": rep.objective,
@@ -218,11 +232,7 @@ def solution_to_dict(rep: report.ProjectReport, per_edge_flow: dict) -> dict:
                          for nodes, flow in lst]
                    for cid, lst in sorted(rep.routes.items())},
         "validation": dict(sorted(rep.validation.items())),
-        "per_edge_flow": {
-            name: v for name, v in sorted(
-                ((_edge_key_str(k), v) for k, v in per_edge_flow.items()),
-                key=itemgetter(0))
-            if v > design.FLOW_EPS},
+        "per_edge_flow": {name: flow for name, (_key, flow) in sorted(named.items())},
     }
 
 

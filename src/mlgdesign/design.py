@@ -182,6 +182,11 @@ class _Formulation:
     # or ("use", channel); a node-link group is its server under single
     # homing, else None
     meta: dict[int, tuple] = field(default_factory=dict)
+    # row key -> row index (_add_row): ("assign", cid), ("demand", cid),
+    # ("homing", cid, server), ("conservation", group, node), ("capacity",
+    # channel), ("productivity", server) or ("coupling", channel).  Rows are
+    # found by key; a row's name is a label for certificates only
+    rows: dict[tuple, int] = field(default_factory=dict)
     channel_rows_vars: dict[str, list[int]] = field(default_factory=dict)
     # row -> column of a dual-feasible start basis (lp.Basis.of); empty
     # when the root LP starts from the logical basis
@@ -189,6 +194,15 @@ class _Formulation:
     # link-path: each server's cheapest-path tree (_server_trees), from
     # which the first columns came; its columns are priced (_PathPricer)
     trees: Optional[dict[str, dict[str, tuple]]] = None
+
+
+def _add_row(form: _Formulation, key: tuple, coeffs: dict[int, float], relation: str,
+             rhs: float) -> None:
+    """Pose the design row ``key`` (see :class:`_Formulation`), named
+    ``kind[id,...]`` after its key's ids, a ``None`` group left out."""
+    form.rows[key] = len(form.lp.constraints)
+    form.lp.add_constraint(coeffs, relation, rhs,
+                           name=f"{key[0]}[{','.join(p for p in key[1:] if p is not None)}]")
 
 
 def formulate_link_path(instance: BuiltInstance,
@@ -200,8 +214,7 @@ def formulate_link_path(instance: BuiltInstance,
     from :func:`_add_shared_rows`."""
     form = _Formulation(lp=LinearProgram(), read_routes=_routes_from_path_vars,
                         channel_rows_vars={c: [] for c in instance.channel_edges})
-    balance_rows: list[tuple[dict[int, float], str, float, str]] = []
-    homing_rows: list[tuple[dict[int, float], str, float, str]] = []
+    balance_rows: list[tuple[tuple, dict[int, float], str, float]] = []
     from_server: list[dict[str, list[int]]] = []
     y_rows: dict[tuple[str, str], dict[int, float]] = {}
     for commodity in instance.commodities:
@@ -214,16 +227,13 @@ def formulate_link_path(instance: BuiltInstance,
                 form.channel_rows_vars[ch].append(j)
             out[path.server].append(j)
         row = dict.fromkeys(itertools.chain(*out.values()), 1.0)
-        balance_rows.append((row, "=", commodity.demand, f"demand[{commodity.id}]"))
+        balance_rows.append((("demand", commodity.id), row, "=", commodity.demand))
         from_server.append(out)
         if single_homing:
-            for server, cols in out.items():
-                if cols:
-                    y_rows[commodity.id, server] = dict.fromkeys(cols, 1.0)
-                    homing_rows.append((y_rows[commodity.id, server], "<=", 0.0,
-                                        f"homing[{commodity.id},{server}]"))
-    _add_shared_rows(instance, form, balance_rows + homing_rows, from_server,
-                     single_homing, y_rows)
+            y_rows.update(((commodity.id, server), dict.fromkeys(cols, 1.0))
+                          for server, cols in out.items() if cols)
+    homing_rows = [(("homing", *pair), row, "<=", 0.0) for pair, row in y_rows.items()]
+    _add_shared_rows(instance, form, balance_rows + homing_rows, from_server, single_homing, y_rows)
     return form
 
 
@@ -262,7 +272,7 @@ def formulate_node_link(instance: BuiltInstance,
     form = _Formulation(lp=LinearProgram(), read_routes=_decompose_node_link,
                         channel_rows_vars={c: [] for c in channels})
     add_var, cost, meta = form.lp.add_var, form.lp.objective, form.meta
-    balance_rows: list[tuple[dict[int, float], str, float, str]] = []
+    balance_rows: list[tuple[tuple, dict[int, float], str, float]] = []
     from_server: list[dict[str, list[int]]] = []
     y_rows: dict[tuple[str, str], dict[int, float]] = {}
     demand = {c.sink.id: c.demand for c in instance.commodities}
@@ -294,27 +304,27 @@ def formulate_node_link(instance: BuiltInstance,
                           for c in instance.commodities)
         rhs = {} if single_homing else demand
         kept = [node for node, row in balance.items() if row or node in demand]
-        balance_rows += [(balance[node], "=", rhs.get(node, 0.0),
-                          f"conservation[{tag}{node}]") for node in kept]
+        balance_rows += [(("conservation", group, node), balance[node], "=",
+                          rhs.get(node, 0.0)) for node in kept]
     _add_shared_rows(instance, form, balance_rows, from_server, single_homing, y_rows)
     if not single_homing:
-        # one group, so no assign rows: its conservation rows come first,
-        # and ``out`` maps each server to its injection column
-        row = {node: i for i, node in enumerate(kept)}
-        form.start = {row[server]: cols[0] for server, cols in out.items()}
+        # one group, and ``out`` maps each server to its injection column
+        rows = form.rows
+        form.start = {rows["conservation", None, server]: cols[0] for server, cols in out.items()}
         forest = cheapest_paths_from(instance.graph, 1, out, _channel_cost)
-        form.start.update((row[node], arcs[path[-2], node])
+        form.start.update((rows["conservation", None, node], arcs[path[-2], node])
                           for node, (_cost, path) in forest.items() if node not in out)
     return form
 
 
 def _add_shared_rows(instance: BuiltInstance, form: _Formulation,
-                     rows: list[tuple[dict[int, float], str, float, str]],
+                     rows: list[tuple[tuple, dict[int, float], str, float]],
                      from_server: list[dict[str, list[int]]],
                      single_homing: bool,
                      y_rows: dict[tuple[str, str], dict[int, float]]) -> None:
     """Under single homing the ``y`` binaries with their ``assign`` rows;
-    then the formulation's own ``rows``; then one capacity row per
+    then the formulation's own ``rows`` (each the arguments of
+    :func:`_add_row` after ``form``); then one capacity row per
     finite-capacity MLG arc the columns use: the layer-1 channels
     (``capacity[ch]``) and the ``3:service -> 2:server`` edges
     (``productivity[s]``).
@@ -334,19 +344,19 @@ def _add_shared_rows(instance: BuiltInstance, form: _Formulation,
                 assign_row[j] = 1.0
                 if (commodity.id, server) in y_rows:
                     y_rows[commodity.id, server][j] = -commodity.demand
-            lp.add_constraint(assign_row, "=", 1.0, name=f"assign[{commodity.id}]")
+            _add_row(form, ("assign", commodity.id), assign_row, "=", 1.0)
     # the formulation's rows follow the assign rows, which need the y columns
-    for coeffs, relation, rhs, name in rows:
-        lp.add_constraint(coeffs, relation, rhs, name=name)
+    for row in rows:
+        _add_row(form, *row)
 
-    arcs = [(f"capacity[{ch}]", form.channel_rows_vars[ch], instance.channel_edges[ch])
+    arcs = [(("capacity", ch), form.channel_rows_vars[ch], instance.channel_edges[ch])
             for ch in sorted(form.channel_rows_vars)]
-    arcs += [(f"productivity[{s}]", [j for out in from_server for j in out.get(s, ())],
+    arcs += [(("productivity", s), [j for out in from_server for j in out.get(s, ())],
               instance.graph.find_inter(instance.service_node, NodeRef(2, s)))
              for s in servers]
-    for name, cols, edge in arcs:
+    for key, cols, edge in arcs:
         if cols and math.isfinite(edge.capacity):
-            lp.add_constraint(dict.fromkeys(cols, 1.0), "<=", edge.capacity, name=name)
+            _add_row(form, key, dict.fromkeys(cols, 1.0), "<=", edge.capacity)
 
 
 # ---------------------------------------------------------------------------
@@ -564,8 +574,7 @@ class _PathPricer:
 
     def __init__(self, instance: BuiltInstance, form: _Formulation):
         self.instance, self.form = instance, form
-        trees, servers = form.trees, instance.server_ids()
-        self.rows = rows = {con.name: i for i, con in enumerate(form.lp.constraints)}
+        trees, servers, rows = form.trees, instance.server_ids(), form.rows
         self.seen = {(meta[1], meta[2].nodes) for meta in form.meta.values()
                      if meta[0] == "path"}
         edges = instance.channel_edges
@@ -573,26 +582,21 @@ class _PathPricer:
         self.cost = [edge.cost for edge in edges.values()]
         # row indices, -1 for a row the program lacks: the multipliers get
         # a 0 appended for it
-        self.coupling = [rows.get(f"coupling[{ch}]", -1) for ch in edges]
+        self.coupling = [rows.get(("coupling", ch), -1) for ch in edges]
         use = {meta[1]: j for j, meta in form.meta.items() if meta[0] == "use"}
         self.use = np.array([use[ch] for ch in edges], dtype=int) if use else None
         assign = {meta[1:]: j for j, meta in form.meta.items() if meta[0] == "assign"}
         # each commodity and server a path can join, with its rows and the
         # cost of the server's tree path, which bounds every path's length
-        self.pairs = [(c, s, rows[f"demand[{c.id}]"], rows.get(f"productivity[{s}]", -1),
-                       rows.get(f"homing[{c.id},{s}]", -1), trees[s][c.sink.id][0])
+        self.pairs = [(c, s, rows["demand", c.id], rows.get(("productivity", s), -1),
+                       rows.get(("homing", c.id, s), -1), trees[s][c.sink.id][0])
                       for c in instance.commodities for s in servers if c.sink.id in trees[s]]
         self.assign = (np.array([assign[c.id, s] for c, s, *_ in self.pairs], dtype=int)
                        if assign else None)
-        self._capacity_rows()
-
-    def _capacity_rows(self) -> None:
-        self.capacity = [self.rows.get(f"capacity[{ch}]", -1)
-                         for ch in self.instance.channel_edges]
 
     def __call__(self, kind: str, multipliers: np.ndarray, lower: np.ndarray,
                  upper: np.ndarray) -> bool:
-        instance, rows = self.instance, self.rows
+        instance, rows = self.instance, self.form.rows
         scale = 1.0 if kind == "optimal" else 0.0
         y = multipliers.tolist()
         y.append(0.0)
@@ -604,8 +608,10 @@ class _PathPricer:
                  and (homed is None or homed[k])]
         if not open_:
             return False
-        length = [scale * cost - y[capacity] - y[coupling]
-                  for cost, capacity, coupling in zip(self.cost, self.capacity, self.coupling)]
+        # a capacity row is posed when a path first crosses its channel
+        capacity = [rows.get(("capacity", ch), -1) for ch in instance.channel_edges]
+        length = [scale * cost - y[row] - y[coupling]
+                  for cost, row, coupling in zip(self.cost, capacity, self.coupling)]
         if self.use is not None:
             length = [math.inf if up <= 0 else w
                       for w, up in zip(length, upper[self.use].tolist())]
@@ -621,33 +627,29 @@ class _PathPricer:
                 self.seen.add((c.id, nodes))
                 new.append((c.id, _candidate(s, nodes, _add_hops(0.0, nodes, adj), adj)))
         for cid, path in new:
-            _append_path(instance, self.form, rows, cid, path)
-        if new:
-            self._capacity_rows()
+            _append_path(instance, self.form, cid, path)
         return bool(new)
 
 
-def _append_path(instance: BuiltInstance, form: _Formulation, rows: dict[str, int],
-                 cid: str, path: CandidatePath) -> None:
+def _append_path(instance: BuiltInstance, form: _Formulation, cid: str,
+                 path: CandidatePath) -> None:
     """Append ``path`` as commodity ``cid``'s next column ``x[cid,i]`` of
     the link-path LP, with a ``capacity`` row for each finite channel
-    new to it; ``rows`` maps row names to indices and gains the new
-    rows."""
-    lp = form.lp
-    j = lp.add_var(f"x[{cid},{len(lp.constraints[rows[f'demand[{cid}]']].coeffs)}]")
+    new to it, and coefficient 1 in each of its rows (see
+    :class:`_PathPricer`) that the program has."""
+    lp, rows = form.lp, form.rows
+    j = lp.add_var(f"x[{cid},{len(lp.constraints[rows['demand', cid]].coeffs)}]")
     form.meta[j] = ("path", cid, path)
     lp.objective[j] = path.cost
     for ch in path.channels:
         form.channel_rows_vars[ch].append(j)
         capacity = instance.channel_edges[ch].capacity
-        if f"capacity[{ch}]" not in rows and math.isfinite(capacity):
-            rows[f"capacity[{ch}]"] = len(lp.constraints)
-            lp.add_constraint({}, "<=", capacity, name=f"capacity[{ch}]")
-    for row in (f"demand[{cid}]", f"productivity[{path.server}]",
-                f"homing[{cid},{path.server}]",
-                *(f"{kind}[{ch}]" for ch in path.channels for kind in ("capacity", "coupling"))):
-        if row in rows:
-            lp.constraints[rows[row]].coeffs[j] = 1.0
+        if ("capacity", ch) not in rows and math.isfinite(capacity):
+            _add_row(form, ("capacity", ch), {}, "<=", capacity)
+    for key in (("demand", cid), ("productivity", path.server), ("homing", cid, path.server),
+                *((kind, ch) for ch in path.channels for kind in ("capacity", "coupling"))):
+        if key in rows:
+            lp.constraints[rows[key]].coeffs[j] = 1.0
 
 
 def solve_uncapacitated(instance: BuiltInstance,
@@ -754,8 +756,9 @@ def _design(instance: BuiltInstance, formulation: str, single_homing: bool,
     else:
         form = _link_path(instance, single_homing)
         if fixed is None and not single_homing:
-            form.start = {i: min(con.coeffs) for i, con in enumerate(form.lp.constraints)
-                          if con.name.startswith("demand[") and con.coeffs}
+            demand = [form.rows["demand", c.id] for c in instance.commodities]
+            con = form.lp.constraints
+            form.start = {i: min(con[i].coeffs) for i in demand if con[i].coeffs}
     use: dict[str, int] = {}
     if fixed is not None:
         form.lp.integral_objective = not single_homing and _integral_data(instance, fixed)
@@ -768,7 +771,7 @@ def _design(instance: BuiltInstance, formulation: str, single_homing: bool,
             form.lp.objective[j] = float(fixed.get(ch_id, 0.0))
             coeffs = dict.fromkeys(form.channel_rows_vars[ch_id], 1.0)
             coeffs[j] = -big_m
-            form.lp.add_constraint(coeffs, "<=", 0.0, name=f"coupling[{ch_id}]")
+            _add_row(form, ("coupling", ch_id), coeffs, "<=", 0.0)
 
     start = Basis.of(form.lp, form.start) if form.start else None
     price = None if form.trees is None else _PathPricer(instance, form)

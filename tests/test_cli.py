@@ -606,6 +606,56 @@ class TestSolutionSerialization:
         golden = data / "golden" / f"bnb04.solve.{mode}.{formulation}.json"
         assert out.read_bytes() == golden.read_bytes()
 
+    @pytest.mark.parametrize("mode, flags", [
+        ("single-homing", ["--single-homing"]),
+        ("uncapacitated-single-homing", ["--mode", "uncapacitated", "--single-homing"])])
+    def test_comma_ids_golden_bytes(self, t1_path, tmp_path, mode, flags):
+        """Ids may hold commas, and a row label may then read like another
+        (``tests/data/comma_ids.json``).  Single-homing link-path writes
+        the committed ``tests/data/golden/comma_ids.solve.<mode>.link-path.json``,
+        byte for byte what node-link writes: objective 5 capacitated, 9
+        with unit fixed costs."""
+        data = pathlib.Path(t1_path).parent
+        golden = data / "golden" / f"comma_ids.solve.{mode}.link-path.json"
+        assert json.loads(golden.read_text())["objective"] == (9.0 if "--mode" in flags else 5.0)
+        out = tmp_path / "out.json"
+        for formulation in FORMULATIONS:
+            assert main(["solve", str(data / "comma_ids.json"), *flags, "--formulation",
+                         formulation, "-o", str(out)]) == 0
+            assert out.read_bytes() == golden.read_bytes()
+
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    def test_edges_written_alike_exit(self, t1_path, tmp_path, capsys, command):
+        """``tests/data/dashed_ids.json`` routes over channels ``a``-``b-c``
+        and ``a-b``-``c``, both named ``L1:a-b-c`` in ``per_edge_flow``
+        (and their layer-2 edges both ``L2:a-b-c``).  Rather than write
+        its 14 edge flows as 12 entries, a solve exits 2 naming both
+        edges, and writes no file."""
+        out = tmp_path / "sol.json"
+        problem = pathlib.Path(t1_path).parent / "dashed_ids.json"
+        assert main([command, str(problem), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "invalid input: edges ('intra', 1, 'a', 'b-c') and ('intra', 1, 'a-b', 'c') "
+            "are both written 'L1:a-b-c' in per_edge_flow\n")
+        assert not out.exists()
+
+    def test_only_written_flows_must_read_apart(self, t1_path):
+        """The check covers the flows a document writes, those above
+        ``FLOW_EPS``: once the flows of ``a-b``-``c`` are dropped, the
+        other edges' 12 flows are written, each under its own name."""
+        instance = build_redundant_mlg(parse_problem(
+            str(pathlib.Path(t1_path).parent / "dashed_ids.json")))
+        solution = design.solve_capacitated(instance)
+        rep = render_report(solution, instance)
+        flows = dict(solution.edge_flows)
+        assert len(flows) == 14
+        with pytest.raises(ProblemFormatError, match="both written 'L1:a-b-c'"):
+            solution_to_dict(rep, flows)
+        flows[("intra", 1, "a-b", "c")] = flows[("intra", 2, "a-b", "c")] = 0.0
+        written = solution_to_dict(rep, flows)["per_edge_flow"]
+        assert len(written) == 12
+        assert written["L1:a-b-c"] == written["L2:a-b-c"] == 1.0
+
     @staticmethod
     def written(doc, tmp_path):
         path = tmp_path / "doc.json"

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import pathlib
 import random
 
 import numpy as np
@@ -15,7 +16,7 @@ from mlgdesign import (Channel, DecompositionError, DesignProblem, InfeasibleErr
                        formulate_node_link, solve_capacitated, solve_uncapacitated)
 from mlgdesign.design import (_add_hops, _channel_cost, _decompose_node_link,
                               all_candidate_paths)
-from mlgdesign.cli import main, write_problem
+from mlgdesign.cli import main, parse_problem, write_problem
 from mlgdesign.lp import Basis
 from mlgdesign.mlg import cheapest_paths_from
 from helpers import big_problem, random_problem, scaled_big_problem, t1_problem
@@ -298,6 +299,89 @@ class TestFormulations:
         homing = ["homing"] if formulation == "link-path" else []
         assert [k for i, k in enumerate(kinds) if i == 0 or k != kinds[i - 1]] == \
             ["assign", balance, *homing, "capacity", "productivity"]
+
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+# each row kind and the ids its key holds after the kind
+ROW_KEYS = {"assign": ("cid",), "demand": ("cid",), "homing": ("cid", "server"),
+            "conservation": ("group", "node"), "capacity": ("channel",),
+            "productivity": ("server",), "coupling": ("channel",)}
+
+
+class TestRowRegistry:
+    """``_Formulation.rows`` finds every row by its key; a row's name is
+    only a label, formatted from the key as it always was."""
+
+    @staticmethod
+    def label(key):
+        return f"{key[0]}[{','.join(part for part in key[1:] if part is not None)}]"
+
+    @staticmethod
+    def solved_forms(name, formulation, mode, monkeypatch):
+        """Solve ``tests/data/<name>.json`` in ``mode`` and return the
+        formulation the solve posed, with the (commodity, path, column)
+        of every path :func:`design._append_path` appended to it."""
+        instance = build_redundant_mlg(parse_problem(str(DATA / f"{name}.json")))
+        forms, appended = [], []
+        add_row, append_path = design._add_row, design._append_path
+
+        def recorded_row(form, *args):
+            if not any(form is seen for seen in forms):
+                forms.append(form)
+            add_row(form, *args)
+
+        def recorded_path(instance, form, cid, path):
+            append_path(instance, form, cid, path)
+            appended.append((cid, path, len(form.lp.variables) - 1))
+
+        monkeypatch.setattr(design, "_add_row", recorded_row)
+        monkeypatch.setattr(design, "_append_path", recorded_path)
+        single_homing = mode in ("single-homing", "fixed-charge-single-homing")
+        if mode.startswith("fixed-charge"):
+            fixed = (json.loads((DATA / "bnb04.fixed.json").read_text()) if name == "bnb04"
+                     else dict.fromkeys(instance.channel_edges, 1.0))
+            solve_uncapacitated(instance, fixed, formulation=formulation,
+                                single_homing=single_homing)
+        else:
+            solve_capacitated(instance, formulation=formulation, single_homing=single_homing)
+        assert len(forms) == 1
+        return forms[0], appended
+
+    @pytest.mark.parametrize("mode", ["capacitated", "single-homing", "fixed-charge",
+                                      "fixed-charge-single-homing"])
+    @pytest.mark.parametrize("formulation", ["node-link", "link-path"])
+    @pytest.mark.parametrize("name", ["t1", "five_routes", "bnb04", "comma_ids"])
+    def test_every_row_once_by_key(self, name, formulation, mode, monkeypatch):
+        """Each posed row is listed once, under a key of its kind whose
+        label is the row's name, also where two labels read alike
+        (``comma_ids.json``: ``homing[a,b,c]`` is commodity ``a`` on
+        server ``b,c`` and commodity ``a,b`` on server ``c``).  Each
+        appended path column has coefficient 1 in exactly the rows its
+        keys name that the program has."""
+        form, appended = self.solved_forms(name, formulation, mode, monkeypatch)
+        constraints = form.lp.constraints
+        assert sorted(form.rows.values()) == list(range(len(constraints)))
+        for key, i in form.rows.items():
+            assert len(key) == 1 + len(ROW_KEYS[key[0]])
+            assert constraints[i].name == self.label(key)
+        assert any(key[0] == "coupling" for key in form.rows) == mode.startswith("fixed-charge")
+        for cid, path, j in appended:
+            keys = [("demand", cid), ("productivity", path.server),
+                    ("homing", cid, path.server)]
+            keys += [(kind, ch) for ch in path.channels for kind in ("capacity", "coupling")]
+            assert {i: con.coeffs[j] for i, con in enumerate(constraints) if j in con.coeffs} \
+                == {form.rows[key]: 1.0 for key in keys if key in form.rows}
+        if name == "five_routes" and formulation == "link-path":
+            assert len(appended) == 4  # one path is posed, four are priced in
+
+    def test_comma_ids_pose_rows_whose_labels_collide(self):
+        """The single-homing link-path program of ``comma_ids.json`` has
+        two rows labelled ``homing[a,b,c]``, told apart by their keys."""
+        instance = build_redundant_mlg(parse_problem(str(DATA / "comma_ids.json")))
+        form = design._link_path(instance, single_homing=True)
+        rows = [i for i, con in enumerate(form.lp.constraints) if con.name == "homing[a,b,c]"]
+        assert rows == sorted([form.rows["homing", "a", "b,c"], form.rows["homing", "a,b", "c"]])
 
 
 class TestSolveCapacitated:

@@ -91,3 +91,23 @@ def test_fixed_charge_link_path_at_k2_matches_milp(size, seed, costs, tmp_path):
     want = reference.reference_optimum(doc, mode="uncapacitated", fixed_costs=fixed)
     assert json.loads(out.read_text())["objective"] == pytest.approx(want.objective,
                                                                     rel=1e-9, abs=1e-6)
+
+
+@pytest.mark.parametrize("mode, objective", [("capacitated", 5.0), ("uncapacitated", 9.0)])
+def test_comma_ids_single_homing_match_milp(mode, objective, tmp_path):
+    """Ids may hold commas.  In ``tests/data/comma_ids.json`` the homing
+    rows of commodity ``a`` on server ``b,c`` and of commodity ``a,b`` on
+    server ``c`` are both labelled ``homing[a,b,c]``.  When link-path
+    found its rows by label, pricing put a new path into the wrong one
+    and single homing reported "infeasible".  Through the CLI both
+    formulations now reach the reference: 5 capacitated, 9 with unit
+    fixed costs."""
+    path = pathlib.Path(__file__).parent / "data" / "comma_ids.json"
+    want = reference.reference_optimum(json.loads(path.read_text()), mode=mode,
+                                       single_homing=True)
+    assert want.objective == objective
+    for formulation in ("node-link", "link-path"):
+        out = tmp_path / f"{formulation}.json"
+        assert main(["solve", str(path), "--mode", mode, "--single-homing",
+                     "--formulation", formulation, "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["objective"] == pytest.approx(objective, abs=1e-9)
