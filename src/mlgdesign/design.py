@@ -187,7 +187,6 @@ class _Formulation:
     # channel), ("productivity", server) or ("coupling", channel).  Rows are
     # found by key; a row's name is a label for certificates only
     rows: dict[tuple, int] = field(default_factory=dict)
-    channel_rows_vars: dict[str, list[int]] = field(default_factory=dict)
     # row -> column of a dual-feasible start basis (lp.Basis.of); empty
     # when the root LP starts from the logical basis
     start: dict[int, int] = field(default_factory=dict)
@@ -205,43 +204,84 @@ def _add_row(form: _Formulation, key: tuple, coeffs: dict[int, float], relation:
                            name=f"{key[0]}[{','.join(p for p in key[1:] if p is not None)}]")
 
 
+def _row(form: _Formulation, key: tuple) -> Optional[dict[int, float]]:
+    """The coefficients of design row ``key``; None if the program lacks it."""
+    i = form.rows.get(key)
+    return None if i is None else form.lp.constraints[i].coeffs
+
+
+def _add_column(form: _Formulation, name: str, role: tuple, cost: Optional[float],
+                entries, upper: Optional[float] = None, integer: bool = False,
+                lower: float = 0.0) -> int:
+    """Pose the design column ``name`` in [``lower``, ``upper``] with its
+    ``role`` (see :class:`_Formulation`) and ``cost`` (None: none), and
+    coefficient v in each row of ``entries``: (:func:`_row`, v) pairs."""
+    j = form.lp.add_var(name, upper=upper, integer=integer, lower=lower)
+    form.meta[j] = role
+    if cost is not None:
+        form.lp.objective[j] = cost
+    for row, v in entries:
+        if row is not None:
+            row[j] = v
+    return j
+
+
+def _pose_rows(instance: BuiltInstance, form: _Formulation, single_homing: bool,
+               balance: list[tuple[tuple, str, float]], channels, servers) -> None:
+    """Pose a formulation's rows, empty, before its columns: ``assign[c]``
+    under single homing, the ``balance`` rows ((key, relation, rhs)), and
+    the finite capacities of ``channels`` (``capacity[ch]``) and of the
+    ``3:service -> 2:server`` edges of ``servers`` (``productivity[s]``)."""
+    rows = [(("assign", c.id), "=", 1.0) for c in instance.commodities] if single_homing else []
+    rows += balance
+    rows += [(("capacity", ch), "<=", instance.channel_edges[ch].capacity) for ch in channels]
+    rows += [(("productivity", s), "<=",
+              instance.graph.find_inter(instance.service_node, NodeRef(2, s)).capacity)
+             for s in servers]
+    for key, relation, rhs in rows:
+        if math.isfinite(rhs):
+            _add_row(form, key, {}, relation, rhs)
+
+
+def _add_assign_columns(instance: BuiltInstance, form: _Formulation,
+                        entered: Callable[[Commodity, str], tuple]) -> None:
+    """Single homing's binaries ``y[c,s]``: 1 in ``assign[c]`` and ``-d_c``
+    in the row ``entered(c, s)``, where the program has it."""
+    for c in instance.commodities:
+        assign = _row(form, ("assign", c.id))
+        for s in instance.server_ids():
+            _add_column(form, f"y[{c.id},{s}]", ("assign", c.id, s), None,
+                        ((assign, 1.0), (_row(form, entered(c, s)), -c.demand)),
+                        upper=1.0, integer=True)
+
+
 def formulate_link_path(instance: BuiltInstance,
                         paths: dict[str, list[CandidatePath]],
                         single_homing: bool = False) -> _Formulation:
     """Per-path flow columns and one demand row per commodity.  Under
     single homing, ``homing[c,s]`` caps what commodity c draws from
-    server s at ``d_c * y[c,s]``.  The rows both formulations share come
-    from :func:`_add_shared_rows`."""
-    form = _Formulation(lp=LinearProgram(), read_routes=_routes_from_path_vars,
-                        channel_rows_vars={c: [] for c in instance.channel_edges})
-    balance_rows: list[tuple[tuple, dict[int, float], str, float]] = []
-    from_server: list[dict[str, list[int]]] = []
-    y_rows: dict[tuple[str, str], dict[int, float]] = {}
-    for commodity in instance.commodities:
-        out: dict[str, list[int]] = {s: [] for s in instance.server_ids()}
-        for idx, path in enumerate(paths.get(commodity.id, [])):
-            j = form.lp.add_var(f"x[{commodity.id},{idx}]")
-            form.meta[j] = ("path", commodity.id, path)
-            form.lp.objective[j] = path.cost
-            for ch in path.channels:
-                form.channel_rows_vars[ch].append(j)
-            out[path.server].append(j)
-        row = dict.fromkeys(itertools.chain(*out.values()), 1.0)
-        balance_rows.append((("demand", commodity.id), row, "=", commodity.demand))
-        from_server.append(out)
-        if single_homing:
-            y_rows.update(((commodity.id, server), dict.fromkeys(cols, 1.0))
-                          for server, cols in out.items() if cols)
-    homing_rows = [(("homing", *pair), row, "<=", 0.0) for pair, row in y_rows.items()]
-    _add_shared_rows(instance, form, balance_rows + homing_rows, from_server, single_homing, y_rows)
+    server s at ``d_c * y[c,s]``.  The paths enter by :func:`_append_path`."""
+    form = _Formulation(lp=LinearProgram(), read_routes=_routes_from_path_vars)
+    first = [(c.id, path) for c in instance.commodities for path in paths.get(c.id, [])]
+    balance = [(("demand", c.id), "=", c.demand) for c in instance.commodities]
+    pairs = {(cid, path.server) for cid, path in first}
+    if single_homing:
+        balance += [(("homing", c.id, s), "<=", 0.0) for c in instance.commodities
+                    for s in instance.server_ids() if (c.id, s) in pairs]
+    _pose_rows(instance, form, single_homing, balance,
+               sorted({ch for _cid, path in first for ch in path.channels}),
+               sorted({server for _cid, server in pairs}))
+    _append_path(instance, form, first)
+    if single_homing:
+        _add_assign_columns(instance, form, lambda c, s: ("homing", c.id, s))
     return form
 
 
 def formulate_node_link(instance: BuiltInstance,
                         single_homing: bool = False) -> _Formulation:
     """Directed arc and server-injection columns per flow group, and one
-    conservation row per layer-1 node and group; the rows both
-    formulations share come from :func:`_add_shared_rows`.
+    conservation row per layer-1 node and group; the rows are posed
+    first (:func:`_pose_rows`).
 
     Without single homing one group holds every commodity: they share
     the servers as sources, so the aggregate model (2E arcs + S
@@ -268,95 +308,44 @@ def formulate_node_link(instance: BuiltInstance,
     Columns and rows appended later keep their logicals and leave it
     dual feasible when their costs are >= 0.
     """
-    channels = sorted(instance.channel_edges)
-    form = _Formulation(lp=LinearProgram(), read_routes=_decompose_node_link,
-                        channel_rows_vars={c: [] for c in channels})
-    add_var, cost, meta = form.lp.add_var, form.lp.objective, form.meta
-    balance_rows: list[tuple[tuple, dict[int, float], str, float]] = []
-    from_server: list[dict[str, list[int]]] = []
-    y_rows: dict[tuple[str, str], dict[int, float]] = {}
+    channels, servers = sorted(instance.channel_edges), instance.server_ids()
+    form = _Formulation(lp=LinearProgram(), read_routes=_decompose_node_link)
     demand = {c.sink.id: c.demand for c in instance.commodities}
+    rhs = {} if single_homing else demand
+    # each flow group and the servers it injects at
+    sources = {s: [s] for s in servers} if single_homing else {None: servers}
+    # a node has a row where an arc or injection enters it, or a demand
+    ends = {n for edge in instance.channel_edges.values() for n in edge.ends}
+    balance = [(("conservation", group, node), "=", rhs.get(node, 0.0))
+               for group, injected in sources.items() for node in instance.graph.nodes(1)
+               if node in ends or node in demand or node in injected]
+    _pose_rows(instance, form, single_homing, balance, channels, servers)
+    capacity = {ch: _row(form, ("capacity", ch)) for ch in channels}
     arcs: dict[tuple[str, str], int] = {}  # (from, to) -> column, in the last group
-    for group in instance.server_ids() if single_homing else [None]:
+    inject: dict[str, int] = {}  # server -> its injection column
+    for group, injected in sources.items():
         tag = f"{group}," if single_homing else ""
-        balance: dict[str, dict[int, float]] = {n: {} for n in instance.graph.nodes(1)}
+        row = {node: _row(form, ("conservation", group, node)) for node in instance.graph.nodes(1)}
         for ch_id in channels:
             edge = instance.channel_edges[ch_id]
             a, b = edge.ends
-            uses = form.channel_rows_vars[ch_id]
             for frm, to in ((a, b), (b, a)):
-                j = add_var(f"f[{tag}{ch_id},{frm}->{to}]")
-                meta[j] = ("arc", group, ch_id, frm, to)
-                cost[j] = edge.cost
-                uses.append(j)
-                balance[to][j] = 1.0
-                balance[frm][j] = -1.0
-                arcs[frm, to] = j
-        out: dict[str, list[int]] = {}
-        for server in [group] if single_homing else instance.server_ids():
-            j = add_var(f"inj[{server}]")
-            meta[j] = ("inject", group, server)
-            out[server] = [j]
-            balance[server][j] = 1.0
-        from_server.append(out)
-        if single_homing:
-            y_rows.update(((c.id, group), balance[c.sink.id])
-                          for c in instance.commodities)
-        rhs = {} if single_homing else demand
-        kept = [node for node, row in balance.items() if row or node in demand]
-        balance_rows += [(("conservation", group, node), balance[node], "=",
-                          rhs.get(node, 0.0)) for node in kept]
-    _add_shared_rows(instance, form, balance_rows, from_server, single_homing, y_rows)
-    if not single_homing:
-        # one group, and ``out`` maps each server to its injection column
-        rows = form.rows
-        form.start = {rows["conservation", None, server]: cols[0] for server, cols in out.items()}
-        forest = cheapest_paths_from(instance.graph, 1, out, _channel_cost)
-        form.start.update((rows["conservation", None, node], arcs[path[-2], node])
-                          for node, (_cost, path) in forest.items() if node not in out)
-    return form
-
-
-def _add_shared_rows(instance: BuiltInstance, form: _Formulation,
-                     rows: list[tuple[tuple, dict[int, float], str, float]],
-                     from_server: list[dict[str, list[int]]],
-                     single_homing: bool,
-                     y_rows: dict[tuple[str, str], dict[int, float]]) -> None:
-    """Under single homing the ``y`` binaries with their ``assign`` rows;
-    then the formulation's own ``rows`` (each the arguments of
-    :func:`_add_row` after ``form``); then one capacity row per
-    finite-capacity MLG arc the columns use: the layer-1 channels
-    (``capacity[ch]``) and the ``3:service -> 2:server`` edges
-    (``productivity[s]``).
-
-    ``y[c,s]`` joins the row ``y_rows[c, s]``, if there is one, with
-    coefficient ``-d_c``.  ``from_server`` holds, per flow group, the
-    columns whose flow leaves each server.
-    """
-    lp = form.lp
-    servers = instance.server_ids()
+                arcs[frm, to] = _add_column(
+                    form, f"f[{tag}{ch_id},{frm}->{to}]", ("arc", group, ch_id, frm, to),
+                    edge.cost, ((row[to], 1.0), (row[frm], -1.0), (capacity[ch_id], 1.0)))
+        for server in injected:
+            inject[server] = _add_column(
+                form, f"inj[{server}]", ("inject", group, server), None,
+                ((row[server], 1.0), (_row(form, ("productivity", server)), 1.0)))
     if single_homing:
-        for commodity in instance.commodities:
-            assign_row: dict[int, float] = {}
-            for server in servers:
-                j = lp.add_var(f"y[{commodity.id},{server}]", upper=1.0, integer=True)
-                form.meta[j] = ("assign", commodity.id, server)
-                assign_row[j] = 1.0
-                if (commodity.id, server) in y_rows:
-                    y_rows[commodity.id, server][j] = -commodity.demand
-            _add_row(form, ("assign", commodity.id), assign_row, "=", 1.0)
-    # the formulation's rows follow the assign rows, which need the y columns
-    for row in rows:
-        _add_row(form, *row)
-
-    arcs = [(("capacity", ch), form.channel_rows_vars[ch], instance.channel_edges[ch])
-            for ch in sorted(form.channel_rows_vars)]
-    arcs += [(("productivity", s), [j for out in from_server for j in out.get(s, ())],
-              instance.graph.find_inter(instance.service_node, NodeRef(2, s)))
-             for s in servers]
-    for key, cols, edge in arcs:
-        if cols and math.isfinite(edge.capacity):
-            _add_row(form, key, dict.fromkeys(cols, 1.0), "<=", edge.capacity)
+        _add_assign_columns(instance, form, lambda c, s: ("conservation", s, c.sink.id))
+    else:
+        rows = form.rows
+        form.start = {rows["conservation", None, server]: j for server, j in inject.items()}
+        forest = cheapest_paths_from(instance.graph, 1, servers, _channel_cost)
+        form.start.update((rows["conservation", None, node], arcs[path[-2], node])
+                          for node, (_cost, path) in forest.items() if node not in inject)
+    return form
 
 
 # ---------------------------------------------------------------------------
@@ -626,30 +615,31 @@ class _PathPricer:
             if gain - reduced > 1e-9 and (c.id, nodes) not in self.seen:
                 self.seen.add((c.id, nodes))
                 new.append((c.id, _candidate(s, nodes, _add_hops(0.0, nodes, adj), adj)))
-        for cid, path in new:
-            _append_path(instance, self.form, cid, path)
+        _append_path(instance, self.form, new)
         return bool(new)
 
 
-def _append_path(instance: BuiltInstance, form: _Formulation, cid: str,
-                 path: CandidatePath) -> None:
-    """Append ``path`` as commodity ``cid``'s next column ``x[cid,i]`` of
-    the link-path LP, with a ``capacity`` row for each finite channel
-    new to it, and coefficient 1 in each of its rows (see
-    :class:`_PathPricer`) that the program has."""
-    lp, rows = form.lp, form.rows
-    j = lp.add_var(f"x[{cid},{len(lp.constraints[rows['demand', cid]].coeffs)}]")
-    form.meta[j] = ("path", cid, path)
-    lp.objective[j] = path.cost
-    for ch in path.channels:
-        form.channel_rows_vars[ch].append(j)
-        capacity = instance.channel_edges[ch].capacity
-        if ("capacity", ch) not in rows and math.isfinite(capacity):
-            _add_row(form, ("capacity", ch), {}, "<=", capacity)
-    for key in (("demand", cid), ("productivity", path.server), ("homing", cid, path.server),
-                *((kind, ch) for ch in path.channels for kind in ("capacity", "coupling"))):
-        if key in rows:
-            lp.constraints[rows[key]].coeffs[j] = 1.0
+def _append_path(instance: BuiltInstance, form: _Formulation,
+                 paths: list[tuple[str, CandidatePath]]) -> None:
+    """Append each (commodity id, path) of ``paths`` as that commodity's
+    next column ``x[cid,i]`` of the link-path LP, with a ``capacity`` row
+    for each finite channel new to it, and coefficient 1 in each of its
+    rows (see :class:`_PathPricer`) that the program has.  A channel's
+    rows are fetched once per call."""
+    crossed: dict[str, list] = {}  # channel -> the (row, 1.0) entries of its rows
+    for cid, path in paths:
+        demand = _row(form, ("demand", cid))
+        entries = [(demand, 1.0), (_row(form, ("productivity", path.server)), 1.0),
+                   (_row(form, ("homing", cid, path.server)), 1.0)]
+        for ch in path.channels:
+            if ch not in crossed:
+                capacity = instance.channel_edges[ch].capacity
+                if ("capacity", ch) not in form.rows and math.isfinite(capacity):
+                    _add_row(form, ("capacity", ch), {}, "<=", capacity)
+                crossed[ch] = [(row, 1.0) for row in (_row(form, ("capacity", ch)),
+                                                      _row(form, ("coupling", ch))) if row is not None]
+            entries += crossed[ch]
+        _add_column(form, f"x[{cid},{len(demand)}]", ("path", cid, path), path.cost, entries)
 
 
 def solve_uncapacitated(instance: BuiltInstance,
@@ -764,14 +754,19 @@ def _design(instance: BuiltInstance, formulation: str, single_homing: bool,
         form.lp.integral_objective = not single_homing and _integral_data(instance, fixed)
         big_m = sum(c.demand for c in instance.commodities)
         required = _required_channels(instance)
-        for ch_id in sorted(instance.channel_edges):
-            j = use[ch_id] = form.lp.add_var(f"use[{ch_id}]", upper=1.0, integer=True,
-                                             lower=float(ch_id in required))
-            form.meta[j] = ("use", ch_id)
-            form.lp.objective[j] = float(fixed.get(ch_id, 0.0))
-            coeffs = dict.fromkeys(form.channel_rows_vars[ch_id], 1.0)
-            coeffs[j] = -big_m
+        # the columns that cross each channel enter its coupling row
+        crossing: dict[str, dict[int, float]] = {ch: {} for ch in sorted(instance.channel_edges)}
+        for j, role in form.meta.items():
+            for ch in ((role[2],) if role[0] == "arc" else
+                       role[2].channels if role[0] == "path" else ()):
+                crossing[ch][j] = 1.0
+        for ch_id, coeffs in crossing.items():
             _add_row(form, ("coupling", ch_id), coeffs, "<=", 0.0)
+        for ch_id in crossing:
+            use[ch_id] = _add_column(form, f"use[{ch_id}]", ("use", ch_id),
+                                     float(fixed.get(ch_id, 0.0)),
+                                     ((_row(form, ("coupling", ch_id)), -big_m),),
+                                     upper=1.0, integer=True, lower=float(ch_id in required))
 
     start = Basis.of(form.lp, form.start) if form.start else None
     price = None if form.trees is None else _PathPricer(instance, form)

@@ -321,22 +321,30 @@ class TestRowRegistry:
     def solved_forms(name, formulation, mode, monkeypatch):
         """Solve ``tests/data/<name>.json`` in ``mode`` and return the
         formulation the solve posed, with the (commodity, path, column)
-        of every path :func:`design._append_path` appended to it."""
+        of every path :func:`design._append_path` appended to it, and how
+        many of those were appended before the solve began."""
         instance = build_redundant_mlg(parse_problem(str(DATA / f"{name}.json")))
-        forms, appended = [], []
+        forms, appended, posed = [], [], []
         add_row, append_path = design._add_row, design._append_path
+        simplex_solve = design.simplex_solve
 
         def recorded_row(form, *args):
             if not any(form is seen for seen in forms):
                 forms.append(form)
             add_row(form, *args)
 
-        def recorded_path(instance, form, cid, path):
-            append_path(instance, form, cid, path)
-            appended.append((cid, path, len(form.lp.variables) - 1))
+        def recorded_path(instance, form, paths):
+            first = len(form.lp.variables)
+            append_path(instance, form, paths)
+            appended.extend((cid, path, first + i) for i, (cid, path) in enumerate(paths))
+
+        def recorded_solve(*args, **kwargs):
+            posed.append(len(appended))
+            return simplex_solve(*args, **kwargs)
 
         monkeypatch.setattr(design, "_add_row", recorded_row)
         monkeypatch.setattr(design, "_append_path", recorded_path)
+        monkeypatch.setattr(design, "simplex_solve", recorded_solve)
         single_homing = mode in ("single-homing", "fixed-charge-single-homing")
         if mode.startswith("fixed-charge"):
             fixed = (json.loads((DATA / "bnb04.fixed.json").read_text()) if name == "bnb04"
@@ -346,7 +354,7 @@ class TestRowRegistry:
         else:
             solve_capacitated(instance, formulation=formulation, single_homing=single_homing)
         assert len(forms) == 1
-        return forms[0], appended
+        return forms[0], appended, posed[0]
 
     @pytest.mark.parametrize("mode", ["capacitated", "single-homing", "fixed-charge",
                                       "fixed-charge-single-homing"])
@@ -359,7 +367,7 @@ class TestRowRegistry:
         server ``b,c`` and commodity ``a,b`` on server ``c``).  Each
         appended path column has coefficient 1 in exactly the rows its
         keys name that the program has."""
-        form, appended = self.solved_forms(name, formulation, mode, monkeypatch)
+        form, appended, first = self.solved_forms(name, formulation, mode, monkeypatch)
         constraints = form.lp.constraints
         assert sorted(form.rows.values()) == list(range(len(constraints)))
         for key, i in form.rows.items():
@@ -373,7 +381,7 @@ class TestRowRegistry:
             assert {i: con.coeffs[j] for i, con in enumerate(constraints) if j in con.coeffs} \
                 == {form.rows[key]: 1.0 for key in keys if key in form.rows}
         if name == "five_routes" and formulation == "link-path":
-            assert len(appended) == 4  # one path is posed, four are priced in
+            assert (first, len(appended) - first) == (1, 4)  # one path is posed, four priced
 
     def test_comma_ids_pose_rows_whose_labels_collide(self):
         """The single-homing link-path program of ``comma_ids.json`` has
