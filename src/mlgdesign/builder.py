@@ -112,10 +112,12 @@ class BuiltInstance:
         return sorted(s.id for s in self.problem.servers)
 
     def server_productivity(self, server_id: str) -> float:
-        for s in self.problem.servers:
-            if s.id == server_id:
-                return s.productivity
-        raise KeyError(server_id)
+        """The capacity of the server's ``3:service -> 2:server`` edge: its
+        productivity as the graph poses it."""
+        edge = self.graph.find_inter(self.service_node, NodeRef(2, server_id))
+        if edge is None:
+            raise KeyError(server_id)
+        return edge.capacity
 
 
 def derive_commodities(problem: DesignProblem) -> list[Commodity]:

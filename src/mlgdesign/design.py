@@ -6,6 +6,14 @@ and uncapacitated drivers on top of the in-package simplex / branch and
 bound, and an independent brute-force oracle backed by exhaustive path
 enumeration plus scipy's LP solver.
 
+Both formulations are assembled alike: every row is posed first, empty,
+under a key of its role (:func:`_add_row`), then every column through
+one helper (:func:`_add_column`) that enters the rows its caller found
+by key.  Labels and column names serve certificates only; an id that
+could make two read alike is quoted (:func:`_id`).  A server's
+productivity is its service edge's capacity in the graph
+(``BuiltInstance.server_productivity``).
+
 Link-path is exact over every layer-1 path in every mode.  It starts
 from each server's cheapest path to each subscriber
 (:func:`enumerate_candidate_paths`), and one pricer
@@ -45,7 +53,9 @@ start from the logical basis, whose optimum steers branch and bound.
 from __future__ import annotations
 
 import itertools
+import json
 import math
+import re
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, Mapping, Optional
@@ -195,13 +205,26 @@ class _Formulation:
     trees: Optional[dict[str, dict[str, tuple]]] = None
 
 
+_ODD_ID = re.compile(r'[,\[\]">]|^-|-$')
+
+
+def _id(part: str) -> str:
+    """An id as a row label or column name writes it: as it is, or as a
+    JSON string when it holds ``,`` ``[`` ``]`` ``"`` or ``>`` or starts
+    or ends with ``-``, so that no two labels of a program read alike."""
+    if part.isalnum() or not _ODD_ID.search(part):
+        return part
+    return json.dumps(part, ensure_ascii=False)
+
+
 def _add_row(form: _Formulation, key: tuple, coeffs: dict[int, float], relation: str,
              rhs: float) -> None:
-    """Pose the design row ``key`` (see :class:`_Formulation`), named
-    ``kind[id,...]`` after its key's ids, a ``None`` group left out."""
+    """Pose the design row ``key`` (see :class:`_Formulation`), labelled
+    ``kind[id,...]`` after its key's ids (:func:`_id`), a ``None`` group
+    left out."""
     form.rows[key] = len(form.lp.constraints)
     form.lp.add_constraint(coeffs, relation, rhs,
-                           name=f"{key[0]}[{','.join(p for p in key[1:] if p is not None)}]")
+                           name=f"{key[0]}[{','.join(_id(p) for p in key[1:] if p is not None)}]")
 
 
 def _row(form: _Formulation, key: tuple) -> Optional[dict[int, float]]:
@@ -216,7 +239,7 @@ def _add_column(form: _Formulation, name: str, role: tuple, cost: Optional[float
     """Pose the design column ``name`` in [``lower``, ``upper``] with its
     ``role`` (see :class:`_Formulation`) and ``cost`` (None: none), and
     coefficient v in each row of ``entries``: (:func:`_row`, v) pairs."""
-    j = form.lp.add_var(name, upper=upper, integer=integer, lower=lower)
+    j = form.lp.add_var(name, upper, integer, lower)
     form.meta[j] = role
     if cost is not None:
         form.lp.objective[j] = cost
@@ -235,9 +258,7 @@ def _pose_rows(instance: BuiltInstance, form: _Formulation, single_homing: bool,
     rows = [(("assign", c.id), "=", 1.0) for c in instance.commodities] if single_homing else []
     rows += balance
     rows += [(("capacity", ch), "<=", instance.channel_edges[ch].capacity) for ch in channels]
-    rows += [(("productivity", s), "<=",
-              instance.graph.find_inter(instance.service_node, NodeRef(2, s)).capacity)
-             for s in servers]
+    rows += [(("productivity", s), "<=", instance.server_productivity(s)) for s in servers]
     for key, relation, rhs in rows:
         if math.isfinite(rhs):
             _add_row(form, key, {}, relation, rhs)
@@ -250,7 +271,7 @@ def _add_assign_columns(instance: BuiltInstance, form: _Formulation,
     for c in instance.commodities:
         assign = _row(form, ("assign", c.id))
         for s in instance.server_ids():
-            _add_column(form, f"y[{c.id},{s}]", ("assign", c.id, s), None,
+            _add_column(form, f"y[{_id(c.id)},{_id(s)}]", ("assign", c.id, s), None,
                         ((assign, 1.0), (_row(form, entered(c, s)), -c.demand)),
                         upper=1.0, integer=True)
 
@@ -320,22 +341,24 @@ def formulate_node_link(instance: BuiltInstance,
                for group, injected in sources.items() for node in instance.graph.nodes(1)
                if node in ends or node in demand or node in injected]
     _pose_rows(instance, form, single_homing, balance, channels, servers)
-    capacity = {ch: _row(form, ("capacity", ch)) for ch in channels}
+    capacity = {ch: (_row(form, ("capacity", ch)), 1.0) for ch in channels}  # arc entries
+    label = {x: _id(x) for x in itertools.chain(instance.graph.nodes(1), channels)}
     arcs: dict[tuple[str, str], int] = {}  # (from, to) -> column, in the last group
     inject: dict[str, int] = {}  # server -> its injection column
     for group, injected in sources.items():
-        tag = f"{group}," if single_homing else ""
+        tag = f"{label[group]}," if single_homing else ""
         row = {node: _row(form, ("conservation", group, node)) for node in instance.graph.nodes(1)}
         for ch_id in channels:
             edge = instance.channel_edges[ch_id]
             a, b = edge.ends
             for frm, to in ((a, b), (b, a)):
                 arcs[frm, to] = _add_column(
-                    form, f"f[{tag}{ch_id},{frm}->{to}]", ("arc", group, ch_id, frm, to),
-                    edge.cost, ((row[to], 1.0), (row[frm], -1.0), (capacity[ch_id], 1.0)))
+                    form, f"f[{tag}{label[ch_id]},{label[frm]}->{label[to]}]",
+                    ("arc", group, ch_id, frm, to), edge.cost,
+                    ((row[to], 1.0), (row[frm], -1.0), capacity[ch_id]))
         for server in injected:
             inject[server] = _add_column(
-                form, f"inj[{server}]", ("inject", group, server), None,
+                form, f"inj[{label[server]}]", ("inject", group, server), None,
                 ((row[server], 1.0), (_row(form, ("productivity", server)), 1.0)))
     if single_homing:
         _add_assign_columns(instance, form, lambda c, s: ("conservation", s, c.sink.id))
@@ -636,10 +659,10 @@ def _append_path(instance: BuiltInstance, form: _Formulation,
                 capacity = instance.channel_edges[ch].capacity
                 if ("capacity", ch) not in form.rows and math.isfinite(capacity):
                     _add_row(form, ("capacity", ch), {}, "<=", capacity)
-                crossed[ch] = [(row, 1.0) for row in (_row(form, ("capacity", ch)),
-                                                      _row(form, ("coupling", ch))) if row is not None]
+                rows = (_row(form, ("capacity", ch)), _row(form, ("coupling", ch)))
+                crossed[ch] = [(row, 1.0) for row in rows if row is not None]
             entries += crossed[ch]
-        _add_column(form, f"x[{cid},{len(demand)}]", ("path", cid, path), path.cost, entries)
+        _add_column(form, f"x[{_id(cid)},{len(demand)}]", ("path", cid, path), path.cost, entries)
 
 
 def solve_uncapacitated(instance: BuiltInstance,
@@ -763,7 +786,7 @@ def _design(instance: BuiltInstance, formulation: str, single_homing: bool,
         for ch_id, coeffs in crossing.items():
             _add_row(form, ("coupling", ch_id), coeffs, "<=", 0.0)
         for ch_id in crossing:
-            use[ch_id] = _add_column(form, f"use[{ch_id}]", ("use", ch_id),
+            use[ch_id] = _add_column(form, f"use[{_id(ch_id)}]", ("use", ch_id),
                                      float(fixed.get(ch_id, 0.0)),
                                      ((_row(form, ("coupling", ch_id)), -big_m),),
                                      upper=1.0, integer=True, lower=float(ch_id in required))

@@ -3,6 +3,7 @@ import json
 import math
 import pathlib
 import random
+import re
 
 import numpy as np
 import pytest
@@ -311,11 +312,16 @@ ROW_KEYS = {"assign": ("cid",), "demand": ("cid",), "homing": ("cid", "server"),
 
 class TestRowRegistry:
     """``_Formulation.rows`` finds every row by its key; a row's name is
-    only a label, formatted from the key as it always was."""
+    only a label, formatted from the key."""
 
     @staticmethod
     def label(key):
-        return f"{key[0]}[{','.join(part for part in key[1:] if part is not None)}]"
+        """``kind[id,...]``, a ``None`` group left out, an id written as a
+        JSON string when it holds one of ``,[]">`` or starts or ends with
+        ``-``."""
+        ids = [json.dumps(part, ensure_ascii=False) if re.search(r'[,\[\]">]|^-|-$', part)
+               else part for part in key[1:] if part is not None]
+        return f"{key[0]}[{','.join(ids)}]"
 
     @staticmethod
     def solved_forms(name, formulation, mode, monkeypatch):
@@ -362,9 +368,9 @@ class TestRowRegistry:
     @pytest.mark.parametrize("name", ["t1", "five_routes", "bnb04", "comma_ids"])
     def test_every_row_once_by_key(self, name, formulation, mode, monkeypatch):
         """Each posed row is listed once, under a key of its kind whose
-        label is the row's name, also where two labels read alike
-        (``comma_ids.json``: ``homing[a,b,c]`` is commodity ``a`` on
-        server ``b,c`` and commodity ``a,b`` on server ``c``).  Each
+        label is the row's name, also where ids hold commas
+        (``comma_ids.json``: commodity ``a`` on server ``b,c`` and
+        commodity ``a,b`` on server ``c``).  Each
         appended path column has coefficient 1 in exactly the rows its
         keys name that the program has."""
         form, appended, first = self.solved_forms(name, formulation, mode, monkeypatch)
@@ -383,13 +389,30 @@ class TestRowRegistry:
         if name == "five_routes" and formulation == "link-path":
             assert (first, len(appended) - first) == (1, 4)  # one path is posed, four priced
 
-    def test_comma_ids_pose_rows_whose_labels_collide(self):
-        """The single-homing link-path program of ``comma_ids.json`` has
-        two rows labelled ``homing[a,b,c]``, told apart by their keys."""
+    def test_comma_ids_homing_rows_read_apart(self):
+        """The single-homing link-path program of ``comma_ids.json`` has a
+        homing row for commodity ``a`` on server ``b,c`` and one for
+        commodity ``a,b`` on server ``c``: an id holding a comma is
+        quoted, so their labels read apart."""
         instance = build_redundant_mlg(parse_problem(str(DATA / "comma_ids.json")))
         form = design._link_path(instance, single_homing=True)
-        rows = [i for i, con in enumerate(form.lp.constraints) if con.name == "homing[a,b,c]"]
-        assert rows == sorted([form.rows["homing", "a", "b,c"], form.rows["homing", "a,b", "c"]])
+        names = form.lp.constraints
+        assert names[form.rows["homing", "a", "b,c"]].name == 'homing[a,"b,c"]'
+        assert names[form.rows["homing", "a,b", "c"]].name == 'homing["a,b",c]'
+
+    @pytest.mark.parametrize("mode", ["capacitated", "single-homing", "fixed-charge",
+                                      "fixed-charge-single-homing"])
+    @pytest.mark.parametrize("formulation", ["node-link", "link-path"])
+    @pytest.mark.parametrize("name", ["comma_ids", "dashed_ids"])
+    def test_labels_read_apart(self, name, formulation, mode, monkeypatch):
+        """Within a posed program no two rows share a label and no two
+        columns a name, so a certificate names one row or bound: ids may
+        hold commas (``comma_ids.json``) and dashes (``dashed_ids.json``)."""
+        form, _appended, _first = self.solved_forms(name, formulation, mode, monkeypatch)
+        rows = [con.name for con in form.lp.constraints]
+        columns = [var.name for var in form.lp.variables]
+        assert len(set(rows)) == len(rows)
+        assert len(set(columns)) == len(columns)
 
 
 class TestSolveCapacitated:

@@ -20,10 +20,11 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 import gen
 import reference
-from mlgdesign import (InfeasibleError, build_redundant_mlg, solve_capacitated,
-                       solve_uncapacitated)
+from mlgdesign import (InfeasibleError, NodeRef, brute_force_oracle, build_redundant_mlg,
+                       solve_capacitated, solve_uncapacitated)
 from mlgdesign.cli import main, problem_from_dict
 
+BNB_SIZE = dict(n_sub=3, n_srv=2, n_int=2, n_ch=8, slack=1)  # the fixed-charge-bnb size
 SIZES = {"8-18": dict(n_sub=8, n_srv=3, n_int=2, n_ch=18, slack=1),
          "12-26": dict(n_sub=12, n_srv=3, n_int=2, n_ch=26, slack=1)}
 
@@ -111,3 +112,28 @@ def test_comma_ids_single_homing_match_milp(mode, objective, tmp_path):
         assert main(["solve", str(path), "--mode", mode, "--single-homing",
                      "--formulation", formulation, "-o", str(out)]) == 0
         assert json.loads(out.read_text())["objective"] == pytest.approx(objective, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed, objective", [(128, 18.5), (131, 25.5), (173, 28.5)])
+def test_edited_productivity_is_read_off_the_graph(seed, objective):
+    """A server's productivity is the capacity of its ``3:service ->
+    2:server`` edge, for the rows, the integrality test and the oracle
+    alike.  Lowering ``s00``'s edge by 0.5 makes the optimum fractional.
+    When the integrality test read the problem statement, branch and
+    bound pruned on a rounded bound and reported 19, 26 and 29, and the
+    oracle, whose rows read it too, 18 on seed 128."""
+    doc = gen.big_problem(seed, **BNB_SIZE)
+    rng = random.Random(seed)
+    fixed = {ch["id"]: float(rng.randint(1, 3)) for ch in doc["channels"]}
+    instance = build_redundant_mlg(problem_from_dict(doc))
+    edge = instance.graph.find_inter(instance.service_node, NodeRef(2, "s00"))
+    edge.capacity -= 0.5
+    doc["servers"][0]["productivity"] = edge.capacity
+    assert doc["servers"][0]["id"] == "s00"
+    want = reference.reference_optimum(doc, mode="uncapacitated", fixed_costs=fixed)
+    assert want.objective == objective
+    for formulation in ("node-link", "link-path"):
+        sol = solve_uncapacitated(instance, fixed, formulation=formulation)
+        assert sol.objective == pytest.approx(objective, abs=1e-9)
+    oracle = brute_force_oracle(instance, "uncapacitated", channel_fixed_costs=fixed)
+    assert oracle.objective == pytest.approx(objective, abs=1e-9)
