@@ -58,7 +58,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -234,8 +234,8 @@ def _row(form: _Formulation, key: tuple) -> Optional[dict[int, float]]:
 
 
 def _add_column(form: _Formulation, name: str, role: tuple, cost: Optional[float],
-                entries, upper: Optional[float] = None, integer: bool = False,
-                lower: float = 0.0) -> int:
+                entries: Iterable[tuple[Optional[dict[int, float]], float]],
+                upper: Optional[float] = None, integer: bool = False, lower: float = 0.0) -> int:
     """Pose the design column ``name`` in [``lower``, ``upper``] with its
     ``role`` (see :class:`_Formulation`) and ``cost`` (None: none), and
     coefficient v in each row of ``entries``: (:func:`_row`, v) pairs."""
@@ -250,7 +250,8 @@ def _add_column(form: _Formulation, name: str, role: tuple, cost: Optional[float
 
 
 def _pose_rows(instance: BuiltInstance, form: _Formulation, single_homing: bool,
-               balance: list[tuple[tuple, str, float]], channels, servers) -> None:
+               balance: list[tuple[tuple, str, float]], channels: list[str],
+               servers: list[str]) -> None:
     """Pose a formulation's rows, empty, before its columns: ``assign[c]``
     under single homing, the ``balance`` rows ((key, relation, rhs)), and
     the finite capacities of ``channels`` (``capacity[ch]``) and of the

@@ -396,9 +396,9 @@ class TestRowRegistry:
         quoted, so their labels read apart."""
         instance = build_redundant_mlg(parse_problem(str(DATA / "comma_ids.json")))
         form = design._link_path(instance, single_homing=True)
-        names = form.lp.constraints
-        assert names[form.rows["homing", "a", "b,c"]].name == 'homing[a,"b,c"]'
-        assert names[form.rows["homing", "a,b", "c"]].name == 'homing["a,b",c]'
+        constraints = form.lp.constraints
+        assert constraints[form.rows["homing", "a", "b,c"]].name == 'homing[a,"b,c"]'
+        assert constraints[form.rows["homing", "a,b", "c"]].name == 'homing["a,b",c]'
 
     @pytest.mark.parametrize("mode", ["capacitated", "single-homing", "fixed-charge",
                                       "fixed-charge-single-homing"])

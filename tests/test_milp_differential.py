@@ -126,10 +126,10 @@ def test_edited_productivity_is_read_off_the_graph(seed, objective):
     rng = random.Random(seed)
     fixed = {ch["id"]: float(rng.randint(1, 3)) for ch in doc["channels"]}
     instance = build_redundant_mlg(problem_from_dict(doc))
+    assert doc["servers"][0]["id"] == "s00"
     edge = instance.graph.find_inter(instance.service_node, NodeRef(2, "s00"))
     edge.capacity -= 0.5
     doc["servers"][0]["productivity"] = edge.capacity
-    assert doc["servers"][0]["id"] == "s00"
     want = reference.reference_optimum(doc, mode="uncapacitated", fixed_costs=fixed)
     assert want.objective == objective
     for formulation in ("node-link", "link-path"):
