@@ -108,10 +108,13 @@ def _add_hops(cost: float, nodes, adj: _Adjacency) -> float:
     return cost
 
 
+def _channel_name(edge: IntraEdge) -> str:
+    return edge.name or "-".join(edge.ends)
+
+
 def _candidate(server: str, nodes: tuple[str, ...], cost: float,
                adj: _Adjacency) -> CandidatePath:
-    channels = tuple(edge.name or "-".join(edge.ends)
-                     for edge in (adj[a][b] for a, b in zip(nodes, nodes[1:])))
+    channels = tuple(_channel_name(adj[a][b]) for a, b in zip(nodes, nodes[1:]))
     return CandidatePath(server=server, nodes=nodes, channels=channels, cost=cost)
 
 
@@ -126,25 +129,40 @@ def enumerate_candidate_paths(instance: BuiltInstance, commodity: Commodity,
     floating point (integers, halves, ...) each server's path is the first
     of that server's in :func:`all_candidate_paths`.
 
-    The paths are read off ``trees`` (:func:`_server_trees` of the
-    instance, built here when not given; a caller enumerating every
-    commodity builds it once)."""
+    The paths, with their channels, are read off ``trees``
+    (:func:`_server_trees` of the instance, built here when not given; a
+    caller enumerating every commodity builds it once)."""
     if trees is None:
         trees = _server_trees(instance)
     subscriber = commodity.sink.id
-    adj = instance.graph.adjacency(1)
-    out = [_candidate(server, trees[server][subscriber][1], trees[server][subscriber][0], adj)
-           for server in instance.server_ids() if subscriber in trees[server]]
+    out = []
+    for server in instance.server_ids():
+        entry = trees[server].get(subscriber)
+        if entry is not None:
+            cost, nodes, channels = entry
+            out.append(CandidatePath(server=server, nodes=nodes, channels=channels, cost=cost))
     out.sort(key=lambda p: (p.cost, p.nodes))
     return out
 
 
 def _server_trees(instance: BuiltInstance) -> dict[str, dict[str, tuple]]:
     """Per server, its cheapest layer-1 path to every node it reaches
-    (:func:`mlgdesign.mlg.cheapest_paths_from`): its first path to every
-    subscriber at once."""
-    return {server: cheapest_paths_from(instance.graph, 1, [server], _channel_cost)
-            for server in instance.server_ids()}
+    (:func:`mlgdesign.mlg.cheapest_paths_from`) as ``(cost, nodes,
+    channels)``: its first path to every subscriber at once.  A node's
+    channels are its parent's plus the tree channel into it, named by
+    :func:`_channel_name`; the search settles the parent first."""
+    adj = instance.graph.adjacency(1)
+    trees = {}
+    for server in instance.server_ids():
+        tree = cheapest_paths_from(instance.graph, 1, [server], _channel_cost)
+        for node, (cost, nodes) in tree.items():
+            channels = ()
+            if len(nodes) > 1:
+                parent = nodes[-2]
+                channels = tree[parent][2] + (_channel_name(adj[parent][node]),)
+            tree[node] = cost, nodes, channels
+        trees[server] = tree
+    return trees
 
 
 def all_candidate_paths(instance: BuiltInstance,

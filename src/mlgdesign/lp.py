@@ -62,6 +62,10 @@ from .errors import MalformedProgram
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 INT_TOL = 1e-6
+# a pivot on a basis of more rows than this updates only the inverse rows
+# its direction moves, when fewer than a quarter of them move; on smaller
+# bases the dense rank-1 update costs less
+SPARSE_PIVOT_ROWS = 64
 
 
 @dataclass
@@ -392,7 +396,10 @@ class _Tableau:
         """Replace the basic variable of ``row`` by ``col``; the leaving
         one goes to its upper bound if ``to_upper``, else its lower.
         ``direction`` is binv @ A[:, col]; the pivot zeroes its ``row``
-        entry and eliminates with it in place."""
+        entry and eliminates with it in place, in every inverse row or,
+        on a basis of more than ``SPARSE_PIVOT_ROWS`` rows, only in those
+        the direction moves if they are fewer than a quarter: the same
+        operations on every entry that changes."""
         xb, binv = self.xb, self.binv
         leaving = self.basis[row]
         target = self.upper_b[row] if to_upper else self.lower_b[row]
@@ -403,7 +410,11 @@ class _Tableau:
         binv[row] /= piv
         xb[row] /= piv  # the entering column's step
         direction[row] = 0.0
-        binv -= direction[:, None] * binv[row]
+        m = len(direction)
+        if m > SPARSE_PIVOT_ROWS and 4 * len(moved := direction.nonzero()[0]) < m:
+            binv[moved] -= direction[moved, None] * binv[row]
+        else:
+            binv -= direction[:, None] * binv[row]
         xb -= direction * xb[row]
         if origin:
             xb[row] += origin

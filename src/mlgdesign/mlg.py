@@ -286,11 +286,19 @@ def cheapest_paths_from(graph: MultiLayerGraph, layer: int, starts: Iterable[str
     (integers, halves, ...); with lengths such as 0.1/0.2/0.3, sums equal
     in real arithmetic can round apart, so such ties can fall either way.
     A key never falls below its parent's, so a node's first pop settles
-    it and no entry is pushed toward a settled node.  A start that a
+    it and no entry is pushed toward a settled node.  A key is pushed
+    toward a node only when it is less than every key pushed toward it
+    before: a larger one could never settle it.  A start that a
     zero-cost path from a smaller start reaches is settled on that path.
+    A start that is not a node of the layer raises :class:`GraphError`.
     """
     adj = graph.adjacency(layer)
-    heap = [(0.0, (s,)) for s in sorted(starts)]
+    heap, pushed = [], {}  # pushed: node -> the least key pushed toward it
+    for s in sorted(starts):
+        if s not in adj:
+            raise GraphError(f"start {s!r} is not a node of layer {layer}")
+        pushed[s] = key = 0.0, (s,)
+        heap.append(key)
     best: dict[str, tuple[float, tuple[str, ...]]] = {}
     while heap:
         cost, path = heapq.heappop(heap)
@@ -300,7 +308,11 @@ def cheapest_paths_from(graph: MultiLayerGraph, layer: int, starts: Iterable[str
         best[node] = cost, path
         for nbr, edge in adj[node].items():
             if nbr not in best:
-                heapq.heappush(heap, (cost + weight(edge), path + (nbr,)))
+                key = cost + weight(edge), path + (nbr,)
+                least = pushed.get(nbr)
+                if least is None or key < least:
+                    pushed[nbr] = key
+                    heapq.heappush(heap, key)
     return best
 
 
@@ -333,13 +345,16 @@ def validate_overlay(graph: MultiLayerGraph) -> ValidationReport:
     report = ValidationReport()
     labels = [_component_labels(graph, lower) for lower in range(1, graph.layer_count)]
     for layer in range(2, graph.layer_count + 1):
-        # per node of this layer, the components below it in each lower layer
-        below = {node: [{labels[lower - 1][n.id]
+        # per lower layer, each node of this layer's components below it
+        below = [{node: {label[n.id]
                          for n in graph.inter_neighbors_down(NodeRef(layer, node), lower)}
-                        for lower in range(1, layer)]
-                 for node in graph.nodes(layer)}
+                  for node in graph.nodes(layer)}
+                 for lower, label in enumerate(labels[:layer - 1], 1)]
         for edge in graph.intra_edges(layer):
-            u, v = (below[end] for end in edge.ends)
-            if all(a.isdisjoint(b) for a, b in zip(u, v)):
+            u, v = edge.ends
+            for components in below:
+                if not components[u].isdisjoint(components[v]):
+                    break
+            else:
                 report.violations.append((edge, "NoRealization"))
     return report

@@ -122,6 +122,30 @@ class TestCandidatePaths:
             design._link_path(instance, single_homing)
             assert [args[2] for args in trees] == [[s] for s in instance.server_ids()]
 
+    @pytest.mark.parametrize("source", ["corpus", "2x", "comma_ids", "dashed_ids"])
+    def test_tree_channels_match_adjacency_walk(self, source):
+        """Every entry of every server's tree names the channels that
+        :func:`design._candidate` reads off the adjacency for its nodes:
+        on the acceptance corpus, ``big_problem(seed=1)`` at 2x, and the
+        instances whose ids hold commas and dashes."""
+        if source == "corpus":
+            problems = [random_problem(random.Random(seed)) for seed in range(9000, 9100)]
+        elif source == "2x":
+            problems = [scaled_big_problem(1, 2)]
+        else:
+            problems = [parse_problem(str(DATA / f"{source}.json"))]
+        entries = 0
+        for problem in problems:
+            instance = build_redundant_mlg(problem)
+            adj = instance.graph.adjacency(1)
+            for server, tree in design._server_trees(instance).items():
+                for node, (cost, nodes, channels) in tree.items():
+                    assert nodes[0] == server and nodes[-1] == node
+                    walked = design._candidate(server, nodes, cost, adj)
+                    assert channels == walked.channels
+                    entries += 1
+        assert entries >= len(problems) * 2
+
     def test_costs_are_left_to_right_sums(self):
         """Every candidate costs the left-to-right sum of its channels,
         as in the exhaustive enumeration, and the merged list is sorted
@@ -620,6 +644,46 @@ class TestPricedLinkPath:
         sol = solve_capacitated(instance, formulation="link-path")
         assert sol.objective == pytest.approx(249.0, abs=1e-6)
         assert sizes and max(sizes) <= 600
+
+    def test_row_restricted_pivots_match_dense(self, monkeypatch):
+        """The capacitated link-path LPs at ``big_problem(seed=1)`` 2x
+        have more than ``SPARSE_PIVOT_ROWS`` rows, and most of their
+        pivots move fewer than a quarter of them, so those update only the
+        moved inverse rows.  With the update forced dense every solve takes
+        the same pivots to the same objective, values and duals."""
+        restricted = []
+        pivot = lp_module._Tableau._pivot
+
+        def counted(tab, row, col, direction, *args, **kwargs):
+            moved = np.count_nonzero(direction) - 1  # the pivot entry is nonzero
+            restricted.append(len(direction) > lp_module.SPARSE_PIVOT_ROWS
+                              and 4 * moved < len(direction))
+            pivot(tab, row, col, direction, *args, **kwargs)
+
+        def solves():
+            out = []
+            solve = design.simplex_solve
+
+            def recorded(*args, **kwargs):
+                out.append(solve(*args, **kwargs))
+                return out[-1]
+
+            with monkeypatch.context() as patch:
+                patch.setattr(design, "simplex_solve", recorded)
+                solve_capacitated(instance, formulation="link-path")
+            return out
+
+        instance = build_redundant_mlg(scaled_big_problem(1, 2))
+        monkeypatch.setattr(lp_module._Tableau, "_pivot", counted)
+        sparse = solves()
+        assert sum(restricted) > len(restricted) / 2
+        monkeypatch.setattr(lp_module, "SPARSE_PIVOT_ROWS", 10 ** 9)
+        dense = solves()
+        assert len(sparse) == len(dense) > 0
+        for a, b in zip(sparse, dense):
+            assert (a.status, a.iterations, a.objective) == (b.status, b.iterations, b.objective)
+            assert np.array_equal(a.values, b.values)
+            assert np.array_equal(a.duals, b.duals)
 
 
 class TestStartBasis:

@@ -650,6 +650,57 @@ class TestTableauInvariants:
         assert steps["_pivot"] > 200 and steps["_flip"] > 10
 
 
+class TestRowRestrictedPivot:
+    @staticmethod
+    def sparse_program(rng):
+        """A bounded program of 70-120 rows and as many columns, each row
+        over 3 of them, which a point in the bounds satisfies unless the
+        rows are ``tight``: a basis past ``SPARSE_PIVOT_ROWS`` rows whose
+        pivots move few of them."""
+        m = rng.randint(70, 120)
+        lp = LinearProgram()
+        point = []
+        for j in range(m):
+            upper = rng.choice((1.0, 4.0))
+            lp.add_var(f"x{j}", upper=upper)
+            point.append(rng.choice((0.0, upper / 2, upper)))
+        lp.set_objective({j: float(rng.randint(-4, 6)) for j in range(m)})
+        tight = rng.random() < 0.25
+        for i in range(m):
+            coeffs = {j: float(rng.choice((-2, -1, 1, 1, 3))) for j in rng.sample(range(m), 3)}
+            at = sum(v * point[j] for j, v in coeffs.items())
+            relation = rng.choice(("<=", "<=", ">=", "="))
+            slack = float(rng.randint(0, 3)) - (2.0 if tight else 0.0)
+            rhs = {"<=": at + slack, ">=": at - slack, "=": at}[relation]
+            lp.add_constraint(coeffs, relation, rhs, name=f"r{i}")
+        return lp
+
+    def test_same_solve_as_dense(self, monkeypatch):
+        """Solved with the update forced dense, every program takes the
+        same pivots to the same status, objective, values, duals and
+        certificate; most pivots on these bases are row-restricted."""
+        restricted = []
+        pivot = lp_module._Tableau._pivot
+
+        def counted(tab, row, col, direction, *args, **kwargs):
+            restricted.append(len(direction) > lp_module.SPARSE_PIVOT_ROWS
+                              and 4 * (np.count_nonzero(direction) - 1) < len(direction))
+            pivot(tab, row, col, direction, *args, **kwargs)
+
+        monkeypatch.setattr(lp_module._Tableau, "_pivot", counted)
+        programs = [self.sparse_program(random.Random(3300 + seed)) for seed in range(12)]
+        sparse = [simplex_solve(lp) for lp in programs]
+        assert sum(restricted) > len(restricted) / 2
+        monkeypatch.setattr(lp_module, "SPARSE_PIVOT_ROWS", 10 ** 9)
+        for lp, a in zip(programs, sparse):
+            b = simplex_solve(lp)
+            assert (a.status, a.iterations, a.objective) == (b.status, b.iterations, b.objective)
+            assert np.array_equal(a.values, b.values)
+            assert np.array_equal(a.duals, b.duals)
+            assert a.certificate == b.certificate
+        assert {sol.status for sol in sparse} == {"Optimal", "Infeasible"}
+
+
 class TestBranchAndBound:
     def test_rounding_forced(self):
         lp = LinearProgram()

@@ -1,4 +1,7 @@
+import heapq
+import math
 import random
+import types
 
 import pytest
 
@@ -6,7 +9,8 @@ from helpers import random_problem, t1_problem
 from mlgdesign import (MultiLayerGraph, NodeRef, NoRealization, build_redundant_mlg,
                        realization_path, validate_overlay)
 from mlgdesign.errors import GraphError
-from mlgdesign.mlg import IntraEdge, inter_key, intra_key
+from mlgdesign import mlg
+from mlgdesign.mlg import IntraEdge, cheapest_paths_from, inter_key, intra_key
 
 
 def small_graph():
@@ -262,6 +266,100 @@ class TestRealizationPath:
             pa = realization_path(a.graph, edge_a)
             pb = realization_path(b.graph, edge_b)
             assert pa.sequence == pb.sequence
+
+
+def every_push_search(graph, layer, starts, weight, pushes=None):
+    """The least (cost, nodes) path search that pushes a key for every
+    relaxation, however large: the reference for
+    :func:`cheapest_paths_from`, which pushes only improving keys.  Each
+    push is counted in ``pushes["every"]`` when given."""
+    adj = graph.adjacency(layer)
+    heap = [(0.0, (s,)) for s in sorted(starts)]
+    best = {}
+    while heap:
+        cost, path = heapq.heappop(heap)
+        node = path[-1]
+        if node in best:
+            continue
+        best[node] = cost, path
+        for nbr, edge in adj[node].items():
+            if nbr not in best:
+                heapq.heappush(heap, (cost + weight(edge), path + (nbr,)))
+                if pushes is not None:
+                    pushes["every"] += 1
+    return best
+
+
+class TestCheapestPathsFrom:
+    @staticmethod
+    def searches(rng, graph):
+        """(starts, weight) pairs over layer 1: one server and every
+        server, costs as drawn, then redrawn to 0, 1 and 2 so that ties
+        at equal cost abound, then with random channels banned at
+        ``math.inf`` through a weight keyed by edge, as link-path pricing
+        passes them."""
+        servers = [n for n in graph.nodes(1) if n.startswith("s")]
+        edges = graph.intra_edges(1)
+        drawn = {edge.key: edge.cost for edge in edges}
+        ties = {edge.key: float(rng.choice((0, 0, 1, 2))) for edge in edges}
+        banned = {key: math.inf if rng.random() < 0.3 else w for key, w in ties.items()}
+        for starts in ([servers[0]], servers, graph.nodes(1)[::2]):
+            for weight in (drawn, ties, banned):
+                yield starts, lambda e, weight=weight: weight[e.key]
+
+    def test_matches_every_push_search_on_corpus(self):
+        """On the acceptance corpus the search returns the reference's
+        dict, entry for entry and in the same order, from one start and
+        from several, with zero-cost ties and banned channels; it also
+        matches on the upper layers at unit cost, as realization paths
+        search them."""
+        compared = 0
+        for seed in range(9000, 9100):
+            rng = random.Random(seed)
+            graph = build_redundant_mlg(random_problem(rng)).graph
+            cases = [(1, starts, weight) for starts, weight in self.searches(rng, graph)]
+            cases += [(layer, graph.nodes(layer)[:2], lambda _e: 1) for layer in (2, 3)]
+            for layer, starts, weight in cases:
+                got = cheapest_paths_from(graph, layer, starts, weight)
+                assert list(got.items()) == list(
+                    every_push_search(graph, layer, starts, weight).items())
+                compared += 1
+        assert compared == 100 * 11
+
+    def test_pushes_only_improving_keys(self, monkeypatch):
+        """Over the same searches the heap takes no more entries than the
+        reference's, and fewer in all: a key no smaller than one already
+        pushed toward its node is not pushed."""
+        pushes = {"every": 0, "improving": 0}
+
+        def push(heap, item):
+            pushes["improving"] += 1
+            heapq.heappush(heap, item)
+
+        monkeypatch.setattr(mlg, "heapq", types.SimpleNamespace(heappush=push,
+                                                                heappop=heapq.heappop))
+        for seed in range(9000, 9100):
+            rng = random.Random(seed)
+            graph = build_redundant_mlg(random_problem(rng)).graph
+            for starts, weight in self.searches(rng, graph):
+                before = dict(pushes)
+                cheapest_paths_from(graph, 1, starts, weight)
+                every_push_search(graph, 1, starts, weight, pushes)
+                assert (pushes["improving"] - before["improving"]
+                        <= pushes["every"] - before["every"])
+        assert pushes["improving"] < pushes["every"]
+
+    def test_unknown_start_is_a_graph_error(self):
+        """A start the layer lacks is named in a ``GraphError`` raised
+        before the search begins, not a ``KeyError`` from inside it."""
+        g = MultiLayerGraph()
+        g.add_layer(["a", "b"])
+        g.add_intra_edge(1, "a", "b", cost=1.0)
+        for starts in (["zz"], ["a", "zz"]):
+            with pytest.raises(GraphError, match="'zz'"):
+                cheapest_paths_from(g, 1, starts, lambda e: e.cost)
+        assert cheapest_paths_from(g, 1, ["b"], lambda e: e.cost) == {
+            "b": (0.0, ("b",)), "a": (1.0, ("b", "a"))}
 
 
 class TestValidateOverlay:
